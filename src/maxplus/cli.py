@@ -29,7 +29,6 @@ from .semiring import (
     scalar_to_json,
     vector_from_json,
 )
-from .projective import proj_vector_to_json
 from .spectral import classify, cyclicity_and_transient, summary_to_json
 from .stochastic import (
     StabilityOptions,

@@ -21,12 +21,6 @@ class PrecedenceGraph:
     k: int
     arcs: tuple  # (src, dst, valuation), sorted by (src, dst)
 
-    def successors(self) -> list:
-        adj = [[] for _ in range(self.k)]
-        for src, dst, _w in self.arcs:
-            adj[src].append(dst)
-        return adj
-
 
 @dataclass(frozen=True)
 class SccDecomposition:
@@ -228,14 +222,3 @@ def is_aperiodic(A: Matrix) -> bool:
     if not is_irreducible(A):
         return False
     return graph_cyclicity(graph_of(A)) == 1
-
-
-def to_dot(G: PrecedenceGraph, name: str = "precedence") -> str:
-    lines = [f"digraph {name} {{"]
-    for n in range(G.k):
-        lines.append(f"  n{n} [label=\"{n}\"];")
-    for src, dst, w in G.arcs:
-        label = "eps" if w is EPS else str(w)
-        lines.append(f"  n{src} -> n{dst} [label=\"{label}\"];")
-    lines.append("}")
-    return "\n".join(lines)

@@ -171,9 +171,3 @@ def matrix_proj_normal(A: Matrix) -> Matrix:
         tuple(tuple(EPS if v is EPS else v - top for v in row) for row in A.rows),
         A.backing,
     )
-
-
-def proj_vector_to_json(x: ProjVector) -> list:
-    from .semiring import scalar_to_json
-
-    return [scalar_to_json(v) for v in x.entries]

@@ -49,10 +49,14 @@ def as_scalar(value, backing: str) -> Scalar:
     """
     if value is EPS:
         return EPS
+    raw = value
     if isinstance(value, str):
         if value.strip() == "-inf":
             return EPS
-        value = Fraction(value.strip())
+        try:
+            value = Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise ContractViolation(f"not a max-plus scalar: {raw!r}") from None
     if isinstance(value, bool):
         raise ContractViolation(f"bool is not a max-plus scalar: {value!r}")
     if backing == EXACT:
@@ -62,7 +66,10 @@ def as_scalar(value, backing: str) -> Scalar:
             )
         return Fraction(value)
     if backing == FLOAT:
-        out = float(value)
+        try:
+            out = float(value)
+        except OverflowError:
+            raise ContractViolation(f"float entry out of range: {raw!r}") from None
         if math.isnan(out) or math.isinf(out):
             raise ContractViolation("float entries must be finite; eps is None or '-inf'")
         return out
@@ -269,13 +276,6 @@ def mat_oplus(A: Matrix, B: Matrix) -> Matrix:
     )
 
 
-def vec_oplus(u: Vector, v: Vector) -> Vector:
-    _require_same_backing(u, v, "vec_oplus")
-    if len(u) != len(v):
-        raise ContractViolation("vec_oplus: dimension mismatch")
-    return Vector(tuple(oplus(a, b) for a, b in zip(u.entries, v.entries)), u.backing)
-
-
 def mat_power(A: Matrix, n: int) -> Matrix:
     """n-th otimes power by repeated squaring; A^0 is the identity E."""
     if n < 0:
@@ -309,19 +309,6 @@ def scale_vector(c, x: Vector) -> Vector:
     return Vector(
         tuple(EPS if v is EPS else v + c for v in x.entries), x.backing
     )
-
-
-def matrix_approx_equal(A: Matrix, B: Matrix, tol: float = 1e-12) -> bool:
-    """Entrywise comparison with tolerance on finite entries; eps patterns must match."""
-    if A.k != B.k:
-        return False
-    for ra, rb in zip(A.rows, B.rows):
-        for a, b in zip(ra, rb):
-            if (a is EPS) != (b is EPS):
-                return False
-            if a is not EPS and abs(a - b) > tol:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,15 @@ the eventually periodic behaviour of matrix powers:
 
     A^(m+d) = lambda^(otimes d) otimes A^m    for all m >= M.
 
-The transient M and the cyclicity d are computed exactly by power
-iteration; the reported d is cross-checked against the critical graph.
+Every reader builds one exact record per matrix (``_spectrum``): A is
+scaled by the lcm L of its entry denominators, Karp's algorithm gives
+lambda = p / (q L), and the normalized matrix is held as the integer matrix
+Abar = q L A - p (otimes is positively homogeneous). Its closure Abar+ (one
+Floyd-Warshall pass, O(k^3)), the critical graph, the eigenvectors and the
+powers behind the transient M and cyclicity d are integer computations;
+``Fraction`` appears only on output. A float matrix enters the same record
+as the exact dyadic rationals its entries denote and is rounded once on
+output, so no check fails through rounding.
 """
 
 from __future__ import annotations
@@ -19,13 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .graphs import (
-    PrecedenceGraph,
-    SccDecomposition,
-    graph_of,
-    is_irreducible,
-    scc_from_arcs,
-)
+from .graphs import SccDecomposition, is_irreducible, scc_from_arcs
 from .projective import ProjVector, canonicalize, is_rank_one, matrix_proj_normal
 from .semiring import (
     EPS,
@@ -36,13 +37,9 @@ from .semiring import (
     Vector,
     mat_mul,
     mat_oplus,
-    mat_power,
     mat_vec,
     otimes,
-    otimes_repeat,
     scalar_to_json,
-    scale_vector,
-    zero,
 )
 
 
@@ -69,50 +66,49 @@ def default_power_budget(k: int) -> int:
     return 10 * k * k + 64
 
 
-def eigenvalue(A: Matrix):
-    """Unique eigenvalue of an irreducible matrix: max circuit mean.
+@dataclass(frozen=True)
+class _Spectrum:
+    """Exact spectral data of one irreducible matrix A.
 
-    Dynamic program over walk lengths 0..k from a fixed source; exact in
-    the exact backing.
+    abar = scale * A - shift holds integers, so lambda = shift / scale;
+    plus is the closure abar+. Integer matrices never leave the module:
+    ``value`` turns one of their entries back into a scalar of A's backing.
     """
-    if not is_irreducible(A):
-        raise ContractViolation("eigenvalue: matrix is not irreducible")
-    k = A.k
-    G = graph_of(A)
-    incoming = [[] for _ in range(k)]
-    for src, dst, w in G.arcs:
-        incoming[dst].append((src, w))
-    if not G.arcs:
-        raise ContractViolation("eigenvalue: graph has no circuit")
-    # d[j][v] = best weight of a walk with exactly j arcs from node 0 to v
-    d = [[EPS] * k for _ in range(k + 1)]
-    d[0][0] = zero(A.backing)
-    for j in range(1, k + 1):
-        prev = d[j - 1]
-        cur = d[j]
-        for v in range(k):
-            best = EPS
-            for u, w in incoming[v]:
-                p = prev[u]
-                if p is EPS:
-                    continue
-                s = p + w
-                if best is EPS or s > best:
-                    best = s
-            cur[v] = best
+
+    backing: str
+    scale: int
+    shift: int
+    abar: Matrix
+    plus: Matrix
+    critical: CriticalGraph
+
+    def value(self, v):
+        if v is EPS:
+            return EPS
+        x = Fraction(v, self.scale)
+        return x if self.backing == EXACT else float(x)
+
+    def matrix(self, M: Matrix) -> Matrix:
+        return Matrix(tuple(tuple(self.value(v) for v in row) for row in M.rows), self.backing)
+
+
+def _max_cycle_mean(B: Matrix) -> Fraction:
+    """Karp's algorithm: walks of 0..k arcs from node 0, one mat_vec each."""
+    k = B.k
+    x = Vector(tuple(0 if i == 0 else EPS for i in range(k)), B.backing)
+    walks = [x.entries]
+    for _ in range(k):
+        x = mat_vec(B, x)
+        walks.append(x.entries)
     best = None
     for v in range(k):
-        top = d[k][v]
+        top = walks[k][v]
         if top is EPS:
             continue
-        worst = None
-        for j in range(k):
-            dj = d[j][v]
-            if dj is EPS:
-                continue
-            mean = (top - dj) / (k - j)
-            if worst is None or mean < worst:
-                worst = mean
+        worst = min(
+            (Fraction(top - walks[j][v], k - j) for j in range(k) if walks[j][v] is not EPS),
+            default=None,
+        )
         if worst is not None and (best is None or worst > best):
             best = worst
     if best is None:
@@ -120,36 +116,132 @@ def eigenvalue(A: Matrix):
     return best
 
 
+def _closure(A: Matrix) -> Matrix:
+    """A+ = A oplus A^2 oplus ... by one Floyd-Warshall pass, O(k^3).
+
+    Entry (i, j) is the best weight of a path from j to i of length >= 1;
+    valid when no circuit has positive weight, which the caller checks.
+    """
+    k = A.k
+    P = [list(row) for row in A.rows]
+    for m in range(k):
+        via = P[m]
+        for row in P:
+            head = row[m]
+            if head is EPS:
+                continue
+            for j in range(k):
+                tail = via[j]
+                if tail is EPS:
+                    continue
+                s = head + tail
+                if row[j] is EPS or s > row[j]:
+                    row[j] = s
+    return Matrix(tuple(tuple(row) for row in P), A.backing)
+
+
+def _spectrum(A: Matrix) -> _Spectrum:
+    """The one exact record behind every spectral reader of A."""
+    if not is_irreducible(A):
+        raise ContractViolation("eigenvalue: matrix is not irreducible")
+    rows = tuple(tuple(EPS if v is EPS else Fraction(v) for v in row) for row in A.rows)
+    lcm = math.lcm(*(v.denominator for row in rows for v in row if v is not EPS))
+    B = Matrix(
+        tuple(tuple(EPS if v is EPS else int(v * lcm) for v in row) for row in rows), EXACT
+    )
+    lam = _max_cycle_mean(B)
+    q, p = lam.denominator, lam.numerator
+    abar = Matrix(
+        tuple(tuple(EPS if v is EPS else q * v - p for v in row) for row in B.rows), EXACT
+    )
+    plus = _closure(abar)
+    if mat_oplus(plus, mat_mul(plus, abar)) != plus:
+        raise ContractViolation("a_plus: fixpoint A+ oplus A^(k+1) = A+ failed")
+    nodes = tuple(i for i in range(A.k) if plus.rows[i][i] == 0)
+    arcs = tuple(
+        (i, j)
+        for i in nodes
+        for j in nodes
+        if otimes(abar.rows[j][i], plus.rows[i][j]) == 0
+    )
+    critical = CriticalGraph(nodes, arcs, scc_from_arcs(A.k, arcs, nodes=nodes))
+    return _Spectrum(A.backing, q * lcm, p, abar, plus, critical)
+
+
+def _cyclicity(crit: CriticalGraph) -> int:
+    result = 1
+    for c in crit.scc.cyclicities:
+        if c is None:
+            raise ContractViolation("cyclicity: critical SCC without a circuit")
+        result = result * c // math.gcd(result, c)
+    return result
+
+
+def _require_exact(A: Matrix, what: str) -> None:
+    if A.backing != EXACT:
+        raise ContractViolation(f"{what}: exact backing required")
+
+
+def _period_and_transient(rec: _Spectrum, max_power: Optional[int]) -> Tuple[int, int]:
+    if max_power is None:
+        max_power = default_power_budget(rec.abar.k)
+    seen: dict = {}
+    power = None
+    for n in range(1, max_power + 1):
+        power = rec.abar if power is None else mat_mul(power, rec.abar)
+        first = seen.setdefault(power.rows, n)
+        if first != n:
+            d = n - first
+            crit_d = _cyclicity(rec.critical)
+            if d != crit_d:
+                raise ContractViolation(
+                    f"cyclicity_and_transient: power period {d} != critical cyclicity {crit_d}"
+                )
+            return d, first
+    raise BudgetExceeded(
+        f"cyclicity_and_transient: no repetition within {max_power} powers"
+    )
+
+
+def _eigenbasis(rec: _Spectrum) -> tuple:
+    basis = []
+    for comp in rec.critical.scc.components:
+        v = canonicalize(Vector(rec.plus.col(comp[0]), EXACT)).as_vector()
+        if mat_vec(rec.abar, v) != v:
+            raise ContractViolation("eigenbasis: eigenvector relation failed")
+        basis.append(v.entries)
+    if len(set(basis)) != len(basis):
+        raise ContractViolation("eigenbasis: repeated classes across critical SCCs")
+    return tuple(ProjVector(tuple(rec.value(x) for x in v), rec.backing) for v in basis)
+
+
+def eigenvalue(A: Matrix):
+    """Unique eigenvalue of an irreducible matrix: max circuit mean.
+
+    Karp's dynamic program over walk lengths 0..k from a fixed source, run
+    exactly on the integer-scaled matrix.
+    """
+    rec = _spectrum(A)
+    return rec.value(rec.shift)
+
+
 def normalize(A: Matrix) -> Tuple[Matrix, object]:
     """Subtract the eigenvalue from every finite entry; returns (Abar, lambda)."""
-    lam = eigenvalue(A)
-    B = Matrix(
-        tuple(tuple(EPS if v is EPS else v - lam for v in row) for row in A.rows),
-        A.backing,
-    )
-    return B, lam
+    rec = _spectrum(A)
+    return rec.matrix(rec.abar), rec.value(rec.shift)
 
 
 def a_plus(A: Matrix) -> Matrix:
     """A + A^2 + ... + A^k (otimes powers, oplus sum) of a normalized matrix.
 
     Entry (i, j) is the best weight of a path from j to i of length 1..k.
-    Rejects non-normalized input; the fixpoint A+ oplus A^(k+1) = A+ is
+    Rejects non-normalized input; the fixpoint A+ oplus A+ A = A+ is
     asserted on the result.
     """
-    lam = eigenvalue(A)
-    if lam != zero(A.backing):
+    rec = _spectrum(A)
+    if rec.shift != 0:
         raise ContractViolation("a_plus: matrix is not normalized (eigenvalue != e)")
-    k = A.k
-    acc = A
-    power = A
-    for _ in range(k - 1):
-        power = mat_mul(power, A)
-        acc = mat_oplus(acc, power)
-    power = mat_mul(power, A)  # A^(k+1)
-    if mat_oplus(acc, power) != acc:
-        raise ContractViolation("a_plus: fixpoint A+ oplus A^(k+1) = A+ failed")
-    return acc
+    return rec.matrix(rec.plus)
 
 
 def critical_graph(A: Matrix) -> CriticalGraph:
@@ -158,33 +250,12 @@ def critical_graph(A: Matrix) -> CriticalGraph:
     Node i is critical iff (Abar+)_(ii) = e; the arc i -> j is critical iff
     Abar_(ji) otimes (Abar+)_(ij) = e.
     """
-    Abar, _lam = normalize(A)
-    P = a_plus(Abar)
-    e = zero(A.backing)
-    nodes = tuple(i for i in range(A.k) if P.rows[i][i] == e)
-    arcs = []
-    for i in nodes:
-        for j in nodes:
-            w = Abar.rows[j][i]
-            if w is EPS:
-                continue
-            back = P.rows[i][j]
-            if back is not EPS and w + back == e:
-                arcs.append((i, j))
-    arcs = tuple(sorted(arcs))
-    scc = scc_from_arcs(A.k, arcs, nodes=nodes)
-    return CriticalGraph(nodes, arcs, scc)
+    return _spectrum(A).critical
 
 
 def cyclicity(A: Matrix) -> int:
     """Cyclicity of the critical graph (lcm of per-SCC circuit gcds)."""
-    crit = critical_graph(A)
-    result = 1
-    for c in crit.scc.cyclicities:
-        if c is None:
-            raise ContractViolation("cyclicity: critical SCC without a circuit")
-        result = result * c // math.gcd(result, c)
-    return result
+    return _cyclicity(_spectrum(A).critical)
 
 
 def cyclicity_and_transient(A: Matrix, max_power: Optional[int] = None) -> Tuple[int, int]:
@@ -197,80 +268,36 @@ def cyclicity_and_transient(A: Matrix, max_power: Optional[int] = None) -> Tuple
     only. Raises BudgetExceeded when max_power (default 10 k^2 + 64) is
     hit before a repetition.
     """
-    if A.backing != EXACT:
-        raise ContractViolation("cyclicity_and_transient: exact backing required")
-    if max_power is None:
-        max_power = default_power_budget(A.k)
-    Abar, _lam = normalize(A)
-    seen: dict = {}
-    power = Matrix.identity(A.k, A.backing)
-    for n in range(1, max_power + 1):
-        power = mat_mul(power, Abar)
-        first = seen.get(power.rows)
-        if first is not None:
-            M, d = first, n - first
-            crit_d = cyclicity(A)
-            if d != crit_d:
-                raise ContractViolation(
-                    f"cyclicity_and_transient: power period {d} != critical cyclicity {crit_d}"
-                )
-            return d, M
-        seen[power.rows] = n
-    raise BudgetExceeded(
-        f"cyclicity_and_transient: no repetition within {max_power} powers"
-    )
+    _require_exact(A, "cyclicity_and_transient")
+    return _period_and_transient(_spectrum(A), max_power)
 
 
 def eigenbasis(A: Matrix) -> tuple:
     """One eigenvector class per critical SCC: the column of Abar+ at the
     least node of the component, canonicalized. Classes are pairwise
     distinct and each satisfies A v = lambda v exactly."""
-    Abar, lam = normalize(A)
-    P = a_plus(Abar)
-    crit = critical_graph(A)
-    out = []
-    for comp in crit.scc.components:
-        rep = comp[0]
-        col = Vector(P.col(rep), A.backing)
-        v = canonicalize(col)
-        out.append(v)
-    for v in out:
-        vec = v.as_vector()
-        if mat_vec(A, vec) != scale_vector(lam, vec):
-            raise ContractViolation("eigenbasis: eigenvector relation failed")
-    keys = {v.entries for v in out}
-    if len(keys) != len(out):
-        raise ContractViolation("eigenbasis: repeated classes across critical SCCs")
-    return tuple(out)
+    return _eigenbasis(_spectrum(A))
 
 
 def is_scs1cyc1(A: Matrix) -> bool:
     """Single critical SCC and cyclicity 1: the powers converge projectively."""
-    crit = critical_graph(A)
-    if crit.scc.count != 1:
-        return False
-    c = crit.scc.cyclicities[0]
-    return c == 1
+    scc = _spectrum(A).critical.scc
+    return scc.count == 1 and scc.cyclicities[0] == 1
 
 
 def classify(A: Matrix, with_transient: bool = False, max_power: Optional[int] = None) -> SpectralSummary:
-    lam = eigenvalue(A)
-    crit = critical_graph(A)
-    d = 1
-    for c in crit.scc.cyclicities:
-        if c is not None:
-            d = d * c // math.gcd(d, c)
+    rec = _spectrum(A)
+    d = _cyclicity(rec.critical)
     transient = None
     if with_transient:
-        d2, transient = cyclicity_and_transient(A, max_power)
-        if d2 != d:
-            raise ContractViolation("classify: cyclicity mismatch")
+        _require_exact(A, "cyclicity_and_transient")
+        _d, transient = _period_and_transient(rec, max_power)
     return SpectralSummary(
-        eigenvalue=lam,
-        critical=crit,
+        eigenvalue=rec.value(rec.shift),
+        critical=rec.critical,
         cyclicity=d,
-        scs1cyc1=(crit.scc.count == 1 and d == 1),
-        eigenbasis=eigenbasis(A),
+        scs1cyc1=(rec.critical.scc.count == 1 and d == 1),
+        eigenbasis=_eigenbasis(rec),
         transient=transient,
     )
 
@@ -343,15 +370,14 @@ def weak_rank(A: Matrix) -> int:
 def first_rank_one_power(A: Matrix, max_power: Optional[int] = None) -> Optional[int]:
     """Least n with A^n rank-one, or None when the power sequence provably
     cycles without ever reaching a rank-one matrix. Exact backing only."""
-    if A.backing != EXACT:
-        raise ContractViolation("first_rank_one_power: exact backing required")
+    _require_exact(A, "first_rank_one_power")
     if max_power is None:
         max_power = default_power_budget(A.k)
-    Abar, _lam = normalize(A)
+    abar = _spectrum(A).abar
     seen = set()
     power = None
     for n in range(1, max_power + 1):
-        power = Abar if power is None else mat_mul(power, Abar)
+        power = abar if power is None else mat_mul(power, abar)
         if is_rank_one(power):
             return n
         key = matrix_proj_normal(power).rows

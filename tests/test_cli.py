@@ -125,6 +125,63 @@ class TestExitCodes:
         proc = run_cli("simulate", "--dist", ring_dist, "--x0", x0, "--horizon", "3", "--seed", "0")
         assert proc.returncode == 3
 
+    @pytest.mark.parametrize("bad, backing", [("abc", "exact"), ("1/0", "exact"), ("1e400", "float")])
+    def test_bad_scalar_string_is_contract_violation(self, tmp_path, bad, backing):
+        m = write(tmp_path / "bad.json", {"k": 2, "entries": [[0, bad], [0, 0]]})
+        proc = run_cli("spectral", "--input", m, "--backing", backing)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr.splitlines()[-1])
+        assert err["error"]["type"] == "contract"
+        assert bad in err["error"]["message"]
+
+
+class TestFloatBacking:
+    def test_float_matrix_analysed_exactly(self, tmp_path):
+        # In float arithmetic lambda(Abar) comes out near 1e-16 for this
+        # matrix, so only an exact analysis finds Abar normalized.
+        m = write(
+            tmp_path / "m.json",
+            {"k": 3, "entries": [["-1", "1/3", "2/3"], ["1/3", "2/3", "-5/3"], ["0", "2", "-2"]]},
+        )
+        proc = run_cli("spectral", "--input", m, "--backing", "float")
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)["result"]
+        assert result["eigenvalue"] == 1.0
+        assert result["critical_nodes"] == [0, 1, 2]
+        assert result["cyclicity"] == 3
+        assert result["eigenbasis"] == [[-0.33333333333333337, -1.0, 0.0]]
+
+    def test_float_report_golden(self, tmp_path):
+        # Pins one float report, value for value.
+        m = write(
+            tmp_path / "m.json",
+            {
+                "k": 4,
+                "entries": [
+                    ["-6", "-1", "-inf", "-inf"],
+                    ["-1", "1", "-4/3", "-1/3"],
+                    ["-4", "-inf", "1", "5/3"],
+                    ["-2", "-6", "-4", "2/3"],
+                ],
+            },
+        )
+        proc = run_cli("spectral", "--input", m, "--backing", "float")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"] == {
+            "eigenvalue": 1.0,
+            "critical_nodes": [1, 2],
+            "critical_arcs": [[1, 1], [2, 2]],
+            "critical_scc_count": 2,
+            "cyclicity": 1,
+            "scs1cyc1": False,
+            "eigenbasis": [
+                [-2.0, 0.0, -4.333333333333333, -5.0],
+                [-4.333333333333333, -2.333333333333333, 0.0, -5.0],
+            ],
+            "transient": None,
+        }
+
 
 class TestStochasticCommands:
     def test_simulate_with_csv(self, ring_dist, x0_files, tmp_path):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from maxplus.semiring import (
     EPS,
@@ -17,6 +18,7 @@ from maxplus.semiring import (
     scale_matrix,
 )
 from maxplus.projective import is_rank_one, proj_equal
+from maxplus import spectral
 from maxplus.spectral import (
     a_plus,
     classify,
@@ -33,7 +35,8 @@ from maxplus.spectral import (
 )
 from maxplus.models import cjn_matrix
 
-from conftest import brute_max_cycle_mean, irreducible_corpus
+import reference_spectral as reference
+from conftest import brute_max_cycle_mean, irreducible_corpus, random_irreducible
 
 
 def M(rows):
@@ -193,3 +196,78 @@ class TestRankOnePowers:
         assert n == 8
         assert is_rank_one(mat_power(normalize(A)[0], n))
         assert not is_rank_one(mat_power(normalize(A)[0], n - 1))
+
+
+@st.composite
+def irreducible_matrices(draw, max_k=7):
+    """Irreducible exact matrices: a Hamiltonian circuit plus random entries p/q, q <= 3."""
+    k = draw(st.integers(1, max_k))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    rows = [[draw(st.one_of(st.none(), entry)) for _ in range(k)] for _ in range(k)]
+    perm = draw(st.permutations(range(k)))
+    for a in range(k):
+        i, j = perm[(a + 1) % k], perm[a]
+        if rows[i][j] is None:
+            rows[i][j] = draw(entry)
+    return Matrix.make(rows, EXACT)
+
+
+def outcome(fn, *args):
+    """fn's result, or the BudgetExceeded class when its power budget runs out."""
+    try:
+        return fn(*args)
+    except BudgetExceeded:
+        return BudgetExceeded
+
+
+class TestDifferentialAgainstReference:
+    """The single integer-scaled record against the product-based reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(irreducible_matrices())
+    def test_classify_matches_reference(self, A):
+        assert outcome(classify, A, True, 60) == outcome(reference.classify, A, True, 60)
+
+    @settings(max_examples=80, deadline=None)
+    @given(irreducible_matrices())
+    def test_first_rank_one_power_matches_reference(self, A):
+        assert outcome(first_rank_one_power, A, 60) == outcome(
+            reference.first_rank_one_power, A, 60
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(irreducible_matrices(), st.integers(1, 5))
+    def test_integer_scaling_is_homogeneous(self, A, c):
+        cA = Matrix(tuple(tuple(EPS if v is EPS else c * v for v in row) for row in A.rows), EXACT)
+        assert eigenvalue(cA) == c * eigenvalue(A)
+        assert critical_graph(cA) == critical_graph(A)
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducible_matrices())
+def test_float_matrix_is_its_dyadic_rationals_rounded_once(A):
+    Af = A.to_float()
+    rows = tuple(tuple(EPS if v is EPS else Fraction(v) for v in row) for row in Af.rows)
+    dyadic = classify(Matrix(rows, EXACT))
+    s = classify(Af)
+    assert s.eigenvalue == float(dyadic.eigenvalue)
+    assert (s.critical, s.cyclicity) == (dyadic.critical, dyadic.cyclicity)
+    assert [v.entries for v in s.eigenbasis] == [
+        tuple(float(x) for x in v.entries) for v in dyadic.eigenbasis
+    ]
+
+
+def test_classify_cost_is_one_record_plus_the_powers(monkeypatch):
+    # One fixpoint check of the closure, then the powers Abar^2 .. Abar^(M+d):
+    # a k-product closure or a second record per reader would exceed this.
+    A = random_irreducible(random.Random(10), 12)
+    calls = []
+
+    def counting_mat_mul(X, Y):
+        calls.append(1)
+        return mat_mul(X, Y)
+
+    monkeypatch.setattr(spectral, "mat_mul", counting_mat_mul)
+    s = classify(A, with_transient=True)
+    assert (s.transient, s.cyclicity) == (18, 2)
+    assert len(calls) <= s.transient + s.cyclicity + 1
