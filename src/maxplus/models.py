@@ -516,21 +516,36 @@ register_generator("cjn_uniform", _build_cjn_uniform)
 # Spec JSON
 
 
+def _field(obj, key: str, what: str):
+    """obj[key], or a ContractViolation naming what is missing."""
+    if not isinstance(obj, dict):
+        raise ContractViolation(f"{what} JSON must be an object")
+    if key not in obj:
+        raise ContractViolation(f"{what} JSON needs {key!r}")
+    return obj[key]
+
+
 def cjn_spec_from_json(obj: dict) -> CjnSpec:
     """{"queues": k, "customers": c, "law": {"joint": {"atoms": [[...]], "probs": [...]}}
     or {"per_queue": {"values": [[...]], "probs": [[...]]}}
     or {"uniform": {"low": a, "high": b}}}"""
-    queues = int(obj["queues"])
+    queues = int(_field(obj, "queues", "CjnSpec"))
     customers = int(obj.get("customers", queues))
-    law_obj = obj["law"]
+    law_obj = _field(obj, "law", "CjnSpec")
+    if not isinstance(law_obj, dict):
+        raise ContractViolation("CjnSpec JSON law must be an object")
     if "joint" in law_obj:
         j = law_obj["joint"]
-        law = JointServiceLaw.make(j["atoms"], j["probs"])
+        law = JointServiceLaw.make(_field(j, "atoms", "joint law"), _field(j, "probs", "joint law"))
     elif "per_queue" in law_obj:
         p = law_obj["per_queue"]
-        law = PerQueueServiceLaw.make(p["values"], p["probs"])
+        law = PerQueueServiceLaw.make(
+            _field(p, "values", "per_queue law"), _field(p, "probs", "per_queue law")
+        )
     elif "uniform" in law_obj:
         u = law_obj["uniform"]
+        if not isinstance(u, dict):
+            raise ContractViolation("uniform law JSON must be an object")
         law = UniformServiceLaw(k=queues, low=float(u.get("low", 0.0)), high=float(u.get("high", 1.0)))
     else:
         raise ContractViolation('CjnSpec JSON law must be "joint", "per_queue", or "uniform"')
@@ -540,11 +555,16 @@ def cjn_spec_from_json(obj: dict) -> CjnSpec:
 def taskgraph_spec_from_json(obj: dict) -> TaskGraphSpec:
     """{"k": k, "subsets": [{"masks": [...], "probs": [...]}, ...],
     "duration": 1 | "3/2" | {"uniform": {"low": a, "high": b}}}"""
-    k = int(obj["k"])
-    subsets = tuple(SubsetLaw.make(s["masks"], s["probs"]) for s in obj["subsets"])
+    k = int(_field(obj, "k", "TaskGraphSpec"))
+    subsets = tuple(
+        SubsetLaw.make(_field(s, "masks", "subset law"), _field(s, "probs", "subset law"))
+        for s in _field(obj, "subsets", "TaskGraphSpec")
+    )
     dur = obj.get("duration", 1)
     if isinstance(dur, dict) and "uniform" in dur:
         u = dur["uniform"]
+        if not isinstance(u, dict):
+            raise ContractViolation("uniform duration JSON must be an object")
         duration = ("uniform", float(u.get("low", 0.0)), float(u.get("high", 1.0)))
     else:
         duration = dur

@@ -3,7 +3,9 @@
 Scalars live in (R u {eps}, max, +) where eps, the additive identity, is
 absorbing for + and neutral for max. Two backings are supported: "exact"
 (``fractions.Fraction`` entries, equality is exact) and "float". A value
-never mixes backings; operations on mixed operands are rejected.
+never mixes backings; operations on mixed operands are rejected. Exact
+containers made by ``scale_to_integers`` hold Python ints: the working
+copies that the spectral and stochastic routines compute on.
 
 eps is modelled as ``None``, a distinguished variant rather than a numeric
 sentinel, so exact arithmetic never touches -inf floats. All containers are
@@ -308,6 +310,37 @@ def scale_vector(c, x: Vector) -> Vector:
         raise ContractViolation("scale_vector: scaling by eps is not useful")
     return Vector(
         tuple(EPS if v is EPS else v + c for v in x.entries), x.backing
+    )
+
+
+def scale_to_integers(matrices: Sequence[Matrix], vectors: Sequence[Vector] = ()):
+    """(L, matrices times L, vectors times L) for L the lcm of every entry
+    denominator: exact containers of Python ints.
+
+    otimes is positively homogeneous, (L A) otimes (L B) = L (A otimes B),
+    so products, projective classes, rank-one tests and distances of the
+    scaled values are those of the originals, up to the one factor L.
+    Float entries count as the exact dyadic rationals they denote.
+    """
+    blocks = [(M.rows, M.backing) for M in matrices] + [((x.entries,), x.backing) for x in vectors]
+    blocks = [
+        rows if backing == EXACT
+        else tuple(tuple(EPS if v is EPS else Fraction(v) for v in row) for row in rows)
+        for rows, backing in blocks
+    ]
+    L = math.lcm(*{v.denominator for rows in blocks for row in rows for v in row if v is not EPS})
+    scaled = [
+        tuple(
+            tuple(EPS if v is EPS else v.numerator * (L // v.denominator) for v in row)
+            for row in rows
+        )
+        for rows in blocks
+    ]
+    n = len(matrices)
+    return (
+        L,
+        tuple(Matrix(rows, EXACT) for rows in scaled[:n]),
+        tuple(Vector(rows[0], EXACT) for rows in scaled[n:]),
     )
 
 

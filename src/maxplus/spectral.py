@@ -40,6 +40,7 @@ from .semiring import (
     mat_vec,
     otimes,
     scalar_to_json,
+    scale_to_integers,
 )
 
 
@@ -144,11 +145,11 @@ def _spectrum(A: Matrix) -> _Spectrum:
     """The one exact record behind every spectral reader of A."""
     if not is_irreducible(A):
         raise ContractViolation("eigenvalue: matrix is not irreducible")
-    rows = tuple(tuple(EPS if v is EPS else Fraction(v) for v in row) for row in A.rows)
-    lcm = math.lcm(*(v.denominator for row in rows for v in row if v is not EPS))
-    B = Matrix(
-        tuple(tuple(EPS if v is EPS else int(v * lcm) for v in row) for row in rows), EXACT
-    )
+    return _irreducible_spectrum(A)
+
+
+def _irreducible_spectrum(A: Matrix) -> _Spectrum:
+    lcm, (B,), _ = scale_to_integers((A,))
     lam = _max_cycle_mean(B)
     q, p = lam.denominator, lam.numerator
     abar = Matrix(
@@ -279,10 +280,19 @@ def eigenbasis(A: Matrix) -> tuple:
     return _eigenbasis(_spectrum(A))
 
 
+def _scs1cyc1(rec: _Spectrum) -> bool:
+    scc = rec.critical.scc
+    return scc.count == 1 and scc.cyclicities[0] == 1
+
+
 def is_scs1cyc1(A: Matrix) -> bool:
     """Single critical SCC and cyclicity 1: the powers converge projectively."""
-    scc = _spectrum(A).critical.scc
-    return scc.count == 1 and scc.cyclicities[0] == 1
+    return _scs1cyc1(_spectrum(A))
+
+
+def _irreducible_scs1cyc1(A: Matrix) -> bool:
+    """is_irreducible(A) and is_scs1cyc1(A), with one SCC decomposition."""
+    return is_irreducible(A) and _scs1cyc1(_irreducible_spectrum(A))
 
 
 def classify(A: Matrix, with_transient: bool = False, max_power: Optional[int] = None) -> SpectralSummary:

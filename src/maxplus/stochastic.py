@@ -10,6 +10,17 @@ The analysis operations split along the exact/float line. Exact rational
 models support coupling certificates (windows whose matrix product is
 rank-one), projective-semigroup pattern search, and structural condition
 checks; float models get Monte-Carlo estimates and eta-coupling.
+
+The exact routines (the word search behind ``pattern_search``, the strong
+and eta tracks of ``forward_coupling``, ``backward_loynes``) run on Python
+ints: each call scales the support, and the initial conditions, once by L,
+the lcm of their entry denominators (``semiring.scale_to_integers``).
+otimes is positively homogeneous, so products are L times the rational
+ones, with the same projective classes, rank-one tests and dedupe keys;
+distances are L times larger and are compared with L times the exact
+threshold. ``Fraction`` stays at the boundary: every value that leaves the
+module is divided by L again, and report matrices are products of the
+original support.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import graph_of, is_irreducible, scc_decompose, scc_from_arcs
+from .graphs import graph_of, scc_decompose, scc_from_arcs
 from .projective import (
     ProjVector,
     canonicalize,
@@ -46,9 +57,10 @@ from .semiring import (
     matrix_from_json,
     matrix_to_json,
     scalar_to_json,
+    scale_to_integers,
     zero,
 )
-from .spectral import is_scs1cyc1
+from .spectral import _irreducible_scs1cyc1
 
 DEFAULT_ETA = 1e-6
 _Z95 = 1.959963984540054
@@ -282,6 +294,13 @@ class _MatrixStream:
         return d.matrices[idx]
 
 
+def _integer_support(D: FiniteSupport, vectors: Sequence[Vector] = ()) -> tuple:
+    """(L, D with every matrix times L, vectors times L), all Python ints;
+    the draws are those of D."""
+    L, mats, xs = scale_to_integers(D.matrices, vectors)
+    return L, FiniteSupport(mats, D.probabilities, D.kernel), xs
+
+
 def _require_row_finite(A: Matrix, when: str) -> None:
     bad = A.row_finite_violation()
     if bad is not None:
@@ -417,7 +436,7 @@ def lyapunov_estimate(
     threads: int = 1,
     channel: int = 0,
 ) -> LyapunovEstimate:
-    """Estimate the growth rate: mean over replications of |x(horizon)|_inf / horizon.
+    """Estimate the growth rate: mean over replications of max_i x_i(horizon) / horizon.
 
     The confidence interval is the 95% normal approximation across
     replications. Estimates are invariant to the finite initial condition
@@ -440,7 +459,7 @@ def lyapunov_estimate(
             if isinstance(D, GeneratorDistribution):
                 _require_row_finite(A, "lyapunov_estimate")
             x = mat_vec(A, x)
-        return max(abs(v) for v in x.entries) / horizon
+        return max(x.entries) / horizon
 
     values = _map_replications(one, replications, threads)
     if backing == EXACT:
@@ -608,11 +627,15 @@ def forward_coupling(
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
     track_strong = backing == EXACT
-    if eta is None or eta < 0:
+    if eta is None or not eta >= 0:
         raise ContractViolation("forward_coupling: eta must be >= 0")
+    Dw, xw, bound = D, x0s, eta
+    if track_strong:
+        L, Dw, xw = _integer_support(D, x0s)
+        bound = eta if eta == math.inf else Fraction(eta) * L
 
     def one(rep):
-        return _couple_one(D, x0s, horizon, eta, seed, rep, track_strong)
+        return _couple_one(Dw, xw, horizon, bound, seed, rep, track_strong)
 
     samples = _map_replications(one, replications, threads)
     return CouplingReport(
@@ -697,6 +720,15 @@ def backward_loynes(
         )
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
+    bound = tol
+    if backing == EXACT:
+        L, D, _ = _integer_support(D)
+        bound = tol * L
+
+    def unscaled(d):
+        # what proj_diameter gives on the unscaled product: 0 and inf as they are
+        return d if backing == FLOAT or d == 0 or d == math.inf else Fraction(d, L)
+
     stream = _MatrixStream(D, _stream(seed, replication, 1), backward=True)
     P = None
     trace = []
@@ -715,19 +747,22 @@ def backward_loynes(
                 if not done:
                     diam = proj_diameter(P)
                     last_diam = diam
-                trace.append((n, float(diam)))
+                trace.append((n, float(unscaled(diam))))
         else:
             diam = proj_diameter(P)
             last_diam = diam
-            done = diam <= tol
+            done = diam <= bound
             if trace_every and (n % trace_every == 0 or done):
-                trace.append((n, float(diam) if diam != math.inf else math.inf))
+                trace.append((n, float(unscaled(diam))))
         if done:
+            limit = _first_finite_column_class(P)
+            if backing == EXACT:
+                limit = ProjVector(tuple(Fraction(v, L) for v in limit.entries), EXACT)
             return LoynesResult(
                 converged=True,
                 steps=n,
-                limit_class=_first_finite_column_class(P),
-                achieved_diameter=last_diam,
+                limit_class=limit,
+                achieved_diameter=unscaled(last_diam),
                 tolerance=tol,
                 trace=tuple(trace),
                 seed=seed,
@@ -739,7 +774,7 @@ def backward_loynes(
         converged=False,
         steps=budget,
         limit_class=None,
-        achieved_diameter=last_diam,
+        achieved_diameter=unscaled(last_diam),
         tolerance=tol,
         trace=tuple(trace),
         seed=seed,
@@ -767,7 +802,8 @@ def _word_bfs(D: FiniteSupport, on_state, max_len: int, budget: int):
     """Breadth-first walk over admissible words, one node per distinct
     (projective product class, last letter if Markov). on_state may return
     a result to stop with. Returns (result, saturated, explored) where
-    saturated means the state space was exhausted below max_len."""
+    saturated means the state space was exhausted below max_len. Scaling
+    every matrix of D by one positive factor visits the same words."""
     seen = set()
     queue = deque()
     explored = 0
@@ -887,19 +923,18 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
     def on_state(word, P):
         if is_rank_one(P):
             return word
-        if not weak and is_irreducible(P) and is_scs1cyc1(P):
+        if not weak and _irreducible_scs1cyc1(P):
             weak["word"] = word
         return None
 
-    hit, saturated, explored = _word_bfs(D, on_state, max_len, budget)
+    _, Dint, _ = _integer_support(D)
+    hit, saturated, explored = _word_bfs(Dint, on_state, max_len, budget)
     scs_word = weak.get("word")
     scs_mat = word_product(D, scs_word) if scs_word is not None else None
     scs_prob = word_probability(D, scs_word) if scs_word is not None else None
     if hit is not None:
         P = word_product(D, hit)
-        cls = "rank-one"
-        if is_irreducible(P) and is_scs1cyc1(P):
-            cls = "rank-one+scs1cyc1"
+        cls = "rank-one+scs1cyc1" if _irreducible_scs1cyc1(P) else "rank-one"
         return PatternReport(
             found=True,
             word=hit,

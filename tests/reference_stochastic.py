@@ -1,0 +1,284 @@
+"""Reference exact routines: the ``Fraction`` implementations that the
+integer-scaled routines of ``maxplus.stochastic`` replaced, kept verbatim as
+an oracle for differential tests.
+
+The word search, the coupling tracks and the backward scheme multiply the
+support matrices in their own exact arithmetic, with no scaling: slow, but
+independent of ``scale_to_integers`` and of the conversions back to
+``Fraction`` on output.
+"""
+
+import math
+from collections import deque
+
+from maxplus.graphs import is_irreducible
+from maxplus.projective import (
+    canonicalize,
+    is_rank_one,
+    matrix_proj_normal,
+    proj_diameter,
+    proj_dist,
+)
+from maxplus.semiring import EPS, EXACT, FLOAT, ContractViolation, as_scalar, mat_mul, mat_vec
+from maxplus.spectral import is_scs1cyc1
+from maxplus.stochastic import (
+    CouplingSample,
+    FiniteSupport,
+    GeneratorDistribution,
+    LoynesResult,
+    MatrixDistribution,
+    PatternReport,
+    _MatrixStream,
+    _check_condition_i,
+    _first_finite_column_class,
+    _initial_letters,
+    _next_letters,
+    _require_row_finite,
+    _stream,
+    dist_backing,
+    word_probability,
+    word_product,
+)
+
+
+def _couple_one(D, x0s, horizon, eta, seed, rep, track_strong):
+    stream = _MatrixStream(D, _stream(seed, rep, 0))
+    xs = list(x0s)
+    merge_time = None
+    eta_time = None
+    window = (None, None)
+
+    def merged() -> bool:
+        first = canonicalize(xs[0]).entries
+        return all(canonicalize(x).entries == first for x in xs[1:])
+
+    def eta_close() -> bool:
+        for i in range(len(xs)):
+            for j in range(i + 1, len(xs)):
+                if proj_dist(xs[i], xs[j]) > eta:
+                    return False
+        return True
+
+    if track_strong and merged():
+        merge_time = 0
+    if eta_close():
+        eta_time = 0
+    matrices = []
+    prefix = None
+    for n in range(1, horizon + 1):
+        done_strong = (not track_strong) or (merge_time is not None and window[0] is not None)
+        if done_strong and eta_time is not None:
+            break
+        A = stream.next()
+        if isinstance(D, GeneratorDistribution):
+            _require_row_finite(A, "forward_coupling")
+        xs = [mat_vec(A, x) for x in xs]
+        if track_strong and window[0] is None:
+            matrices.append(A)
+            prefix = A if prefix is None else mat_mul(A, prefix)
+            if is_rank_one(prefix):
+                # shortest window ending here: walk the start backwards;
+                # prod accumulates A(n-1) ... A(p) and p = 0 always hits
+                prod = None
+                for p in range(n - 1, -1, -1):
+                    prod = matrices[p] if prod is None else mat_mul(prod, matrices[p])
+                    if is_rank_one(prod):
+                        window = (p, n - p)
+                        break
+                matrices = []
+        if track_strong and merge_time is None and merged():
+            merge_time = n
+        if eta_time is None and eta_close():
+            eta_time = n
+    return CouplingSample(
+        replication=rep,
+        merge_time=merge_time,
+        eta_time=eta_time,
+        window_start=window[0],
+        window_length=window[1],
+    )
+
+
+
+def backward_loynes(
+    D: MatrixDistribution,
+    tolerance=0,
+    budget: int = 10000,
+    seed: int = 0,
+    replication: int = 0,
+    trace_every: int = 1,
+) -> LoynesResult:
+    """Grow the backward product one past matrix at a time until its
+    projective image is tolerance-thin. tolerance=0 demands an exactly
+    rank-one product and needs the exact backing; float models must pass
+    a positive tolerance. A budget exhaustion returns a partial result
+    with converged=False rather than raising."""
+    backing = dist_backing(D)
+    tol = as_scalar(tolerance, backing) if tolerance != 0 else 0
+    if tol is EPS:
+        raise ContractViolation("backward_loynes: tolerance must be a number >= 0")
+    if tolerance != 0 and tol < 0:
+        raise ContractViolation("backward_loynes: tolerance must be >= 0")
+    if tolerance == 0 and backing == FLOAT:
+        raise ContractViolation(
+            "backward_loynes: exact convergence (tolerance 0) needs the exact backing"
+        )
+    if isinstance(D, FiniteSupport):
+        _check_condition_i(D)
+    stream = _MatrixStream(D, _stream(seed, replication, 1), backward=True)
+    P = None
+    trace = []
+    last_diam = math.inf
+    for n in range(1, budget + 1):
+        A = stream.next()
+        if isinstance(D, GeneratorDistribution):
+            _require_row_finite(A, "backward_loynes")
+        P = A if P is None else mat_mul(P, A)
+        if tolerance == 0:
+            done = is_rank_one(P)
+            diam = 0 if done else None
+            if done:
+                last_diam = 0
+            if trace_every and (n % trace_every == 0 or done):
+                if not done:
+                    diam = proj_diameter(P)
+                    last_diam = diam
+                trace.append((n, float(diam)))
+        else:
+            diam = proj_diameter(P)
+            last_diam = diam
+            done = diam <= tol
+            if trace_every and (n % trace_every == 0 or done):
+                trace.append((n, float(diam) if diam != math.inf else math.inf))
+        if done:
+            return LoynesResult(
+                converged=True,
+                steps=n,
+                limit_class=_first_finite_column_class(P),
+                achieved_diameter=last_diam,
+                tolerance=tol,
+                trace=tuple(trace),
+                seed=seed,
+                replication=replication,
+            )
+    if last_diam == math.inf and P is not None and tolerance == 0:
+        last_diam = proj_diameter(P)
+    return LoynesResult(
+        converged=False,
+        steps=budget,
+        limit_class=None,
+        achieved_diameter=last_diam,
+        tolerance=tol,
+        trace=tuple(trace),
+        seed=seed,
+        replication=replication,
+    )
+
+
+def _word_bfs(D: FiniteSupport, on_state, max_len: int, budget: int):
+    """Breadth-first walk over admissible words, one node per distinct
+    (projective product class, last letter if Markov). on_state may return
+    a result to stop with. Returns (result, saturated, explored) where
+    saturated means the state space was exhausted below max_len."""
+    seen = set()
+    queue = deque()
+    explored = 0
+    for letter in _initial_letters(D):
+        P = matrix_proj_normal(D.matrices[letter])
+        key = (P.rows, letter if D.kernel is not None else None)
+        if key in seen:
+            continue
+        seen.add(key)
+        word = (letter,)
+        res = on_state(word, P)
+        if res is not None:
+            return res, False, len(seen)
+        queue.append((P, word))
+    truncated = False
+    while queue:
+        explored += 1
+        if explored > budget:
+            return None, False, len(seen)
+        P, word = queue.popleft()
+        if len(word) >= max_len:
+            truncated = True
+            continue
+        for letter in _next_letters(D, word[-1]):
+            Q = matrix_proj_normal(mat_mul(D.matrices[letter], P))
+            key = (Q.rows, letter if D.kernel is not None else None)
+            if key in seen:
+                continue
+            seen.add(key)
+            nxt = word + (letter,)
+            res = on_state(nxt, Q)
+            if res is not None:
+                return res, False, len(seen)
+            queue.append((Q, nxt))
+    return None, not truncated, len(seen)
+
+
+
+def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) -> PatternReport:
+    """Search admissible words for one whose matrix product is rank-one
+    (BFS, so a hit has minimal length). Also records the first word whose
+    product is irreducible with a one-component, cyclicity-one critical
+    graph, a weaker pattern that still forces coupling for iid models.
+
+    status 'saturated' means every product class reachable below max_len
+    was visited and none is rank-one, which is definitive for the whole
+    semigroup; 'truncated' means the search ran out of length or budget.
+    """
+    if not isinstance(D, FiniteSupport):
+        raise ContractViolation("pattern_search: needs a finite-support distribution")
+    if D.backing != EXACT:
+        raise ContractViolation("pattern_search: needs the exact backing")
+    if max_len < 1:
+        raise ContractViolation("pattern_search: max_len must be >= 1")
+    _check_condition_i(D)
+    weak = {}
+
+    def on_state(word, P):
+        if is_rank_one(P):
+            return word
+        if not weak and is_irreducible(P) and is_scs1cyc1(P):
+            weak["word"] = word
+        return None
+
+    hit, saturated, explored = _word_bfs(D, on_state, max_len, budget)
+    scs_word = weak.get("word")
+    scs_mat = word_product(D, scs_word) if scs_word is not None else None
+    scs_prob = word_probability(D, scs_word) if scs_word is not None else None
+    if hit is not None:
+        P = word_product(D, hit)
+        cls = "rank-one"
+        if is_irreducible(P) and is_scs1cyc1(P):
+            cls = "rank-one+scs1cyc1"
+        return PatternReport(
+            found=True,
+            word=hit,
+            matrix=P,
+            length=len(hit),
+            classification=cls,
+            probability=word_probability(D, hit),
+            status="found",
+            states_explored=explored,
+            max_len=max_len,
+            scs1cyc1_word=scs_word,
+            scs1cyc1_matrix=scs_mat,
+            scs1cyc1_probability=scs_prob,
+        )
+    return PatternReport(
+        found=False,
+        word=None,
+        matrix=None,
+        length=None,
+        classification=None,
+        probability=None,
+        status="saturated" if saturated else "truncated",
+        states_explored=explored,
+        max_len=max_len,
+        scs1cyc1_word=scs_word,
+        scs1cyc1_matrix=scs_mat,
+        scs1cyc1_probability=scs_prob,
+    )
+

@@ -299,6 +299,21 @@ class TestModelPipeline:
         assert stab.returncode == 0
         assert json.loads(stab.stdout)["result"]["verdict"] == "StableStrong"
 
+    @pytest.mark.parametrize(
+        "kind, spec",
+        [
+            ("cjn", {"queues": 3}),
+            ("cjn", {"law": {"joint": {"atoms": [[1, 1]], "probs": [1]}}}),
+            ("cjn", {"queues": 2, "law": {"joint": {"atoms": [[1, 1]]}}}),
+            ("taskgraph", {"k": 2}),
+            ("taskgraph", {"k": 1, "subsets": [{"masks": [1]}]}),
+        ],
+    )
+    def test_missing_spec_key_is_contract_violation(self, tmp_path, kind, spec):
+        proc = run_cli("model", kind, "--spec", write(tmp_path / "spec.json", spec))
+        assert proc.returncode == 3
+        assert json.loads(proc.stderr)["error"]["type"] == "contract"
+
     def test_taskgraph_model(self, tmp_path):
         spec = write(
             tmp_path / "tg.json",

@@ -17,6 +17,7 @@ from maxplus.semiring import (
     otimes_repeat,
     scale_matrix,
 )
+from maxplus.graphs import is_irreducible
 from maxplus.projective import is_rank_one, proj_equal
 from maxplus import spectral
 from maxplus.spectral import (
@@ -271,3 +272,16 @@ def test_classify_cost_is_one_record_plus_the_powers(monkeypatch):
     s = classify(A, with_transient=True)
     assert (s.transient, s.cyclicity) == (18, 2)
     assert len(calls) <= s.transient + s.cyclicity + 1
+
+
+def test_search_helper_reads_reducible_as_not_scs1cyc1(monkeypatch):
+    # the word search asks once; the public reader still rejects reducible input
+    reducible = M([[0, EPS], [0, 0]])
+    calls = []
+    monkeypatch.setattr(spectral, "is_irreducible", lambda A: calls.append(A) or is_irreducible(A))
+    assert spectral._irreducible_scs1cyc1(reducible) is False
+    assert spectral._irreducible_scs1cyc1(M([[0, -1], [-1, 0]])) is False
+    assert spectral._irreducible_scs1cyc1(M([[0, 0], [0, -1]])) is True
+    assert len(calls) == 3
+    with pytest.raises(ContractViolation):
+        is_scs1cyc1(reducible)

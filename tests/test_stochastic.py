@@ -1,7 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
+
+import reference_stochastic as reference
 
 from maxplus.semiring import (
     EPS,
@@ -15,6 +19,7 @@ from maxplus.semiring import (
 )
 from maxplus.projective import canonicalize, is_rank_one, proj_dist
 from maxplus.spectral import eigenbasis
+from maxplus import stochastic
 from maxplus.stochastic import (
     FiniteSupport,
     GeneratorDistribution,
@@ -132,6 +137,13 @@ class TestLyapunov:
         )
         assert est.point == 0
 
+    def test_negative_rate_keeps_its_sign(self):
+        # eigenvalue -1: the self-loops beat the circuit of mean -5/2
+        D = FiniteSupport.make([M([[-1, -2], [-3, -1]])], [1])
+        est = lyapunov_estimate(D, horizon=40, replications=2, seed=0)
+        assert est.point == -1
+        assert est.per_replication == (-1, -1)
+
     def test_thread_count_does_not_change_output(self, good_cjn):
         e1 = lyapunov_estimate(good_cjn, 200, 6, seed=9, threads=1)
         e2 = lyapunov_estimate(good_cjn, 200, 6, seed=9, threads=3)
@@ -170,6 +182,13 @@ class TestCoupling:
         smp = rep.samples[0]
         assert (smp.merge_time, smp.window_start, smp.window_length) == (1, 0, 1)
 
+    def test_eta_threshold_is_compared_exactly(self):
+        # the float 1/3 lies just below 1/3, so a distance of exactly 1/3 exceeds it
+        D = FiniteSupport.make([Matrix.identity(2, EXACT)], [1])
+        x0s = [V(["1/3", 0]), V([0, 0])]
+        assert forward_coupling(D, x0s, horizon=3, eta=1 / 3).samples[0].eta_time is None
+        assert forward_coupling(D, x0s, horizon=3, eta=Fraction(1, 3)).samples[0].eta_time == 0
+
     def test_thread_count_does_not_change_samples(self, good_cjn):
         x0s = [V(e) for e in X0S]
         a = forward_coupling(good_cjn, x0s, horizon=100, seed=3, replications=8, threads=1)
@@ -200,6 +219,14 @@ class TestCoupling:
     def test_single_initial_condition_rejected(self, good_cjn):
         with pytest.raises(ContractViolation):
             forward_coupling(good_cjn, [V([0, 0, 0])], horizon=5, seed=0)
+
+    def test_eta_must_be_a_number_at_least_zero(self, good_cjn):
+        x0s = [V(e) for e in X0S]
+        for eta in (-1e-6, float("nan")):
+            with pytest.raises(ContractViolation):
+                forward_coupling(good_cjn, x0s, horizon=5, eta=eta, seed=0)
+        rep = forward_coupling(good_cjn, x0s, horizon=5, eta=float("inf"), seed=0)
+        assert rep.samples[0].eta_time == 0
 
 
 class TestUniformDiagonalLaw:
@@ -465,3 +492,141 @@ class TestIncrementStationarity:
         a = self._sample(good_cjn, self.START_A, self.SEED_A, 1, 2)
         b = self._sample(good_cjn, self.START_B, self.SEED_B, 1, 2)
         assert ks_2samp(a, b).pvalue < 0.01
+
+
+# ---------------------------------------------------------------------------
+# The integer-scaled exact routines against the Fraction reference
+
+
+RATIONAL = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 6))
+
+
+@st.composite
+def rational_supports(draw):
+    """Row-finite rational supports: k <= 4, 1-3 letters, denominators <= 6,
+    iid or under a random Markov kernel."""
+    k = draw(st.integers(1, 4))
+    size = draw(st.integers(1, 3))
+    mats = []
+    for _ in range(size):
+        rows = []
+        for _ in range(k):
+            row = [draw(st.one_of(st.none(), RATIONAL)) for _ in range(k)]
+            if all(v is None for v in row):
+                row[draw(st.integers(0, k - 1))] = draw(RATIONAL)
+            rows.append(row)
+        mats.append(M(rows))
+    weights = [draw(st.integers(1, 4)) for _ in range(size)]
+    probs = [Fraction(w, sum(weights)) for w in weights]
+    kernel = None
+    if draw(st.booleans()):
+        kernel = []
+        for i in range(size):
+            row = [draw(st.integers(0, 3)) for _ in range(size)]
+            if not any(row):
+                row[draw(st.integers(0, size - 1))] = 1
+            kernel.append([Fraction(w, sum(row)) for w in row])
+    return FiniteSupport.make(mats, probs, kernel)
+
+
+def rational_vectors(k, count):
+    return st.lists(
+        st.lists(RATIONAL, min_size=k, max_size=k).map(V), min_size=count, max_size=count
+    )
+
+
+def same_json(a, b) -> bool:
+    """Byte equality of two reports: 0 and 0.0 compare equal as objects."""
+    return json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
+
+
+def scaled_support(D, c):
+    return FiniteSupport.make(
+        [M([[EPS if v is EPS else c * v for v in row] for row in A.rows]) for A in D.matrices],
+        D.probabilities,
+        D.kernel,
+    )
+
+
+class TestIntegerScaledRoutines:
+    @settings(max_examples=60, deadline=None)
+    @given(rational_supports(), st.integers(1, 6))
+    def test_pattern_search_matches_reference(self, D, max_len):
+        got = pattern_search(D, max_len=max_len, budget=200)
+        assert same_json(got, reference.pattern_search(D, max_len, 200))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rational_supports().flatmap(
+            lambda D: st.tuples(st.just(D), rational_vectors(D.k, 3))
+        ),
+        st.one_of(
+            st.sampled_from([0, 1e-6, 1 / 3]),
+            st.builds(Fraction, st.integers(0, 12), st.integers(1, 6)),
+            st.floats(0, 4),
+        ),
+        st.integers(0, 50),
+    )
+    def test_forward_coupling_matches_reference(self, model, eta, seed):
+        D, x0s = model
+        rep = forward_coupling(D, x0s, horizon=20, eta=eta, seed=seed, replications=2)
+        assert rep.samples == tuple(
+            reference._couple_one(D, tuple(x0s), 20, eta, seed, r, True) for r in range(2)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rational_supports(),
+        st.sampled_from([0, Fraction(1, 2), Fraction(7, 3)]),
+        st.integers(0, 3),
+        st.integers(0, 50),
+    )
+    def test_backward_loynes_matches_reference(self, D, tolerance, trace_every, seed):
+        args = dict(tolerance=tolerance, budget=25, seed=seed, trace_every=trace_every)
+        assert same_json(backward_loynes(D, **args), reference.backward_loynes(D, **args))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_supports(), st.builds(Fraction, st.integers(1, 6), st.integers(1, 4)))
+    def test_word_search_is_homogeneous(self, D, c):
+        a = pattern_search(D, max_len=5, budget=200)
+        b = pattern_search(scaled_support(D, c), max_len=5, budget=200)
+        assert (a.word, a.scs1cyc1_word, a.status, a.states_explored) == (
+            b.word,
+            b.scs1cyc1_word,
+            b.status,
+            b.states_explored,
+        )
+
+
+def test_exact_routines_multiply_integers(monkeypatch):
+    """No Fraction reaches mat_mul or is_rank_one inside the exact routines;
+    only the report matrices of pattern_search multiply the rational support."""
+    D = FiniteSupport.make(
+        [cjn_matrix(["5/2", "1/3", "1/2"]), cjn_matrix(["1/2", "1/3", "1/2"])], ["1/3", "2/3"]
+    )
+    seen = set()
+    reporting = []
+
+    def recording(fn):
+        def wrapper(*args):
+            if not reporting:
+                seen.update(type(v) for A in args for row in A.rows for v in row if v is not EPS)
+            return fn(*args)
+
+        return wrapper
+
+    def report_product(D, word):
+        reporting.append(word)
+        try:
+            return word_product(D, word)
+        finally:
+            reporting.pop()
+
+    monkeypatch.setattr(stochastic, "mat_mul", recording(stochastic.mat_mul))
+    monkeypatch.setattr(stochastic, "is_rank_one", recording(stochastic.is_rank_one))
+    monkeypatch.setattr(stochastic, "word_product", report_product)
+    assert pattern_search(D, max_len=8).found
+    x0s = [V(["1/5", 0, 2]), V([0, "3/4", 1])]
+    assert forward_coupling(D, x0s, horizon=60, seed=1, replications=2).certified_fraction() == 1
+    assert backward_loynes(D, tolerance=0, budget=200, seed=1).converged
+    assert seen == {int}
