@@ -3,8 +3,9 @@
 One JSON report per run on stdout (or --output), wrapped in an envelope
 carrying the parsed configuration and the library version so every claim
 can be re-verified offline. Reports are byte-stable for identical
-configurations, independent of --threads. Plot data goes to CSV side
-files; human-readable summaries go to stderr under --verbose.
+configurations. --threads is accepted and has no effect: replications
+run in order in one thread. Plot data goes to CSV side files;
+human-readable summaries go to stderr under --verbose.
 
 Exit codes: 0 success (any verdict), 2 input error, 3 contract violation,
 4 budget exhausted in an operation that forbids partial results.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -281,6 +283,9 @@ def _cmd_model(args):
 # Parser
 
 
+THREADS_HELP = "accepted and ignored: replications run in order in one thread"
+
+
 def _add_common_search(p):
     p.add_argument("--max-len", type=int, default=16, help="maximum word length")
     p.add_argument("--budget", type=int, default=200000, help="maximum states to expand")
@@ -331,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replications", type=int, default=30)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--x0", help="optional initial condition JSON file")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_lyapunov)
 
     p = add("couple", help="forward coupling of several initial conditions")
@@ -342,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=1e-6)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--replications", type=int, default=1)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--csv", help="write per-replication coupling times as CSV")
     p.set_defaults(func=_cmd_couple)
 
@@ -378,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc-budget", type=int, default=5000)
     p.add_argument("--mc-threshold", type=float, default=0.95)
     p.add_argument("--eta", type=float, default=1e-6)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_stability)
 
     p = add("open-system", help="per-component growth rates of a reducible model")
@@ -386,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--replications", type=int, default=30)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.set_defaults(func=_cmd_open_system)
 
     p = add("model", help="build a distribution from a domain spec")
@@ -408,10 +413,14 @@ def _config_json(args) -> dict:
     return out
 
 
+# Built on first use and shared by later main() calls in the process: the
+# parser holds no per-call state, and parse_args returns a fresh Namespace.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse already printed the message; fold usage errors into exit 2
         return 2 if exc.code not in (0, None) else 0

@@ -8,10 +8,12 @@ and the reconstruction of idle and waiting times from a trajectory.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+import numpy as np
 from .semiring import (
     EPS,
     EXACT,
@@ -25,6 +27,7 @@ from .stochastic import (
     GeneratorDistribution,
     MatrixDistribution,
     _as_probability,
+    _sample_one,
     register_generator,
 )
 
@@ -221,19 +224,26 @@ def cjn_distribution(spec: CjnSpec, backing: str = EXACT) -> MatrixDistribution:
     law = spec.law
     if isinstance(law, UniformServiceLaw):
         lo, hi, kk = law.low, law.high, law.k
+        fictive = set(_split_positions(kk, c))
+        physical = [pos for pos in range(c) if pos not in fictive]
+        diag = np.arange(c)
 
-        # continuous service times force float matrices whatever the caller asked
-        def sample(rng, n):
-            sigma = [float(v) for v in rng.uniform(lo, hi, size=kk)]
-            if c == kk:
-                return cjn_matrix(sigma, FLOAT)
-            return cjn_matrix(split_service_vector(sigma, c, FLOAT), FLOAT)
+        # continuous service times force float matrices whatever the caller
+        # asked: cjn_matrix of the split service vectors, a block at a time
+        def sample_block(rng, n):
+            sigma = np.zeros((n, c))
+            sigma[:, physical] = rng.uniform(lo, hi, size=(n, kk))
+            out = np.full((n, c, c), -math.inf)
+            out[:, diag, diag] = sigma
+            out[:, diag, (diag - 1) % c] = sigma
+            return out
 
         return GeneratorDistribution(
             k=c,
-            sample_fn=sample,
+            sample_fn=_sample_one(sample_block),
             name="cjn_uniform",
             params=(("queues", kk), ("customers", c), ("low", lo), ("high", hi)),
+            sample_block=sample_block,
         )
     joint = law.joint() if isinstance(law, PerQueueServiceLaw) else law
     merged = {}
@@ -313,7 +323,7 @@ class SubsetLaw:
 
     @staticmethod
     def make(masks, probs) -> "SubsetLaw":
-        ms = tuple(int(m) for m in masks)
+        ms = tuple(_number(int, m, "subset mask") for m in masks)
         ps = tuple(_as_probability(p) for p in probs)
         if not ms or len(ms) != len(ps):
             raise ContractViolation("SubsetLaw: masks/probs shape mismatch")
@@ -447,18 +457,19 @@ def shared_uniform_diagonal(k: int, low: float = 0.0, high: float = 1.0) -> Gene
     if k < 1:
         raise ContractViolation("shared_uniform_diagonal: need k >= 1")
 
-    def sample(rng, n):
-        u = float(rng.uniform(low, high))
-        rows = tuple(
-            tuple(u if i == j else 0.0 for j in range(k)) for i in range(k)
-        )
-        return Matrix(rows, FLOAT)
+    diag = np.arange(k)
+
+    def sample_block(rng, n):
+        out = np.zeros((n, k, k))
+        out[:, diag, diag] = rng.uniform(low, high, size=n)[:, None]
+        return out
 
     return GeneratorDistribution(
         k=k,
-        sample_fn=sample,
+        sample_fn=_sample_one(sample_block),
         name="shared_uniform_diagonal",
         params=(("k", k), ("low", float(low)), ("high", float(high))),
+        sample_block=sample_block,
     )
 
 
@@ -468,48 +479,62 @@ def independent_uniform_diagonal(k: int, low: float = 0.0, high: float = 1.0) ->
     if k < 1:
         raise ContractViolation("independent_uniform_diagonal: need k >= 1")
 
-    def sample(rng, n):
-        us = [float(v) for v in rng.uniform(low, high, size=k)]
-        rows = tuple(
-            tuple(us[i] if i == j else 0.0 for j in range(k)) for i in range(k)
-        )
-        return Matrix(rows, FLOAT)
+    diag = np.arange(k)
+
+    def sample_block(rng, n):
+        out = np.zeros((n, k, k))
+        out[:, diag, diag] = rng.uniform(low, high, size=(n, k))
+        return out
 
     return GeneratorDistribution(
         k=k,
-        sample_fn=sample,
+        sample_fn=_sample_one(sample_block),
         name="independent_uniform_diagonal",
         params=(("k", k), ("low", float(low)), ("high", float(high))),
+        sample_block=sample_block,
     )
+
+
+def _uniform_params(params, key: str) -> tuple:
+    """(params[key], low, high) of a uniform generator's JSON params."""
+    size = _number(int, _field(params, key, "generator params"), key)
+    low = _number(float, params.get("low", 0.0), "low")
+    return size, low, _number(float, params.get("high", 1.0), "high")
 
 
 def _build_shared_uniform(params: dict) -> GeneratorDistribution:
-    return shared_uniform_diagonal(
-        int(params["k"]), float(params.get("low", 0.0)), float(params.get("high", 1.0))
-    )
+    return shared_uniform_diagonal(*_uniform_params(params, "k"))
 
 
 def _build_independent_uniform(params: dict) -> GeneratorDistribution:
-    return independent_uniform_diagonal(
-        int(params["k"]), float(params.get("low", 0.0)), float(params.get("high", 1.0))
-    )
+    return independent_uniform_diagonal(*_uniform_params(params, "k"))
 
 
 def _build_cjn_uniform(params: dict) -> GeneratorDistribution:
-    law = UniformServiceLaw(
-        k=int(params["queues"]), low=float(params.get("low", 0.0)), high=float(params.get("high", 1.0))
-    )
+    queues, low, high = _uniform_params(params, "queues")
     spec = CjnSpec(
-        queues=int(params["queues"]),
-        customers=int(params.get("customers", params["queues"])),
-        law=law,
+        queues=queues,
+        customers=_number(int, params.get("customers", queues), "customers"),
+        law=UniformServiceLaw(k=queues, low=low, high=high),
     )
     return cjn_distribution(spec, backing=FLOAT)
+
+
+def _build_taskgraph_uniform(params: dict) -> GeneratorDistribution:
+    k, low, high = _uniform_params(params, "k")
+    subsets = _field(params, "subsets", "generator params")
+    if not isinstance(subsets, list) or not all(
+        isinstance(s, list) and len(s) == 2 for s in subsets
+    ):
+        raise ContractViolation("taskgraph_uniform params: subsets must be [[masks, probs], ...]")
+    laws = tuple(SubsetLaw.make(masks, probs) for masks, probs in subsets)
+    return taskgraph_distribution(TaskGraphSpec(k=k, subsets=laws, duration=("uniform", low, high)))
 
 
 register_generator("shared_uniform_diagonal", _build_shared_uniform)
 register_generator("independent_uniform_diagonal", _build_independent_uniform)
 register_generator("cjn_uniform", _build_cjn_uniform)
+register_generator("taskgraph_uniform", _build_taskgraph_uniform)
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +550,20 @@ def _field(obj, key: str, what: str):
     return obj[key]
 
 
+def _number(convert, value, what: str):
+    """convert(value) for a number read from JSON, or a ContractViolation."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ContractViolation(f"{what} must be a number, got {value!r}") from None
+
+
 def cjn_spec_from_json(obj: dict) -> CjnSpec:
     """{"queues": k, "customers": c, "law": {"joint": {"atoms": [[...]], "probs": [...]}}
     or {"per_queue": {"values": [[...]], "probs": [[...]]}}
     or {"uniform": {"low": a, "high": b}}}"""
-    queues = int(_field(obj, "queues", "CjnSpec"))
-    customers = int(obj.get("customers", queues))
+    queues = _number(int, _field(obj, "queues", "CjnSpec"), "queues")
+    customers = _number(int, obj.get("customers", queues), "customers")
     law_obj = _field(obj, "law", "CjnSpec")
     if not isinstance(law_obj, dict):
         raise ContractViolation("CjnSpec JSON law must be an object")
@@ -546,7 +579,11 @@ def cjn_spec_from_json(obj: dict) -> CjnSpec:
         u = law_obj["uniform"]
         if not isinstance(u, dict):
             raise ContractViolation("uniform law JSON must be an object")
-        law = UniformServiceLaw(k=queues, low=float(u.get("low", 0.0)), high=float(u.get("high", 1.0)))
+        law = UniformServiceLaw(
+            k=queues,
+            low=_number(float, u.get("low", 0.0), "low"),
+            high=_number(float, u.get("high", 1.0), "high"),
+        )
     else:
         raise ContractViolation('CjnSpec JSON law must be "joint", "per_queue", or "uniform"')
     return CjnSpec(queues=queues, customers=customers, law=law)
@@ -555,7 +592,7 @@ def cjn_spec_from_json(obj: dict) -> CjnSpec:
 def taskgraph_spec_from_json(obj: dict) -> TaskGraphSpec:
     """{"k": k, "subsets": [{"masks": [...], "probs": [...]}, ...],
     "duration": 1 | "3/2" | {"uniform": {"low": a, "high": b}}}"""
-    k = int(_field(obj, "k", "TaskGraphSpec"))
+    k = _number(int, _field(obj, "k", "TaskGraphSpec"), "k")
     subsets = tuple(
         SubsetLaw.make(_field(s, "masks", "subset law"), _field(s, "probs", "subset law"))
         for s in _field(obj, "subsets", "TaskGraphSpec")
@@ -565,7 +602,11 @@ def taskgraph_spec_from_json(obj: dict) -> TaskGraphSpec:
         u = dur["uniform"]
         if not isinstance(u, dict):
             raise ContractViolation("uniform duration JSON must be an object")
-        duration = ("uniform", float(u.get("low", 0.0)), float(u.get("high", 1.0)))
+        duration = (
+            "uniform",
+            _number(float, u.get("low", 0.0), "low"),
+            _number(float, u.get("high", 1.0), "high"),
+        )
     else:
         duration = dur
     return TaskGraphSpec(k=k, subsets=subsets, duration=duration)

@@ -92,9 +92,7 @@ def is_rank_one(A: Matrix) -> bool:
     difference on it. A rank-one matrix maps every finite vector into a
     single projective class. The all-eps matrix is rejected.
     """
-    k = A.k
-    cols = [A.col(j) for j in range(k)]
-    live = [c for c in cols if any(v is not EPS for v in c)]
+    live = [c for c in zip(*A.rows) if any(v is not EPS for v in c)]
     if not live:
         raise ContractViolation("is_rank_one: all-eps matrix")
     base = live[0]

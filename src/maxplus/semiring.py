@@ -227,8 +227,7 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     _require_same_backing(A, B, "mat_mul")
     if A.k != B.k:
         raise ContractViolation(f"mat_mul: dimension mismatch {A.k} vs {B.k}")
-    k = A.k
-    bcols = tuple(B.col(j) for j in range(k))
+    bcols = tuple(zip(*B.rows))
     out = []
     for row in A.rows:
         orow = []

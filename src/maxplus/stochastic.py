@@ -3,8 +3,9 @@
 Distributions over matrices come in two shapes: a finite support with iid
 or Markov-modulated draws, and seeded generator callbacks for continuous
 laws. Everything downstream is replayable: random streams are derived from
-(seed, replication, channel) alone, replications are independent units, and
-aggregation is order-insensitive, so reports do not depend on thread count.
+(seed, replication, channel) alone, and replications are independent units
+run in order, so reports do not depend on the ``threads`` argument, which
+is accepted and has no effect.
 
 The analysis operations split along the exact/float line. Exact rational
 models support coupling certificates (windows whose matrix product is
@@ -21,13 +22,28 @@ distances are L times larger and are compared with L times the exact
 threshold. ``Fraction`` stays at the boundary: every value that leaves the
 module is divided by L again, and report matrices are products of the
 original support.
+
+The float routines (``simulate``, ``lyapunov_estimate``, the eta track of
+``forward_coupling``, ``backward_loynes`` at a positive tolerance) run on
+numpy float64 arrays with -inf for eps. A stream yields its matrices in
+(n, k, k) blocks: a float support picks indices from a block of uniforms,
+a generator draws a block through its ``sample_block(rng, n)``, or, without
+one, stacks n ``sample_fn`` calls. Blocks hold at most ``_CHUNK`` matrices,
+so memory stays O(_CHUNK k^2) on long horizons; drivers that stop early
+start from ``_FIRST_CHUNK`` and double. A generator block is checked for
+all-eps rows once, and the driver fails at the step that would use such a
+matrix, as it did one matrix at a time. ``lyapunov_estimate`` steps all
+replications at once. Each step is the same IEEE additions and maxima as
+the scalar kernel, and of tied signed zeros the first is kept, as Python's
+``max`` does, so reports are bit for bit those of ``semiring.mat_vec`` and
+``projective.proj_dist``. No numpy value leaves the module: results are
+Python floats.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,13 +88,16 @@ _Z95 = 1.959963984540054
 
 def _as_probability(value):
     """Probabilities are Fractions when given exactly, floats otherwise."""
-    if isinstance(value, str):
-        value = Fraction(value.strip())
     if isinstance(value, bool):
         raise ContractViolation("bool is not a probability")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return float(value)
+    try:
+        if isinstance(value, str):
+            value = Fraction(value.strip())
+        if isinstance(value, (int, Fraction)):
+            return Fraction(value)
+        return float(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ContractViolation(f"not a probability: {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -161,12 +180,18 @@ class GeneratorDistribution:
 
     sample_fn receives the per-(seed, replication, channel) random stream
     and the position n, and must depend on nothing else.
+
+    sample_block(rng, n), when given, returns the next n matrices of the
+    stream as a float64 (n, k, k) array with -inf for eps, the matrices
+    that n sample_fn calls would give; the float routines then draw
+    through it. Without it they stack sample_fn calls.
     """
 
     k: int
     sample_fn: Callable
     name: str = "custom"
     params: tuple = ()
+    sample_block: Optional[Callable] = None
 
     @property
     def backing(self) -> str:
@@ -254,44 +279,172 @@ def _reverse_kernel_cum(kernel, pi) -> list:
     return rows
 
 
-class _MatrixStream:
-    """Sequential sampler of A(0), A(1), ... or, backward, A(-1), A(-2), ..."""
+class _Letters:
+    """Support indices of a FiniteSupport on one random stream, one uniform
+    u per index: iid draws pick bisect_right(cumulative probabilities, u),
+    clipped to the last index; a Markov chain starts from its stationary
+    law and walks the kernel, time-reversed for the backward scheme."""
 
-    def __init__(self, dist: MatrixDistribution, rng: np.random.Generator, backward: bool = False):
-        self.dist = dist
-        self.rng = rng
-        self.position = 0
+    def __init__(self, D: FiniteSupport, rng: np.random.Generator, backward: bool = False):
+        self._rng = rng
+        self._cum = np.array(_cum_floats(D.probabilities))
+        self._rows = None
         self._state = None
-        if isinstance(dist, FiniteSupport):
-            self._cum = _cum_floats(dist.probabilities)
-            if dist.kernel is not None:
-                pi = stationary_distribution(dist.kernel)
-                self._pi_cum = _cum_floats(pi)
-                if backward:
-                    self._rows = _reverse_kernel_cum(dist.kernel, pi)
-                else:
-                    self._rows = [_cum_floats(row) for row in dist.kernel]
+        if D.kernel is not None:
+            pi = stationary_distribution(D.kernel)
+            self._pi_cum = _cum_floats(pi)
+            if backward:
+                self._rows = _reverse_kernel_cum(D.kernel, pi)
+            else:
+                self._rows = [_cum_floats(row) for row in D.kernel]
+
+    def draw(self, n: int) -> np.ndarray:
+        us = self._rng.random(n)
+        if self._rows is None:
+            idx = np.searchsorted(self._cum, us, side="right")
+            return np.minimum(idx, len(self._cum) - 1)
+        out = []
+        for u in us.tolist():
+            cum = self._pi_cum if self._state is None else self._rows[self._state]
+            self._state = _pick(cum, u)
+            out.append(self._state)
+        return np.array(out, dtype=np.intp)
+
+
+# At most this many matrices are drawn at once per stream, so memory stays
+# O(_CHUNK k^2) on long horizons. Drivers that may stop early ask for
+# _FIRST_CHUNK first and double, so they never draw far past their stop.
+_CHUNK = 1024
+_FIRST_CHUNK = 16
+
+
+class _MatrixStream:
+    """Sequential sampler of A(0), A(1), ... or, backward, A(-1), A(-2), ...
+    of a FiniteSupport, one support matrix at a time (the exact routines)."""
+
+    def __init__(self, dist: FiniteSupport, rng: np.random.Generator, backward: bool = False):
+        self._matrices = dist.matrices
+        self._letters = _Letters(dist, rng, backward)
+        self._pending = []  # drawn indices, next one last
+        self._size = _FIRST_CHUNK
 
     def next(self) -> Matrix:
+        if not self._pending:
+            self._pending = self._letters.draw(self._size).tolist()[::-1]
+            self._size = min(2 * self._size, _CHUNK)
+        return self._matrices[self._pending.pop()]
+
+
+def _as_array(matrices) -> np.ndarray:
+    """float64 (n, k, k) array of matrix rows, eps as -inf."""
+    return np.array(
+        [[[-math.inf if v is EPS else v for v in row] for row in rows] for rows in matrices],
+        dtype=float,
+    )
+
+
+def _matrix_of(a: np.ndarray) -> Matrix:
+    return Matrix(
+        tuple(tuple(EPS if v == -math.inf else v for v in row) for row in a.tolist()), FLOAT
+    )
+
+
+def _sample_one(sample_block: Callable) -> Callable:
+    """The sample_fn of a block sampler: the one matrix of a block of one."""
+    return lambda rng, n: _matrix_of(sample_block(rng, 1)[0])
+
+
+class _FloatStream:
+    """A(0), A(1), ... or, backward, A(-1), A(-2), ... of a float
+    distribution as float64 (n, k, k) blocks, eps as -inf.
+
+    Generator blocks are checked for all-eps rows (when ``when`` names the
+    caller): take() stops just before such a matrix and the next take()
+    raises, so a driver fails at the step that would use it. signed turns
+    True once a block holds -0.0; drivers set it for their initial state
+    too (see _max_last).
+    """
+
+    def __init__(self, dist: MatrixDistribution, rng: np.random.Generator,
+                 when: Optional[str], backward: bool = False):
+        self.dist = dist
+        self.rng = rng
+        self.when = when
+        self.position = 0
+        self.signed = False
+        self._error = None
+        if isinstance(dist, FiniteSupport):
+            self._support = _as_array(M.rows for M in dist.matrices)
+            self._letters = _Letters(dist, rng, backward)
+
+    def _draw(self, n: int) -> np.ndarray:
         d = self.dist
-        if isinstance(d, GeneratorDistribution):
-            A = d.sample_fn(self.rng, self.position)
-            self.position += 1
+        if isinstance(d, FiniteSupport):
+            return self._support[self._letters.draw(n)]
+        if d.sample_block is not None:
+            block = np.asarray(d.sample_block(self.rng, n), dtype=float)
+            if block.shape != (n, d.k, d.k):
+                raise ContractViolation(
+                    f"generator {d.name!r} must produce float matrices of size {d.k}"
+                )
+            return block
+        mats = []
+        for position in range(self.position, self.position + n):
+            A = d.sample_fn(self.rng, position)
             if not isinstance(A, Matrix) or A.k != d.k or A.backing != FLOAT:
                 raise ContractViolation(
                     f"generator {d.name!r} must produce float matrices of size {d.k}"
                 )
-            return A
-        if d.kernel is None:
-            idx = _pick(self._cum, float(self.rng.random()))
-        else:
-            if self._state is None:
-                self._state = _pick(self._pi_cum, float(self.rng.random()))
-            else:
-                self._state = _pick(self._rows[self._state], float(self.rng.random()))
-            idx = self._state
-        self.position += 1
-        return d.matrices[idx]
+            mats.append(A.rows)
+        return _as_array(mats)
+
+    def take(self, n: int) -> np.ndarray:
+        """The next at most n matrices: fewer, maybe none, only before an
+        all-eps row."""
+        if self._error is not None:
+            raise self._error
+        block = self._draw(n)
+        if self.when is not None and isinstance(self.dist, GeneratorDistribution):
+            dead = (block == -math.inf).all(-1)
+            if dead.any():
+                t = int(dead.any(-1).argmax())
+                self._error = ContractViolation(
+                    f"{self.when}: matrix row {int(dead[t].argmax())} is all eps "
+                    "(every row needs a finite entry)"
+                )
+                block = block[:t]
+        self.position += len(block)
+        self.signed = self.signed or _negative_zero(block)
+        return block
+
+    def blocks(self, total: int, first: int = _CHUNK):
+        """Blocks covering the next total matrices, of size first, doubling,
+        at most _CHUNK."""
+        end = self.position + total
+        n = first
+        while self.position < end:
+            yield self.take(min(n, end - self.position))
+            n = min(2 * n, _CHUNK)
+
+    def matrices(self, total: int, first: int = _CHUNK):
+        """The next total matrices one by one, drawn as blocks()."""
+        for block in self.blocks(total, first):
+            yield from block
+
+
+def _negative_zero(a: np.ndarray) -> bool:
+    return bool(np.signbit(a[a == 0]).any())
+
+
+def _max_last(a: np.ndarray, signed: bool) -> np.ndarray:
+    """Max over the last axis. Of tied values the scalar kernel keeps the
+    first, as Python's max does; numpy need not for +0.0 and -0.0. -0.0
+    arises only from -0.0 inputs, so callers pass signed=True once one
+    was seen, and the first maximal entry is taken."""
+    if not signed:
+        return a.max(-1)
+    first = (a == a.max(-1, keepdims=True)).argmax(-1)
+    return np.take_along_axis(a, first[..., None], -1)[..., 0]
 
 
 def _integer_support(D: FiniteSupport, vectors: Sequence[Vector] = ()) -> tuple:
@@ -299,12 +452,6 @@ def _integer_support(D: FiniteSupport, vectors: Sequence[Vector] = ()) -> tuple:
     the draws are those of D."""
     L, mats, xs = scale_to_integers(D.matrices, vectors)
     return L, FiniteSupport(mats, D.probabilities, D.kernel), xs
-
-
-def _require_row_finite(A: Matrix, when: str) -> None:
-    bad = A.row_finite_violation()
-    if bad is not None:
-        raise ContractViolation(f"{when}: matrix row {bad} is all eps (every row needs a finite entry)")
 
 
 def _check_condition_i(D: FiniteSupport) -> None:
@@ -318,8 +465,11 @@ def _check_condition_i(D: FiniteSupport) -> None:
 
 def sample_sequence(D: MatrixDistribution, seed: int, n: int, replication: int = 0) -> list:
     """The matrices A(0), ..., A(n-1) that any same-seeded run will see."""
-    stream = _MatrixStream(D, _stream(seed, replication, 0))
-    return [stream.next() for _ in range(n)]
+    rng = _stream(seed, replication, 0)
+    if isinstance(D, FiniteSupport):
+        stream = _MatrixStream(D, rng)
+        return [stream.next() for _ in range(n)]
+    return [_matrix_of(A) for block in _FloatStream(D, rng, None).blocks(n) for A in block]
 
 
 # ---------------------------------------------------------------------------
@@ -360,29 +510,11 @@ def simulate(
         raise ContractViolation("simulate: x0 backing does not match the distribution")
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
-    stream = _MatrixStream(D, _stream(seed, replication, 0))
-    times = [0]
-    states = [x0]
-    # The projective track advances from the canonical representative, not
-    # from the absolute state: identical for exact backing (the action
-    # commutes with adding constants), and for float backing it keeps
-    # rounding error independent of the state's growing magnitude.
-    proj = canonicalize(x0)
-    projective = [proj]
-    increments = []
-    x = x0
-    for n in range(1, horizon + 1):
-        A = stream.next()
-        if isinstance(D, GeneratorDistribution):
-            _require_row_finite(A, "simulate")
-        nxt = mat_vec(A, x)
-        increments.append(tuple(b - a for a, b in zip(x.entries, nxt.entries)))
-        x = nxt
-        proj = canonicalize(mat_vec(A, proj.as_vector()))
-        if n % thin == 0 or n == horizon:
-            times.append(n)
-            states.append(x)
-            projective.append(proj)
+    times = [0] + [n for n in range(1, horizon + 1) if n % thin == 0 or n == horizon]
+    if x0.backing == FLOAT:
+        states, projective, increments = _simulate_float(D, x0, horizon, seed, replication, times)
+    else:
+        states, projective, increments = _simulate_exact(D, x0, horizon, seed, replication, times)
     return TrajectoryRecord(
         seed=seed,
         replication=replication,
@@ -390,19 +522,58 @@ def simulate(
         thin=thin,
         x0=x0,
         sample_times=tuple(times),
-        states=tuple(states),
-        projective=tuple(projective),
-        increments=tuple(increments),
+        states=states,
+        projective=projective,
+        increments=increments,
     )
 
 
-def _map_replications(fn, replications: int, threads: int) -> list:
+# The projective track advances from the canonical representative, not from
+# the absolute state: identical for exact backing (the action commutes with
+# adding constants), and for float backing it keeps rounding error
+# independent of the state's growing magnitude.
+
+
+def _simulate_exact(D, x0, horizon, seed, replication, times):
+    stream = _MatrixStream(D, _stream(seed, replication, 0))
+    recorded = set(times)
+    proj = canonicalize(x0)
+    states = [x0]
+    projective = [proj]
+    increments = []
+    x = x0
+    for n in range(1, horizon + 1):
+        A = stream.next()
+        nxt = mat_vec(A, x)
+        increments.append(tuple(b - a for a, b in zip(x.entries, nxt.entries)))
+        x = nxt
+        proj = canonicalize(mat_vec(A, proj.as_vector()))
+        if n in recorded:
+            states.append(x)
+            projective.append(proj)
+    return tuple(states), tuple(projective), tuple(increments)
+
+
+def _simulate_float(D, x0, horizon, seed, replication, times):
+    stream = _FloatStream(D, _stream(seed, replication, 0), "simulate")
+    track = np.empty((horizon + 1, 2, D.k))  # track[n] = (x(n), projective state)
+    track[0] = (x0.entries, canonicalize(x0).entries)
+    stream.signed = _negative_zero(track[0])
+    for n, A in enumerate(stream.matrices(horizon), 1):
+        y = _max_last(A + track[n - 1][:, None, :], stream.signed)
+        y[1] -= _max_last(y[1], stream.signed)
+        track[n] = y
+    kept = track[times].tolist()
+    states = tuple(Vector(tuple(x), FLOAT) for x, _ in kept)
+    projective = tuple(ProjVector(tuple(p), FLOAT) for _, p in kept)
+    increments = tuple(map(tuple, np.diff(track[:, 0], axis=0).tolist()))
+    return states, projective, increments
+
+
+def _map_replications(fn, replications: int) -> list:
     if replications < 1:
         raise ContractViolation("replications must be >= 1")
-    if threads <= 1:
-        return [fn(r) for r in range(replications)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(replications)))
+    return [fn(r) for r in range(replications)]
 
 
 @dataclass(frozen=True)
@@ -440,28 +611,38 @@ def lyapunov_estimate(
 
     The confidence interval is the 95% normal approximation across
     replications. Estimates are invariant to the finite initial condition
-    up to O(1/horizon); that is tested, not assumed.
+    up to O(1/horizon); that is tested, not assumed. Float models step all
+    replications at once; threads is accepted and has no effect.
     """
     if horizon < 1:
         raise ContractViolation("lyapunov_estimate: horizon must be >= 1")
+    if replications < 1:
+        raise ContractViolation("replications must be >= 1")
     backing = dist_backing(D)
     if x0 is None:
         e = zero(backing)
         x0 = Vector((e,) * D.k, backing)
 
-    def one(rep: int):
-        if isinstance(D, FiniteSupport):
-            _check_condition_i(D)
-        stream = _MatrixStream(D, _stream(seed, rep, channel))
-        x = x0
-        for _ in range(horizon):
-            A = stream.next()
-            if isinstance(D, GeneratorDistribution):
-                _require_row_finite(A, "lyapunov_estimate")
-            x = mat_vec(A, x)
-        return max(x.entries) / horizon
+    if len(x0) != D.k:
+        raise ContractViolation(f"lyapunov_estimate: x0 has length {len(x0)}, model has k={D.k}")
+    if x0.backing != backing:
+        raise ContractViolation("lyapunov_estimate: x0 backing does not match the distribution")
+    if isinstance(D, FiniteSupport):
+        _check_condition_i(D)
+    if backing == FLOAT:
+        values = _lyapunov_float(D, x0, horizon, replications, seed, channel)
+    else:
 
-    values = _map_replications(one, replications, threads)
+        def one(rep: int):
+            stream = _MatrixStream(D, _stream(seed, rep, channel))
+            x = x0
+            for _ in range(horizon):
+                x = mat_vec(stream.next(), x)
+            if not x.is_finite():
+                raise ContractViolation(_EPS_AT_HORIZON)
+            return max(x.entries) / horizon
+
+        values = _map_replications(one, replications)
     if backing == EXACT:
         point = sum(values, Fraction(0)) / len(values)
     else:
@@ -482,6 +663,37 @@ def lyapunov_estimate(
         replications=replications,
         per_replication=tuple(values),
     )
+
+
+_EPS_AT_HORIZON = "lyapunov_estimate: the state at the horizon has eps coordinates"
+
+
+def _lyapunov_float(D, x0, horizon, replications, seed, channel) -> list:
+    """max_i x_i(horizon) / horizon per replication, every replication
+    stepped at once: (R, k, k) + (R, 1, k), max over the last axis."""
+    streams = [
+        _FloatStream(D, _stream(seed, rep, channel), "lyapunov_estimate")
+        for rep in range(replications)
+    ]
+    x = np.tile(np.array([-math.inf if v is EPS else v for v in x0.entries]), (replications, 1))
+    signed = _negative_zero(x)
+    done = 0
+    while done < horizon:
+        n = min(_CHUNK, horizon - done)
+        blocks = [s.take(n) for s in streams]
+        if any(len(b) < n for b in blocks):
+            # some replication meets an all-eps row before the horizon; raise
+            # for the first one that does, as running them in order would
+            for s in streams:
+                for _ in s.blocks(horizon - s.position):
+                    pass
+        signed = signed or any(s.signed for s in streams)
+        for A in np.stack(blocks, axis=1):
+            x = _max_last(A + x[:, None, :], signed)
+        done += n
+    if np.isneginf(x).any():
+        raise ContractViolation(_EPS_AT_HORIZON)
+    return (_max_last(x, signed) / horizon).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +756,8 @@ class CouplingReport:
         return hits / len(self.samples)
 
 
-def _couple_one(D, x0s, horizon, eta, seed, rep, track_strong):
+def _couple_one(D, x0s, horizon, eta, seed, rep):
+    """Strong and eta coupling of one replication of an integer support."""
     stream = _MatrixStream(D, _stream(seed, rep, 0))
     xs = list(x0s)
     merge_time = None
@@ -562,21 +775,18 @@ def _couple_one(D, x0s, horizon, eta, seed, rep, track_strong):
                     return False
         return True
 
-    if track_strong and merged():
+    if merged():
         merge_time = 0
     if eta_close():
         eta_time = 0
     matrices = []
     prefix = None
     for n in range(1, horizon + 1):
-        done_strong = (not track_strong) or (merge_time is not None and window[0] is not None)
-        if done_strong and eta_time is not None:
+        if merge_time is not None and window[0] is not None and eta_time is not None:
             break
         A = stream.next()
-        if isinstance(D, GeneratorDistribution):
-            _require_row_finite(A, "forward_coupling")
         xs = [mat_vec(A, x) for x in xs]
-        if track_strong and window[0] is None:
+        if window[0] is None:
             matrices.append(A)
             prefix = A if prefix is None else mat_mul(A, prefix)
             if is_rank_one(prefix):
@@ -589,7 +799,7 @@ def _couple_one(D, x0s, horizon, eta, seed, rep, track_strong):
                         window = (p, n - p)
                         break
                 matrices = []
-        if track_strong and merge_time is None and merged():
+        if merge_time is None and merged():
             merge_time = n
         if eta_time is None and eta_close():
             eta_time = n
@@ -599,6 +809,29 @@ def _couple_one(D, x0s, horizon, eta, seed, rep, track_strong):
         eta_time=eta_time,
         window_start=window[0],
         window_length=window[1],
+    )
+
+
+def _couple_float(D, x0s, horizon, eta, seed, rep):
+    """Eta coupling of one replication of a float model: the states of all
+    initial conditions step as one (m, k) array. proj_dist(x_i, x_j) is
+    M[i, j] + M[j, i] for M[i, j] = max(x_i - x_j)."""
+    stream = _FloatStream(D, _stream(seed, rep, 0), "forward_coupling")
+    x = np.array([v.entries for v in x0s])
+
+    def eta_close() -> bool:
+        M = (x[:, None, :] - x[None, :, :]).max(-1)
+        return float((M + M.T).max()) <= eta
+
+    eta_time = 0 if eta_close() else None
+    if eta_time is None:
+        for n, A in enumerate(stream.matrices(horizon, _FIRST_CHUNK), 1):
+            x = (A + x[:, None, :]).max(-1)
+            if eta_close():
+                eta_time = n
+                break
+    return CouplingSample(
+        replication=rep, merge_time=None, eta_time=eta_time, window_start=None, window_length=None
     )
 
 
@@ -614,7 +847,8 @@ def forward_coupling(
     """Drive all initial conditions with the same matrix sequence and watch
     them meet. Exact backing reports strong (exact projective merge) and
     eta coupling plus a rank-one window certificate; float backing reports
-    eta coupling only."""
+    eta coupling only. Replications run in order; threads is accepted and
+    has no effect."""
     x0s = tuple(initial_conditions)
     if len(x0s) < 2:
         raise ContractViolation("forward_coupling: need at least two initial conditions")
@@ -626,25 +860,27 @@ def forward_coupling(
             raise ContractViolation("forward_coupling: initial condition backing mismatch")
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
-    track_strong = backing == EXACT
     if eta is None or not eta >= 0:
         raise ContractViolation("forward_coupling: eta must be >= 0")
-    Dw, xw, bound = D, x0s, eta
-    if track_strong:
+    if backing == FLOAT:
+
+        def one(rep):
+            return _couple_float(D, x0s, horizon, eta, seed, rep)
+
+    else:
         L, Dw, xw = _integer_support(D, x0s)
         bound = eta if eta == math.inf else Fraction(eta) * L
 
-    def one(rep):
-        return _couple_one(Dw, xw, horizon, bound, seed, rep, track_strong)
+        def one(rep):
+            return _couple_one(Dw, xw, horizon, bound, seed, rep)
 
-    samples = _map_replications(one, replications, threads)
     return CouplingReport(
         eta=eta,
         horizon=horizon,
         replications=replications,
-        modes=("strong", "eta") if track_strong else ("eta",),
+        modes=("eta",) if backing == FLOAT else ("strong", "eta"),
         initial_conditions=x0s,
-        samples=tuple(sorted(samples, key=lambda s: s.replication)),
+        samples=tuple(_map_replications(one, replications)),
     )
 
 
@@ -720,14 +956,14 @@ def backward_loynes(
         )
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
-    bound = tol
-    if backing == EXACT:
-        L, D, _ = _integer_support(D)
-        bound = tol * L
+    if backing == FLOAT:
+        return _loynes_float(D, tol, budget, seed, replication, trace_every)
+    L, D, _ = _integer_support(D)
+    bound = tol * L
 
     def unscaled(d):
         # what proj_diameter gives on the unscaled product: 0 and inf as they are
-        return d if backing == FLOAT or d == 0 or d == math.inf else Fraction(d, L)
+        return d if d == 0 or d == math.inf else Fraction(d, L)
 
     stream = _MatrixStream(D, _stream(seed, replication, 1), backward=True)
     P = None
@@ -735,8 +971,6 @@ def backward_loynes(
     last_diam = math.inf
     for n in range(1, budget + 1):
         A = stream.next()
-        if isinstance(D, GeneratorDistribution):
-            _require_row_finite(A, "backward_loynes")
         P = A if P is None else mat_mul(P, A)
         if tolerance == 0:
             done = is_rank_one(P)
@@ -756,12 +990,10 @@ def backward_loynes(
                 trace.append((n, float(unscaled(diam))))
         if done:
             limit = _first_finite_column_class(P)
-            if backing == EXACT:
-                limit = ProjVector(tuple(Fraction(v, L) for v in limit.entries), EXACT)
             return LoynesResult(
                 converged=True,
                 steps=n,
-                limit_class=limit,
+                limit_class=ProjVector(tuple(Fraction(v, L) for v in limit.entries), EXACT),
                 achieved_diameter=unscaled(last_diam),
                 tolerance=tol,
                 trace=tuple(trace),
@@ -780,6 +1012,55 @@ def backward_loynes(
         seed=seed,
         replication=replication,
     )
+
+
+def _loynes_float(D, tol, budget, seed, replication, trace_every) -> LoynesResult:
+    """The backward scheme of a float model on arrays: P(n) = P(n-1) A(-n)
+    takes the max over l of P[i, l] + A[l, j]."""
+    stream = _FloatStream(D, _stream(seed, replication, 1), "backward_loynes", backward=True)
+    P = None
+    trace = []
+    diam = math.inf
+    for n, A in enumerate(stream.matrices(budget, _FIRST_CHUNK), 1):
+        P = A if P is None else _max_last(P[:, None, :] + A.T, stream.signed)
+        diam = _diameter(P)
+        done = diam <= tol
+        if trace_every and (n % trace_every == 0 or done):
+            trace.append((n, diam))
+        if done:
+            # a finite diameter means every entry is finite: column 0 is the
+            # first finite column
+            top = _max_last(P[:, 0], stream.signed)
+            return LoynesResult(
+                converged=True,
+                steps=n,
+                limit_class=ProjVector(tuple((P[:, 0] - top).tolist()), FLOAT),
+                achieved_diameter=diam,
+                tolerance=tol,
+                trace=tuple(trace),
+                seed=seed,
+                replication=replication,
+            )
+    return LoynesResult(
+        converged=False,
+        steps=budget,
+        limit_class=None,
+        achieved_diameter=diam,
+        tolerance=tol,
+        trace=tuple(trace),
+        seed=seed,
+        replication=replication,
+    )
+
+
+def _diameter(P: np.ndarray) -> float:
+    """proj_diameter of a float product: inf unless every entry is finite,
+    else the max over column pairs of proj_dist, which is M[i, j] + M[j, i]
+    for M[i, j] = max over rows of P[:, i] - P[:, j]."""
+    if np.isneginf(P).any():
+        return math.inf
+    M = (P[:, :, None] - P[:, None, :]).max(0)
+    return max(0.0, float((M + M.T).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -1147,7 +1428,7 @@ def _mc_backward_evidence(D: MatrixDistribution, options: StabilityOptions) -> d
             trace_every=0,
         )
 
-    results = _map_replications(one, options.mc_seeds, options.threads)
+    results = _map_replications(one, options.mc_seeds)
     return {
         "seeds": options.mc_seeds,
         "successes": sum(1 for r in results if r.converged),
@@ -1459,8 +1740,11 @@ def distribution_from_json(obj: dict) -> MatrixDistribution:
     if backing not in (EXACT, FLOAT):
         raise ContractViolation('distribution JSON needs "backing": "exact" or "float"')
     support = obj.get("support")
-    if not support:
+    if not support or not isinstance(support, list):
         raise ContractViolation("distribution JSON needs a non-empty support list")
+    if not all(isinstance(item, dict) and "matrix" in item and "probability" in item
+               for item in support):
+        raise ContractViolation('distribution JSON support items need "matrix" and "probability"')
     mats = [matrix_from_json(item["matrix"], backing) for item in support]
     probs = [item["probability"] for item in support]
     return FiniteSupport.make(mats, probs, kernel=obj.get("kernel"))

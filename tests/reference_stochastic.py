@@ -1,17 +1,30 @@
-"""Reference exact routines: the ``Fraction`` implementations that the
-integer-scaled routines of ``maxplus.stochastic`` replaced, kept verbatim as
-an oracle for differential tests.
+"""Reference routines, kept verbatim as oracles for differential tests.
 
-The word search, the coupling tracks and the backward scheme multiply the
-support matrices in their own exact arithmetic, with no scaling: slow, but
-independent of ``scale_to_integers`` and of the conversions back to
-``Fraction`` on output.
+The exact routines are the ``Fraction`` implementations that the
+integer-scaled routines of ``maxplus.stochastic`` replaced: the word search,
+the coupling tracks and the backward scheme multiply the support matrices
+in their own exact arithmetic, with no scaling: slow, but independent of
+``scale_to_integers`` and of the conversions back to ``Fraction`` on output.
+
+The float routines are the scalar implementations that the numpy block
+recursions replaced: one ``Matrix`` per step from ``_MatrixStream.next``
+(a generator through its ``sample_fn``), checked row by row, and
+``mat_vec``, ``mat_mul``, ``proj_dist`` and ``proj_diameter`` on Python
+floats. ``_couple_one`` and ``backward_loynes`` below serve both backings;
+on floats they are the scalar routines as they were. The builtin
+generators' per-step samplers are kept as well (``scalar_generator``).
 """
 
 import math
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from typing import Optional
+
+import numpy as np
 
 from maxplus.graphs import is_irreducible
+from maxplus.models import cjn_matrix, split_service_vector
 from maxplus.projective import (
     canonicalize,
     is_rank_one,
@@ -19,26 +32,142 @@ from maxplus.projective import (
     proj_diameter,
     proj_dist,
 )
-from maxplus.semiring import EPS, EXACT, FLOAT, ContractViolation, as_scalar, mat_mul, mat_vec
+from maxplus.semiring import (
+    EPS,
+    EXACT,
+    FLOAT,
+    ContractViolation,
+    Matrix,
+    Vector,
+    as_scalar,
+    mat_mul,
+    mat_vec,
+    zero,
+)
 from maxplus.spectral import is_scs1cyc1
 from maxplus.stochastic import (
+    _Z95,
     CouplingSample,
     FiniteSupport,
     GeneratorDistribution,
     LoynesResult,
+    LyapunovEstimate,
     MatrixDistribution,
     PatternReport,
-    _MatrixStream,
+    TrajectoryRecord,
     _check_condition_i,
+    _cum_floats,
     _first_finite_column_class,
     _initial_letters,
     _next_letters,
-    _require_row_finite,
+    _pick,
+    _reverse_kernel_cum,
     _stream,
     dist_backing,
+    stationary_distribution,
     word_probability,
     word_product,
 )
+
+
+class _MatrixStream:
+    """Sequential sampler of A(0), A(1), ... or, backward, A(-1), A(-2), ..."""
+
+    def __init__(self, dist: MatrixDistribution, rng: np.random.Generator, backward: bool = False):
+        self.dist = dist
+        self.rng = rng
+        self.position = 0
+        self._state = None
+        if isinstance(dist, FiniteSupport):
+            self._cum = _cum_floats(dist.probabilities)
+            if dist.kernel is not None:
+                pi = stationary_distribution(dist.kernel)
+                self._pi_cum = _cum_floats(pi)
+                if backward:
+                    self._rows = _reverse_kernel_cum(dist.kernel, pi)
+                else:
+                    self._rows = [_cum_floats(row) for row in dist.kernel]
+
+    def next(self) -> Matrix:
+        d = self.dist
+        if isinstance(d, GeneratorDistribution):
+            A = d.sample_fn(self.rng, self.position)
+            self.position += 1
+            if not isinstance(A, Matrix) or A.k != d.k or A.backing != FLOAT:
+                raise ContractViolation(
+                    f"generator {d.name!r} must produce float matrices of size {d.k}"
+                )
+            return A
+        if d.kernel is None:
+            idx = _pick(self._cum, float(self.rng.random()))
+        else:
+            if self._state is None:
+                self._state = _pick(self._pi_cum, float(self.rng.random()))
+            else:
+                self._state = _pick(self._rows[self._state], float(self.rng.random()))
+            idx = self._state
+        self.position += 1
+        return d.matrices[idx]
+
+
+def _require_row_finite(A: Matrix, when: str) -> None:
+    bad = A.row_finite_violation()
+    if bad is not None:
+        raise ContractViolation(f"{when}: matrix row {bad} is all eps (every row needs a finite entry)")
+
+
+# ---------------------------------------------------------------------------
+# The builtin generators' per-step samplers
+
+
+def _shared_uniform_sample(k, low, high):
+    def sample(rng, n):
+        u = float(rng.uniform(low, high))
+        rows = tuple(
+            tuple(u if i == j else 0.0 for j in range(k)) for i in range(k)
+        )
+        return Matrix(rows, FLOAT)
+
+    return sample
+
+
+def _independent_uniform_sample(k, low, high):
+    def sample(rng, n):
+        us = [float(v) for v in rng.uniform(low, high, size=k)]
+        rows = tuple(
+            tuple(us[i] if i == j else 0.0 for j in range(k)) for i in range(k)
+        )
+        return Matrix(rows, FLOAT)
+
+    return sample
+
+
+def _cjn_uniform_sample(lo, hi, kk, c):
+    # continuous service times force float matrices whatever the caller asked
+    def sample(rng, n):
+        sigma = [float(v) for v in rng.uniform(lo, hi, size=kk)]
+        if c == kk:
+            return cjn_matrix(sigma, FLOAT)
+        return cjn_matrix(split_service_vector(sigma, c, FLOAT), FLOAT)
+
+    return sample
+
+
+def scalar_generator(D: GeneratorDistribution) -> GeneratorDistribution:
+    """A builtin generator with its per-step sampler and no block sampler."""
+    p = dict(D.params)
+    if D.name == "cjn_uniform":
+        sample = _cjn_uniform_sample(p["low"], p["high"], p["queues"], p["customers"])
+    elif D.name == "shared_uniform_diagonal":
+        sample = _shared_uniform_sample(p["k"], p["low"], p["high"])
+    else:
+        assert D.name == "independent_uniform_diagonal"
+        sample = _independent_uniform_sample(p["k"], p["low"], p["high"])
+    return GeneratorDistribution(k=D.k, sample_fn=sample, name=D.name, params=D.params)
+
+
+# ---------------------------------------------------------------------------
+# Drivers
 
 
 def _couple_one(D, x0s, horizon, eta, seed, rep, track_strong):
@@ -282,3 +411,125 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
         scs1cyc1_probability=scs_prob,
     )
 
+
+def simulate(
+    D: MatrixDistribution,
+    x0: Vector,
+    horizon: int,
+    seed: int,
+    replication: int = 0,
+    thin: int = 1,
+) -> TrajectoryRecord:
+    """Run x(n+1) = A(n) x(n) and record states, projective states, and
+    increments. Replayable: the same (seed, replication) always sees the
+    same matrices (cf. sample_sequence)."""
+    if horizon < 0 or thin < 1:
+        raise ContractViolation("simulate: horizon must be >= 0 and thin >= 1")
+    if not x0.is_finite():
+        raise ContractViolation("simulate: initial condition must be finite")
+    if len(x0) != D.k:
+        raise ContractViolation(f"simulate: x0 has length {len(x0)}, model has k={D.k}")
+    if x0.backing != dist_backing(D):
+        raise ContractViolation("simulate: x0 backing does not match the distribution")
+    if isinstance(D, FiniteSupport):
+        _check_condition_i(D)
+    stream = _MatrixStream(D, _stream(seed, replication, 0))
+    times = [0]
+    states = [x0]
+    # The projective track advances from the canonical representative, not
+    # from the absolute state: identical for exact backing (the action
+    # commutes with adding constants), and for float backing it keeps
+    # rounding error independent of the state's growing magnitude.
+    proj = canonicalize(x0)
+    projective = [proj]
+    increments = []
+    x = x0
+    for n in range(1, horizon + 1):
+        A = stream.next()
+        if isinstance(D, GeneratorDistribution):
+            _require_row_finite(A, "simulate")
+        nxt = mat_vec(A, x)
+        increments.append(tuple(b - a for a, b in zip(x.entries, nxt.entries)))
+        x = nxt
+        proj = canonicalize(mat_vec(A, proj.as_vector()))
+        if n % thin == 0 or n == horizon:
+            times.append(n)
+            states.append(x)
+            projective.append(proj)
+    return TrajectoryRecord(
+        seed=seed,
+        replication=replication,
+        horizon=horizon,
+        thin=thin,
+        x0=x0,
+        sample_times=tuple(times),
+        states=tuple(states),
+        projective=tuple(projective),
+        increments=tuple(increments),
+    )
+
+
+def _map_replications(fn, replications: int, threads: int) -> list:
+    if replications < 1:
+        raise ContractViolation("replications must be >= 1")
+    if threads <= 1:
+        return [fn(r) for r in range(replications)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(replications)))
+
+
+def lyapunov_estimate(
+    D: MatrixDistribution,
+    horizon: int,
+    replications: int = 30,
+    seed: int = 0,
+    x0: Optional[Vector] = None,
+    threads: int = 1,
+    channel: int = 0,
+) -> LyapunovEstimate:
+    """Estimate the growth rate: mean over replications of max_i x_i(horizon) / horizon.
+
+    The confidence interval is the 95% normal approximation across
+    replications. Estimates are invariant to the finite initial condition
+    up to O(1/horizon); that is tested, not assumed.
+    """
+    if horizon < 1:
+        raise ContractViolation("lyapunov_estimate: horizon must be >= 1")
+    backing = dist_backing(D)
+    if x0 is None:
+        e = zero(backing)
+        x0 = Vector((e,) * D.k, backing)
+
+    def one(rep: int):
+        if isinstance(D, FiniteSupport):
+            _check_condition_i(D)
+        stream = _MatrixStream(D, _stream(seed, rep, channel))
+        x = x0
+        for _ in range(horizon):
+            A = stream.next()
+            if isinstance(D, GeneratorDistribution):
+                _require_row_finite(A, "lyapunov_estimate")
+            x = mat_vec(A, x)
+        return max(x.entries) / horizon
+
+    values = _map_replications(one, replications, threads)
+    if backing == EXACT:
+        point = sum(values, Fraction(0)) / len(values)
+    else:
+        point = sum(values) / len(values)
+    fvals = [float(v) for v in values]
+    mean = sum(fvals) / len(fvals)
+    if len(fvals) > 1:
+        var = sum((v - mean) ** 2 for v in fvals) / (len(fvals) - 1)
+        se = math.sqrt(var / len(fvals))
+    else:
+        se = 0.0
+    return LyapunovEstimate(
+        point=point,
+        ci_low=mean - _Z95 * se,
+        ci_high=mean + _Z95 * se,
+        std_error=se,
+        horizon=horizon,
+        replications=replications,
+        per_replication=tuple(values),
+    )

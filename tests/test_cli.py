@@ -136,6 +136,56 @@ class TestExitCodes:
         assert bad in err["error"]["message"]
 
 
+    @pytest.mark.parametrize(
+        "command, obj",
+        [
+            ("model", {"queues": "abc", "law": {"uniform": {"low": 0, "high": 1}}}),
+            ("model", {"queues": 2, "law": {"uniform": {"low": "x", "high": 1}}}),
+            ("dist", {"kind": "finite", "backing": "exact", "support": [{"probability": 1}]}),
+            ("dist", {"kind": "finite", "backing": "exact", "support": [
+                {"matrix": {"k": 1, "entries": [[0]]}, "probability": "abc"}]}),
+            ("dist", {"kind": "generator", "name": "shared_uniform_diagonal", "params": {}}),
+            ("dist", {"kind": "generator", "name": "cjn_uniform",
+                      "params": {"queues": 2, "high": "x"}}),
+        ],
+    )
+    def test_malformed_value_is_contract_violation(self, tmp_path, command, obj):
+        path = write(tmp_path / "in.json", obj)
+        if command == "model":
+            proc = run_cli("model", "cjn", "--spec", path)
+        else:
+            proc = run_cli("lyapunov", "--dist", path, "--horizon", "3", "--seed", "0")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"]["type"] == "contract"
+
+
+class TestInProcess:
+    def test_repeated_main_calls_match_fresh_runs(self, ring_dist, x0_files, two_node_matrix,
+                                                  tmp_path):
+        """main() reuses one parser: each call still parses into a fresh
+        namespace, so a call sees no value of the one before it."""
+        from maxplus import cli
+
+        a, b = x0_files
+        couple = ["couple", "--dist", ring_dist, "--horizon", "20", "--seed", "1"]
+        runs = [
+            couple + ["--x0", a, "--x0", b],
+            ["spectral", "--input", two_node_matrix, "--transient"],
+            couple + ["--x0", b, "--x0", a, "--x0", a, "--replications", "2"],
+            ["spectral", "--input", two_node_matrix],
+        ]
+        for i, argv in enumerate(runs):
+            argv = argv + ["--output", str(tmp_path / f"out{i}.json")]
+            assert cli.main(argv) == 0
+            in_process = (tmp_path / f"out{i}.json").read_text()
+            assert run_cli(*argv).returncode == 0
+            assert (tmp_path / f"out{i}.json").read_text() == in_process
+        config = json.loads((tmp_path / "out2.json").read_text())["config"]
+        assert config["x0"] == [b, a, a]
+        assert json.loads((tmp_path / "out3.json").read_text())["config"]["transient"] is False
+
+
 class TestFloatBacking:
     def test_float_matrix_analysed_exactly(self, tmp_path):
         # In float arithmetic lambda(Abar) comes out near 1e-16 for this
@@ -327,3 +377,34 @@ class TestModelPipeline:
         assert proc.returncode == 0
         result = json.loads(proc.stdout)["result"]
         assert result["kind"] == "finite" and result["k"] == 2
+
+    def test_uniform_taskgraph_feeds_other_commands(self, tmp_path):
+        spec = write(
+            tmp_path / "tg.json",
+            {
+                "k": 3,
+                "subsets": [
+                    {"masks": [3, 7], "probs": ["1/2", "1/2"]},
+                    {"masks": [6], "probs": [1]},
+                    {"masks": [5, 1], "probs": [0.25, 0.75]},
+                ],
+                "duration": {"uniform": {"low": 0.5, "high": 2}},
+            },
+        )
+        dist = tmp_path / "dist.json"
+        proc = run_cli("model", "taskgraph", "--spec", spec, "--output", str(dist))
+        assert proc.returncode == 0
+        assert json.loads(dist.read_text())["result"]["name"] == "taskgraph_uniform"
+        x0 = write(tmp_path / "x0.json", [0, 1, 2])
+        common = ["--dist", str(dist), "--seed", "5"]
+        sim = run_cli("simulate", *common, "--x0", x0, "--horizon", "30")
+        lya = run_cli("lyapunov", *common, "--horizon", "200", "--replications", "3")
+        stab = run_cli("stability", *common, "--eta", "0.05", "--mc-seeds", "4",
+                       "--mc-budget", "300")
+        for p in (sim, lya, stab):
+            assert p.returncode == 0, p.stderr
+        assert len(json.loads(sim.stdout)["result"]["increments"]) == 30
+        assert 0.5 <= json.loads(lya.stdout)["result"]["point"] <= 2 * 3
+        assert json.loads(stab.stdout)["result"]["basis"] in (
+            "backward-diameter-evidence", "insufficient-evidence")
+        assert run_cli("simulate", *common, "--x0", x0, "--horizon", "30").stdout == sim.stdout

@@ -1,6 +1,8 @@
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
@@ -21,6 +23,7 @@ from maxplus.projective import canonicalize, is_rank_one, proj_dist
 from maxplus.spectral import eigenbasis
 from maxplus import stochastic
 from maxplus.stochastic import (
+    CouplingSample,
     FiniteSupport,
     GeneratorDistribution,
     StabilityOptions,
@@ -39,7 +42,14 @@ from maxplus.stochastic import (
     word_probability,
     word_product,
 )
-from maxplus.models import cjn_matrix, shared_uniform_diagonal
+from maxplus.models import (
+    CjnSpec,
+    UniformServiceLaw,
+    cjn_distribution,
+    cjn_matrix,
+    independent_uniform_diagonal,
+    shared_uniform_diagonal,
+)
 
 
 def M(rows, backing=EXACT):
@@ -630,3 +640,320 @@ def test_exact_routines_multiply_integers(monkeypatch):
     assert forward_coupling(D, x0s, horizon=60, seed=1, replications=2).certified_fraction() == 1
     assert backward_loynes(D, tolerance=0, budget=200, seed=1).converged
     assert seen == {int}
+
+
+# ---------------------------------------------------------------------------
+# The numpy float routines against the scalar reference
+
+FLOAT_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.5, 0.1, 1 / 3]),
+    st.floats(-4, 4, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def float_supports(draw):
+    """Row-finite float supports with eps entries and signed zeros: k <= 6,
+    1-3 letters, iid or under a random Markov kernel."""
+    k = draw(st.integers(1, 6))
+    size = draw(st.integers(1, 3))
+    mats = []
+    for _ in range(size):
+        rows = []
+        for _ in range(k):
+            row = [draw(st.one_of(st.none(), FLOAT_ENTRY)) for _ in range(k)]
+            if all(v is None for v in row):
+                row[draw(st.integers(0, k - 1))] = draw(FLOAT_ENTRY)
+            rows.append(row)
+        mats.append(M(rows, FLOAT))
+    weights = [draw(st.integers(1, 4)) for _ in range(size)]
+    kernel = None
+    if draw(st.booleans()):
+        kernel = []
+        for _ in range(size):
+            row = [draw(st.integers(0, 3)) for _ in range(size)]
+            if not any(row):
+                row[draw(st.integers(0, size - 1))] = 1
+            kernel.append([Fraction(w, sum(row)) for w in row])
+    return FiniteSupport.make(mats, [Fraction(w, sum(weights)) for w in weights], kernel)
+
+
+@st.composite
+def builtin_generators(draw):
+    low = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    high = low + draw(st.sampled_from([0.0, 0.5, 1.5]))
+    family = draw(st.sampled_from(["shared", "independent", "cjn"]))
+    if family == "cjn":
+        queues = draw(st.integers(2, 4))
+        customers = draw(st.integers(queues, 6))
+        return cjn_distribution(
+            CjnSpec(queues, customers, UniformServiceLaw(queues, low, high)), FLOAT
+        )
+    build = shared_uniform_diagonal if family == "shared" else independent_uniform_diagonal
+    return build(draw(st.integers(1, 6)), low, high)
+
+
+def float_models():
+    """(the model, the same model as the scalar routines sample it)."""
+    return st.one_of(
+        float_supports().map(lambda D: (D, D)),
+        builtin_generators().map(lambda D: (D, reference.scalar_generator(D))),
+    )
+
+
+def finite_vectors(k, count):
+    return st.lists(
+        st.lists(FLOAT_ENTRY, min_size=k, max_size=k).map(lambda v: V(v, FLOAT)),
+        min_size=count,
+        max_size=count,
+    )
+
+
+def trajectory_json(tr) -> str:
+    return json.dumps([
+        tr.sample_times,
+        [x.entries for x in tr.states],
+        [p.entries for p in tr.projective],
+        tr.increments,
+    ])
+
+
+def report_text(r) -> str:
+    return json.dumps(r.to_json(), sort_keys=True)
+
+
+SEEDS = st.integers(0, 10**6)
+
+
+class TestFloatRoutines:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        float_models().flatmap(lambda m: st.tuples(st.just(m), finite_vectors(m[0].k, 1))),
+        st.integers(0, 40),
+        st.integers(1, 4),
+        SEEDS,
+    )
+    def test_simulate_matches_reference(self, model, horizon, thin, seed):
+        (D, R), (x0,) = model
+        got = simulate(D, x0, horizon, seed, replication=1, thin=thin)
+        assert trajectory_json(got) == trajectory_json(
+            reference.simulate(R, x0, horizon, seed, replication=1, thin=thin)
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        float_models().flatmap(
+            lambda m: st.tuples(st.just(m), st.one_of(st.none(), finite_vectors(m[0].k, 1)))
+        ),
+        st.integers(1, 40),
+        st.integers(1, 4),
+        SEEDS,
+        st.integers(0, 3),
+    )
+    def test_lyapunov_matches_reference(self, model, horizon, reps, seed, channel):
+        (D, R), x0s = model
+        x0 = None if x0s is None else x0s[0]
+        args = dict(replications=reps, seed=seed, x0=x0, channel=channel)
+        assert report_text(lyapunov_estimate(D, horizon, **args)) == report_text(
+            reference.lyapunov_estimate(R, horizon, **args)
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        float_models().flatmap(
+            lambda m: st.tuples(st.just(m), st.integers(2, 3).flatmap(
+                lambda c: finite_vectors(m[0].k, c)))
+        ),
+        st.sampled_from([0, 1e-6, 0.01, 0.5, 2.0, Fraction(1, 3), math.inf]),
+        st.integers(0, 60),
+        SEEDS,
+    )
+    def test_eta_coupling_matches_reference(self, model, eta, horizon, seed):
+        (D, R), x0s = model
+        rep = forward_coupling(D, x0s, horizon=horizon, eta=eta, seed=seed, replications=2)
+        assert rep.modes == ("eta",)
+        assert rep.samples == tuple(
+            reference._couple_one(R, tuple(x0s), horizon, eta, seed, r, False) for r in range(2)
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        float_models(),
+        st.sampled_from([1e-9, 0.05, 0.5, 2.0]),
+        st.integers(0, 40),
+        st.integers(0, 3),
+        SEEDS,
+    )
+    def test_backward_loynes_matches_reference(self, model, tolerance, budget, trace_every, seed):
+        D, R = model
+        args = dict(tolerance=tolerance, budget=budget, seed=seed, replication=2,
+                    trace_every=trace_every)
+        assert report_text(backward_loynes(D, **args)) == report_text(
+            reference.backward_loynes(R, **args)
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(builtin_generators(), st.integers(1, 40), SEEDS)
+    def test_sample_block_stacks_sample_fn(self, D, n, seed):
+        block = D.sample_block(np.random.default_rng(seed), n)
+        rng = np.random.default_rng(seed)
+        scalar = reference.scalar_generator(D).sample_fn
+        mats = [scalar(rng, i) for i in range(n)]
+        assert block.shape == (n, D.k, D.k) and block.dtype == np.float64
+        rng = np.random.default_rng(seed)
+        assert [D.sample_fn(rng, i) for i in range(n)] == mats
+        assert [stochastic._matrix_of(A) for A in block] == mats
+
+
+def test_signed_zeros_keep_the_first_of_ties():
+    """-0.0 and 0.0 tie; the scalar kernel keeps the first, numpy's max need
+    not. Every report matches the reference bit for bit, signs included."""
+    A = M([[-0.0, 0.0, EPS], [0.0, -0.0, -0.0], [EPS, -0.0, 0.0]], FLOAT)
+    B = M([[0.0, -0.0, -0.0], [-0.0, EPS, 0.0], [-0.0, 0.0, EPS]], FLOAT)
+    D = FiniteSupport.make([A, B], ["1/2", "1/2"])
+    x0 = V([-0.0, 0.0, -0.0], FLOAT)
+    got = simulate(D, x0, 12, seed=3)
+    want = reference.simulate(D, x0, 12, seed=3)
+    assert trajectory_json(got) == trajectory_json(want)
+    assert "-0.0" in trajectory_json(want)
+    for x in (x0, V([0.0, -0.0, -0.0], FLOAT)):
+        est = lyapunov_estimate(D, 7, 3, seed=1, x0=x)
+        assert report_text(est) == report_text(reference.lyapunov_estimate(D, 7, 3, seed=1, x0=x))
+    res = backward_loynes(D, tolerance=0.5, budget=5, seed=4)
+    assert report_text(res) == report_text(reference.backward_loynes(D, tolerance=0.5, budget=5, seed=4))
+    assert res.converged
+
+
+def _diagonal(k, u):
+    return M([[u if i == j else 0.0 for j in range(k)] for i in range(k)], FLOAT)
+
+
+def _custom(bad_at=None, bad_row=1, k=3):
+    """A generator without a block sampler; position bad_at gets an all-eps row."""
+
+    def sample(rng, n):
+        A = _diagonal(k, float(rng.uniform(0.0, 1.0)))
+        if n == bad_at:
+            rows = [list(r) for r in A.rows]
+            rows[bad_row] = [EPS] * k
+            A = Matrix(tuple(map(tuple, rows)), FLOAT)
+        return A
+
+    return GeneratorDistribution(k=k, sample_fn=sample, name="custom-test")
+
+
+class TestCustomGenerators:
+    def test_sample_fn_only_generator_matches_reference(self):
+        D = _custom()
+        x0s = [V([0.0, 1.0, 2.0], FLOAT), V([2.0, 0.5, 0.0], FLOAT)]
+        assert trajectory_json(simulate(D, x0s[0], 50, 7)) == trajectory_json(
+            reference.simulate(D, x0s[0], 50, 7)
+        )
+        assert report_text(lyapunov_estimate(D, 60, 3, 7)) == report_text(
+            reference.lyapunov_estimate(D, 60, 3, 7)
+        )
+        assert forward_coupling(D, x0s, 300, 0.01, 7, 3).samples == tuple(
+            reference._couple_one(D, tuple(x0s), 300, 0.01, 7, r, False) for r in range(3)
+        )
+        assert report_text(backward_loynes(D, 0.01, 300, 7)) == report_text(
+            reference.backward_loynes(D, 0.01, 300, 7)
+        )
+
+    @pytest.mark.parametrize("bad_at", [0, 5, 15, 16, 40])
+    def test_all_eps_row_raises_when_the_scalar_routine_did(self, bad_at):
+        D = _custom(bad_at=bad_at)
+        x0s = [V([0.0, 1.0, 2.0], FLOAT), V([2.0, 0.5, 0.0], FLOAT)]
+        runs = [
+            lambda m, r: m.simulate(D, x0s[0], 30, 2),
+            lambda m, r: m.lyapunov_estimate(D, 30, 3, 2),
+            lambda m, r: m._couple_one(D, tuple(x0s), 60, 0.2, 2, r, False)
+            if m is reference else m.forward_coupling(D, x0s, 60, 0.2, 2, 1).samples[0],
+            lambda m, r: m.backward_loynes(D, 0.3, 60, 2, trace_every=0),
+        ]
+        for run in runs:
+            outcome = []
+            for m in (stochastic, reference):
+                try:
+                    res = run(m, 0)
+                    outcome.append(res if isinstance(res, CouplingSample) else
+                                   trajectory_json(res) if hasattr(res, "increments") else
+                                   report_text(res))
+                except ContractViolation as exc:
+                    outcome.append(("raised", str(exc)))
+            assert outcome[0] == outcome[1]
+
+    # seeds 10 and 15: replication 0 meets its all-eps row only after the
+    # first block, a later one within it, in another row
+    @pytest.mark.parametrize("seed", [0, 10, 15])
+    def test_lyapunov_reports_the_first_replication_to_meet_an_all_eps_row(self, seed):
+        """Each step has an all-eps row with probability 1/1500, in a random
+        row, so replications meet one at different steps, some past the
+        first block: the error is that of the lowest such replication."""
+
+        def sample(rng, n):
+            u = float(rng.uniform(0.0, 1.0))
+            rows = [[u if i == j else 0.0 for j in range(3)] for i in range(3)]
+            if u < 1 / 1500:
+                rows[int(u * 4500)] = [EPS] * 3
+            return M(rows, FLOAT)
+
+        D = GeneratorDistribution(k=3, sample_fn=sample)
+        messages = []
+        for m in (stochastic, reference):
+            with pytest.raises(ContractViolation) as err:
+                m.lyapunov_estimate(D, 4000, 6, seed)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+
+    def test_all_eps_row_message(self):
+        with pytest.raises(ContractViolation, match=r"^lyapunov_estimate: matrix row 1 is all eps"):
+            lyapunov_estimate(_custom(bad_at=3), 10, 2, 0)
+
+    def test_wrong_shape_rejected(self):
+        D = GeneratorDistribution(k=2, sample_fn=lambda rng, n: _diagonal(3, 0.0))
+        with pytest.raises(ContractViolation, match="must produce float matrices of size 2"):
+            simulate(D, V([0.0, 0.0], FLOAT), 3, 0)
+        blocky = GeneratorDistribution(
+            k=2, sample_fn=None, sample_block=lambda rng, n: np.zeros((n, 3, 3))
+        )
+        with pytest.raises(ContractViolation, match="must produce float matrices of size 2"):
+            lyapunov_estimate(blocky, 3, 1, 0)
+
+
+@pytest.mark.parametrize("backing", [EXACT, FLOAT])
+def test_lyapunov_needs_a_replication(backing):
+    D = FiniteSupport.make([M([[0, 1], [1, 0]], backing)], [1])
+    with pytest.raises(ContractViolation, match="replications must be >= 1"):
+        lyapunov_estimate(D, 5, 0, 0)
+
+
+def test_eps_left_at_the_horizon_is_a_contract_error():
+    D = FiniteSupport.make([M([[0.0, EPS], [EPS, 0.0]], FLOAT)], [1])
+    with pytest.raises(ContractViolation, match="eps coordinates"):
+        lyapunov_estimate(D, 5, 2, 0, x0=V([0.0, EPS], FLOAT))
+    E = FiniteSupport.make([M([[0, EPS], [EPS, 0]])], [1])
+    with pytest.raises(ContractViolation, match="eps coordinates"):
+        lyapunov_estimate(E, 5, 2, 0, x0=V([0, EPS]))
+
+
+def test_float_routines_use_no_scalar_kernel(monkeypatch):
+    """On a generator, the float drivers step on arrays: the per-step
+    mat_vec, mat_mul and proj_diameter of the scalar kernel never run."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scalar kernel called")
+
+    for name in ("mat_vec", "mat_mul", "proj_diameter", "proj_dist"):
+        monkeypatch.setattr(stochastic, name, forbidden)
+    D = shared_uniform_diagonal(4, 0.1, 1.2)
+    x0s = [V([0.0, 1.0, 2.0, 0.5], FLOAT), V([1.0, 0.0, 0.0, 3.0], FLOAT)]
+    tr = simulate(D, x0s[0], 40, 1)
+    est = lyapunov_estimate(D, 40, 3, 1)
+    forward_coupling(D, x0s, 40, 0.01, 1, 2)
+    res = backward_loynes(D, 0.5, 2000, 1, trace_every=7)
+    stability_verdict(D, StabilityOptions(eta=0.05, mc_seeds=2, mc_budget=30, seed=1))
+    # values leave the module as Python floats, not numpy scalars
+    floats = [v for x in tr.states + tr.projective for v in x.entries]
+    floats += [v for z in tr.increments for v in z] + list(est.per_replication)
+    floats += [d for _, d in res.trace] + [res.achieved_diameter] + list(res.limit_class.entries)
+    assert {type(v) for v in floats} == {float}
