@@ -126,7 +126,7 @@ def _cmd_simulate(args):
         "x0": _vector_json(tr.x0),
         "sample_times": list(tr.sample_times),
         "states": [_vector_json(s) for s in tr.states],
-        "projective": [[scalar_to_json(v) for v in p.entries] for p in tr.projective],
+        "projective": [_vector_json(p) for p in tr.projective],
         "increments": [[scalar_to_json(v) for v in z] for z in tr.increments],
     }
     if args.cjn_columns != "none":
@@ -259,9 +259,7 @@ def _cmd_model(args):
     spec_obj = _read_json(args.spec)
     if args.kind == "cjn":
         spec = cjn_spec_from_json(spec_obj)
-        D = cjn_distribution(spec, backing=args.backing) if not isinstance(
-            spec.law, UniformServiceLaw
-        ) else cjn_distribution(spec)
+        D = cjn_distribution(spec, backing=args.backing)
         result = distribution_to_json(D)
         if not isinstance(spec.law, UniformServiceLaw) and spec.customers == spec.queues:
             holds, witness = cjn_stability_condition(spec)

@@ -112,16 +112,7 @@ class PerQueueServiceLaw:
         probs = []
         for combo in itertools.product(*(range(len(v)) for v in self.values)):
             atoms.append(tuple(self.values[q][i] for q, i in enumerate(combo)))
-            p = Fraction(1)
-            exact = True
-            for q, i in enumerate(combo):
-                pi = self.probs[q][i]
-                if isinstance(pi, Fraction) and exact:
-                    p = p * pi
-                else:
-                    p = float(p) * float(pi)
-                    exact = False
-            probs.append(p)
+            probs.append(math.prod((self.probs[q][i] for q, i in enumerate(combo)), start=Fraction(1)))
         return JointServiceLaw.make(atoms, probs)
 
 
@@ -247,17 +238,13 @@ def cjn_distribution(spec: CjnSpec, backing: str = EXACT) -> MatrixDistribution:
         )
     joint = law.joint() if isinstance(law, PerQueueServiceLaw) else law
     merged = {}
-    order = []
     for atom, p in zip(joint.atoms, joint.probs):
         key = tuple(as_scalar(v, backing) for v in atom)
-        if key not in merged:
-            merged[key] = p
-            order.append(key)
+        if key in merged:
+            merged[key] += p
         else:
-            a = merged[key]
-            merged[key] = a + p if isinstance(a, Fraction) and isinstance(p, Fraction) else float(a) + float(p)
-    mats = [build(key) for key in order]
-    return FiniteSupport.make(mats, [merged[key] for key in order])
+            merged[key] = p
+    return FiniteSupport.make([build(key) for key in merged], list(merged.values()))
 
 
 def cjn_stability_condition(spec: CjnSpec):
@@ -419,31 +406,20 @@ def taskgraph_distribution(spec: TaskGraphSpec, backing: str = EXACT) -> MatrixD
     if dur is EPS:
         raise ContractViolation("taskgraph_distribution: duration must be finite")
     merged = {}
-    order = []
     for combo in itertools.product(*(range(len(law.masks)) for law in spec.subsets)):
         rows = [[EPS] * k for _ in range(k)]
-        p = Fraction(1)
-        exact = True
+        p = math.prod((law.probs[idx] for law, idx in zip(spec.subsets, combo)), start=Fraction(1))
         for i, idx in enumerate(combo):
-            law = spec.subsets[i]
-            mask = law.masks[idx]
-            pi = law.probs[idx]
-            if isinstance(pi, Fraction) and exact:
-                p = p * pi
-            else:
-                p = float(p) * float(pi)
-                exact = False
+            mask = spec.subsets[i].masks[idx]
             for j in range(k):
                 if mask >> j & 1:
                     rows[j][i] = dur
-        M = Matrix(tuple(tuple(r) for r in rows), backing)
-        if M.rows not in merged:
-            merged[M.rows] = p
-            order.append(M)
+        key = tuple(tuple(r) for r in rows)
+        if key in merged:
+            merged[key] += p
         else:
-            a = merged[M.rows]
-            merged[M.rows] = a + p if isinstance(a, Fraction) and isinstance(p, Fraction) else float(a) + float(p)
-    return FiniteSupport.make(order, [merged[M.rows] for M in order])
+            merged[key] = p
+    return FiniteSupport.make([Matrix(key, backing) for key in merged], list(merged.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -372,10 +372,6 @@ def matrix_from_json(obj, backing: str = EXACT) -> Matrix:
     return M
 
 
-def vector_to_json(x) -> list:
-    return [scalar_to_json(v) for v in x.entries]
-
-
 def vector_from_json(obj, backing: str = EXACT) -> Vector:
     if isinstance(obj, dict) and "entries" in obj:
         obj = obj["entries"]

@@ -454,13 +454,23 @@ def _integer_support(D: FiniteSupport, vectors: Sequence[Vector] = ()) -> tuple:
     return L, FiniteSupport(mats, D.probabilities, D.kernel), xs
 
 
-def _check_condition_i(D: FiniteSupport) -> None:
+def _condition_i_offender(D: FiniteSupport) -> Optional[tuple]:
+    """(support index, row) of the first all-eps row of the support, or
+    None when condition I holds."""
     for idx, M in enumerate(D.matrices):
         bad = M.row_finite_violation()
         if bad is not None:
-            raise ContractViolation(
-                f"support matrix {idx} violates the row-finiteness condition at row {bad}"
-            )
+            return idx, bad
+    return None
+
+
+def _check_condition_i(D: FiniteSupport) -> None:
+    offending = _condition_i_offender(D)
+    if offending is not None:
+        idx, row = offending
+        raise ContractViolation(
+            f"support matrix {idx} violates the row-finiteness condition at row {row}"
+        )
 
 
 def sample_sequence(D: MatrixDistribution, seed: int, n: int, replication: int = 0) -> list:
@@ -1079,46 +1089,54 @@ def _next_letters(D: FiniteSupport, last: int) -> tuple:
     return tuple(j for j in range(D.size) if float(D.kernel[last][j]) > 0.0)
 
 
-def _word_bfs(D: FiniteSupport, on_state, max_len: int, budget: int):
-    """Breadth-first walk over admissible words, one node per distinct
-    (projective product class, last letter if Markov). on_state may return
-    a result to stop with. Returns (result, saturated, explored) where
-    saturated means the state space was exhausted below max_len. Scaling
-    every matrix of D by one positive factor visits the same words."""
+def _word_bfs(D: FiniteSupport, start, step, visit, max_len: int, budget: int):
+    """Breadth-first walk over the admissible words of D, shortest first.
+
+    Each word carries a state that stands for its product
+    A(u_{N-1}) ... A(u_0): start(letter) gives the state of a one-letter
+    word, and step(letter, s) the state of (u_0, ..., u_{N-1}, letter) from
+    the state s of (u_0, ..., u_{N-1}). A state is hashable and is its own
+    dedupe key; under a Markov kernel the key also holds the last letter,
+    which decides the letters that may follow. visit(word, state) sees each
+    new key once and may return a result to stop with. At most budget
+    states are expanded, and words stop growing at max_len. Returns
+    (result, saturated, states): saturated means every state reachable
+    below max_len was visited; states counts the distinct keys seen."""
+    markov = D.kernel is not None
+    follows = [_next_letters(D, letter) for letter in range(D.size)]
     seen = set()
     queue = deque()
-    explored = 0
-    for letter in _initial_letters(D):
-        P = matrix_proj_normal(D.matrices[letter])
-        key = (P.rows, letter if D.kernel is not None else None)
+
+    def is_new(word, state) -> bool:
+        key = (state, word[-1]) if markov else state
         if key in seen:
-            continue
+            return False
         seen.add(key)
-        word = (letter,)
-        res = on_state(word, P)
-        if res is not None:
-            return res, False, len(seen)
-        queue.append((P, word))
+        queue.append((state, word))
+        return True
+
+    for letter in _initial_letters(D):
+        word, state = (letter,), start(letter)
+        if is_new(word, state):
+            res = visit(word, state)
+            if res is not None:
+                return res, False, len(seen)
+    explored = 0
     truncated = False
     while queue:
         explored += 1
         if explored > budget:
             return None, False, len(seen)
-        P, word = queue.popleft()
+        state, word = queue.popleft()
         if len(word) >= max_len:
             truncated = True
             continue
-        for letter in _next_letters(D, word[-1]):
-            Q = matrix_proj_normal(mat_mul(D.matrices[letter], P))
-            key = (Q.rows, letter if D.kernel is not None else None)
-            if key in seen:
-                continue
-            seen.add(key)
-            nxt = word + (letter,)
-            res = on_state(nxt, Q)
-            if res is not None:
-                return res, False, len(seen)
-            queue.append((Q, nxt))
+        for letter in follows[word[-1]]:
+            nxt, Q = word + (letter,), step(letter, state)
+            if is_new(nxt, Q):
+                res = visit(nxt, Q)
+                if res is not None:
+                    return res, False, len(seen)
     return None, not truncated, len(seen)
 
 
@@ -1208,8 +1226,18 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
             weak["word"] = word
         return None
 
+    # states are the projective normal forms of the integer-scaled products:
+    # scaling every matrix by one positive factor visits the same words
     _, Dint, _ = _integer_support(D)
-    hit, saturated, explored = _word_bfs(Dint, on_state, max_len, budget)
+    mats = Dint.matrices
+    hit, saturated, explored = _word_bfs(
+        D,
+        lambda letter: matrix_proj_normal(mats[letter]),
+        lambda letter, P: matrix_proj_normal(mat_mul(mats[letter], P)),
+        on_state,
+        max_len,
+        budget,
+    )
     scs_word = weak.get("word")
     scs_mat = word_product(D, scs_word) if scs_word is not None else None
     scs_prob = word_probability(D, scs_word) if scs_word is not None else None
@@ -1301,71 +1329,44 @@ def _mask_mul(B: tuple, A: tuple, k: int) -> tuple:
 
 def structural_conditions(D: FiniteSupport, max_len: int = 64, budget: int = 500000) -> ConditionsReport:
     """Decide the two structural preconditions on the support patterns.
-    Pattern products form a finite semigroup, so the word walk either finds
-    an all-finite product or saturates, unless the budget cuts it short."""
+
+    Condition II walks the admissible words (_word_bfs) on ε patterns
+    only: a word's state is its product's pattern as one bitmask of finite
+    entries per row (_mask_rows), extended by the boolean product
+    (_mask_mul), and the walk stops at the first word whose rows are all
+    full. Pattern products form a finite semigroup, so the walk either
+    finds one or saturates, unless the budget cuts it short. The states
+    stay bitmasks rather than 0/ε max-plus matrices: a support that fails
+    condition I can have an all-ε product, which has no projective normal
+    form but must still be reported, and a bitmask step is cheaper than a
+    max-plus product."""
     if not isinstance(D, FiniteSupport):
         raise ContractViolation("structural_conditions: needs a finite-support distribution")
-    offending = None
-    for idx, M in enumerate(D.matrices):
-        bad = M.row_finite_violation()
-        if bad is not None:
-            offending = (idx, bad)
-            break
-    cond_i = offending is None
+    offending = _condition_i_offender(D)
     k = D.k
-    full = (1 << k) - 1
-    full_rows = (full,) * k
+    full_rows = ((1 << k) - 1,) * k
     masks = [_mask_rows(M) for M in D.matrices]
-
-    seen = set()
-    queue = deque()
-    witness = None
-    explored = 0
-    for letter in _initial_letters(D):
-        m = masks[letter]
-        key = (m, letter if D.kernel is not None else None)
-        if key in seen:
-            continue
-        seen.add(key)
-        if m == full_rows:
-            witness = (letter,)
-            break
-        queue.append((m, (letter,)))
-    truncated = False
-    while witness is None and queue:
-        explored += 1
-        if explored > budget:
-            truncated = True
-            break
-        m, word = queue.popleft()
-        if len(word) >= max_len:
-            truncated = True
-            continue
-        for letter in _next_letters(D, word[-1]):
-            nm = _mask_mul(masks[letter], m, k)
-            key = (nm, letter if D.kernel is not None else None)
-            if key in seen:
-                continue
-            seen.add(key)
-            nxt = word + (letter,)
-            if nm == full_rows:
-                witness = nxt
-                queue.clear()
-                break
-            queue.append((nm, nxt))
+    witness, saturated, states = _word_bfs(
+        D,
+        lambda letter: masks[letter],
+        lambda letter, m: _mask_mul(masks[letter], m, k),
+        lambda word, m: word if m == full_rows else None,
+        max_len,
+        budget,
+    )
     if witness is not None:
         cond_ii, status = True, "found"
-    elif truncated:
-        cond_ii, status = None, "truncated"
-    else:
+    elif saturated:
         cond_ii, status = False, "saturated"
+    else:
+        cond_ii, status = None, "truncated"
     return ConditionsReport(
-        condition_i=cond_i,
+        condition_i=offending is None,
         offending=offending,
         condition_ii=cond_ii,
         witness=witness,
         status=status,
-        states_explored=len(seen),
+        states_explored=states,
     )
 
 
@@ -1454,12 +1455,8 @@ def stability_verdict(D: MatrixDistribution, options: Optional[StabilityOptions]
     conditions = None
     pattern = None
     if isinstance(D, FiniteSupport):
+        _check_condition_i(D)
         conditions = structural_conditions(D)
-        if not conditions.condition_i:
-            idx, row = conditions.offending
-            raise ContractViolation(
-                f"support matrix {idx} violates the row-finiteness condition at row {row}"
-            )
         if conditions.condition_ii is False:
             return StabilityVerdict(
                 verdict="Inconclusive",
@@ -1725,6 +1722,10 @@ def distribution_to_json(D: MatrixDistribution) -> dict:
     return out
 
 
+# what distribution_to_json writes, and the condition `maxplus model cjn` adds
+_FINITE_KEYS = frozenset({"kind", "k", "backing", "support", "kernel", "cjn_stability_condition"})
+
+
 def distribution_from_json(obj: dict) -> MatrixDistribution:
     kind = obj.get("kind", "finite")
     if kind == "generator":
@@ -1736,6 +1737,12 @@ def distribution_from_json(obj: dict) -> MatrixDistribution:
         return builder(obj.get("params", {}))
     if kind != "finite":
         raise ContractViolation(f"unknown distribution kind {kind!r}")
+    unknown = sorted(set(obj) - _FINITE_KEYS)
+    if unknown:
+        raise ContractViolation(
+            f"finite distribution JSON: unknown keys {unknown}; a Markov kernel is the "
+            'top-level "kernel"'
+        )
     backing = obj.get("backing")
     if backing not in (EXACT, FLOAT):
         raise ContractViolation('distribution JSON needs "backing": "exact" or "float"')

@@ -13,6 +13,10 @@ recursions replaced: one ``Matrix`` per step from ``_MatrixStream.next``
 floats. ``_couple_one`` and ``backward_loynes`` below serve both backings;
 on floats they are the scalar routines as they were. The builtin
 generators' per-step samplers are kept as well (``scalar_generator``).
+
+``structural_conditions`` is the version with its own breadth-first loop
+over bitmask patterns, from before it shared ``_word_bfs`` with the word
+search.
 """
 
 import math
@@ -47,6 +51,7 @@ from maxplus.semiring import (
 from maxplus.spectral import is_scs1cyc1
 from maxplus.stochastic import (
     _Z95,
+    ConditionsReport,
     CouplingSample,
     FiniteSupport,
     GeneratorDistribution,
@@ -532,4 +537,98 @@ def lyapunov_estimate(
         horizon=horizon,
         replications=replications,
         per_replication=tuple(values),
+    )
+
+
+def _mask_rows(M: Matrix) -> tuple:
+    rows = []
+    for row in M.rows:
+        bits = 0
+        for j, v in enumerate(row):
+            if v is not EPS:
+                bits |= 1 << j
+        rows.append(bits)
+    return tuple(rows)
+
+
+def _mask_mul(B: tuple, A: tuple, k: int) -> tuple:
+    # boolean product: (B A)[i][j] = OR_l B[i][l] & A[l][j], rows as bitmasks
+    out = []
+    for i in range(k):
+        acc = 0
+        bi = B[i]
+        for l in range(k):
+            if bi >> l & 1:
+                acc |= A[l]
+        out.append(acc)
+    return tuple(out)
+
+
+def structural_conditions(D: FiniteSupport, max_len: int = 64, budget: int = 500000) -> ConditionsReport:
+    """Decide the two structural preconditions on the support patterns.
+    Pattern products form a finite semigroup, so the word walk either finds
+    an all-finite product or saturates, unless the budget cuts it short."""
+    if not isinstance(D, FiniteSupport):
+        raise ContractViolation("structural_conditions: needs a finite-support distribution")
+    offending = None
+    for idx, M in enumerate(D.matrices):
+        bad = M.row_finite_violation()
+        if bad is not None:
+            offending = (idx, bad)
+            break
+    cond_i = offending is None
+    k = D.k
+    full = (1 << k) - 1
+    full_rows = (full,) * k
+    masks = [_mask_rows(M) for M in D.matrices]
+
+    seen = set()
+    queue = deque()
+    witness = None
+    explored = 0
+    for letter in _initial_letters(D):
+        m = masks[letter]
+        key = (m, letter if D.kernel is not None else None)
+        if key in seen:
+            continue
+        seen.add(key)
+        if m == full_rows:
+            witness = (letter,)
+            break
+        queue.append((m, (letter,)))
+    truncated = False
+    while witness is None and queue:
+        explored += 1
+        if explored > budget:
+            truncated = True
+            break
+        m, word = queue.popleft()
+        if len(word) >= max_len:
+            truncated = True
+            continue
+        for letter in _next_letters(D, word[-1]):
+            nm = _mask_mul(masks[letter], m, k)
+            key = (nm, letter if D.kernel is not None else None)
+            if key in seen:
+                continue
+            seen.add(key)
+            nxt = word + (letter,)
+            if nm == full_rows:
+                witness = nxt
+                queue.clear()
+                break
+            queue.append((nm, nxt))
+    if witness is not None:
+        cond_ii, status = True, "found"
+    elif truncated:
+        cond_ii, status = None, "truncated"
+    else:
+        cond_ii, status = False, "saturated"
+    return ConditionsReport(
+        condition_i=cond_i,
+        offending=offending,
+        condition_ii=cond_ii,
+        witness=witness,
+        status=status,
+        states_explored=len(seen),
     )

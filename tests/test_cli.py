@@ -408,3 +408,49 @@ class TestModelPipeline:
         assert json.loads(stab.stdout)["result"]["basis"] in (
             "backward-diameter-evidence", "insufficient-evidence")
         assert run_cli("simulate", *common, "--x0", x0, "--horizon", "30").stdout == sim.stdout
+
+
+class TestDistributionKeys:
+    def test_readme_dependence_form_is_contract_violation(self, ring_dist, tmp_path):
+        # this form was once documented, and was read as iid
+        with open(ring_dist) as fh:
+            obj = json.load(fh)
+        obj["dependence"] = {"markov": {"kernel": [["1/2", "1/2"], ["1/2", "1/2"]]}}
+        proc = run_cli("stability", "--dist", write(tmp_path / "old.json", obj), "--seed", "7")
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        err = json.loads(proc.stderr)["error"]
+        assert err["type"] == "contract" and "dependence" in err["message"]
+
+    def test_top_level_kernel_is_markov(self, ring_dist, tmp_path):
+        with open(ring_dist) as fh:
+            obj = json.load(fh)
+        obj["kernel"] = [["1/2", "1/2"], ["1/2", "1/2"]]
+        proc = run_cli("stability", "--dist", write(tmp_path / "markov.json", obj), "--seed", "7")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["basis"] == "stationary-rank-one-pattern"
+
+    @pytest.mark.parametrize(
+        "kind, spec",
+        [
+            ("cjn", {"queues": 2, "customers": 2,
+                     "law": {"joint": {"atoms": [[2, 1], [1, 1]], "probs": ["1/2", "1/2"]}}}),
+            ("cjn", {"queues": 2, "customers": 3,
+                     "law": {"per_queue": {"values": [[1, 2], [1]], "probs": [["1/2", 0.5], [1]]}}}),
+            ("cjn", {"queues": 2, "customers": 2, "law": {"uniform": {"low": 0, "high": 1}}}),
+            ("taskgraph", {"k": 2, "subsets": [{"masks": [3], "probs": [1]},
+                                               {"masks": [1, 3], "probs": ["1/2", "1/2"]}],
+                           "duration": "3/2"}),
+            ("taskgraph", {"k": 2, "subsets": [{"masks": [3], "probs": [1]},
+                                               {"masks": [3], "probs": [1]}],
+                           "duration": {"uniform": {"low": 0, "high": 1}}}),
+        ],
+    )
+    @pytest.mark.parametrize("backing", ["exact", "float"])
+    def test_every_model_output_loads(self, tmp_path, kind, spec, backing):
+        dist = tmp_path / "dist.json"
+        proc = run_cli("model", kind, "--spec", write(tmp_path / "spec.json", spec),
+                       "--backing", backing, "--output", str(dist))
+        assert proc.returncode == 0, proc.stderr
+        lya = run_cli("lyapunov", "--dist", str(dist), "--horizon", "5", "--seed", "0")
+        assert lya.returncode == 0, lya.stderr

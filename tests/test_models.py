@@ -114,6 +114,21 @@ class TestServiceLaws:
         assert D.size == 8
         assert all(p == Fraction(1, 8) for p in D.probabilities)
 
+    def test_mixed_fraction_float_per_queue_law(self):
+        # exact products stay Fractions; a float factor, or a float in a
+        # merged sum, makes the probability a float
+        pq = PerQueueServiceLaw.make([(1, 1), (1, 2)], [("1/4", 0.75), ("1/3", "2/3")])
+        D = cjn_distribution(CjnSpec(queues=2, customers=2, law=pq))
+        assert D.size == 2
+        assert D.probabilities == (
+            float(Fraction(1, 12)) + 0.75 * float(Fraction(1, 3)),
+            float(Fraction(1, 6)) + 0.75 * float(Fraction(2, 3)),
+        )
+        assert all(type(p) is float for p in D.probabilities)
+        joint = pq.joint()
+        assert joint.probs[:2] == (Fraction(1, 12), Fraction(1, 6))
+        assert joint.probs[2:] == (0.75 * float(Fraction(1, 3)), 0.75 * float(Fraction(2, 3)))
+
     def test_duplicate_atoms_merge(self):
         law = JointServiceLaw.make([(1, 1), (1, 1), (2, 1)], ["1/4", "1/4", "1/2"])
         D = cjn_distribution(CjnSpec(queues=2, customers=2, law=law))

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -957,3 +958,71 @@ def test_float_routines_use_no_scalar_kernel(monkeypatch):
     floats += [v for z in tr.increments for v in z] + list(est.per_replication)
     floats += [d for _, d in res.trace] + [res.achieved_diameter] + list(res.limit_class.entries)
     assert {type(v) for v in floats} == {float}
+
+
+# ---------------------------------------------------------------------------
+# One word walk behind pattern_search and structural_conditions
+
+
+@st.composite
+def pattern_supports(draw):
+    """eps-heavy supports, all-eps rows allowed: k <= 5, 1-3 letters, exact
+    or float, iid or under a Markov kernel with zero entries."""
+    k = draw(st.integers(1, 5))
+    size = draw(st.integers(1, 3))
+    entry = st.sampled_from([EPS, EPS, EPS, 0, 1, Fraction(-1, 2)])
+    backing = draw(st.sampled_from([EXACT, FLOAT]))
+    mats = [
+        M([[draw(entry) for _ in range(k)] for _ in range(k)], backing) for _ in range(size)
+    ]
+    kernel = None
+    if draw(st.booleans()):
+        kernel = []
+        for _ in range(size):
+            row = [draw(st.sampled_from([0, 0, 1, 2])) for _ in range(size)]
+            if not any(row):
+                row[draw(st.integers(0, size - 1))] = 1
+            kernel.append([Fraction(w, sum(row)) for w in row])
+    return FiniteSupport.make(mats, [Fraction(1, size)] * size, kernel)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern_supports())
+def test_structural_conditions_match_reference_at_every_budget(D):
+    saturation = reference.structural_conditions(D, 64, 10**6).states_explored
+    for budget in range(1, saturation + 1):
+        for max_len in (1, 2, 3, 4, 64):
+            got = structural_conditions(D, max_len=max_len, budget=budget)
+            want = reference.structural_conditions(D, max_len, budget)
+            assert same_json(got, want), (budget, max_len)
+
+
+def test_both_searches_run_through_one_word_walk(monkeypatch, good_cjn):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return walk(*args)
+
+    walk = stochastic._word_bfs
+    monkeypatch.setattr(stochastic, "_word_bfs", counting)
+    pattern_search(good_cjn, max_len=8)
+    assert len(calls) == 1
+    structural_conditions(good_cjn)
+    assert len(calls) == 2
+
+
+def test_cyclic_shift_words_by_brute_force():
+    """All 120 words of length <= 4 over the three cyclic shifts of (2,2,1),
+    multiplied out one by one with no search: the shortest rank-one word has
+    length 4, and (0,0,1,0) is one, with probability 1/81."""
+    D = FiniteSupport.make(
+        [cjn_matrix([2, 2, 1]), cjn_matrix([1, 2, 2]), cjn_matrix([2, 1, 2])],
+        ["1/3", "1/3", "1/3"],
+    )
+    words = [w for n in range(1, 5) for w in itertools.product(range(3), repeat=n)]
+    assert len(words) == 120
+    rank_one = {w for w in words if is_rank_one(word_product(D, w))}
+    assert all(len(w) == 4 for w in rank_one)
+    assert (0, 0, 1, 0) in rank_one
+    assert word_probability(D, (0, 0, 1, 0)) == Fraction(1, 81)
