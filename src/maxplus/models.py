@@ -21,6 +21,7 @@ from .semiring import (
     ContractViolation,
     Matrix,
     as_scalar,
+    reject_unknown_keys,
 )
 from .stochastic import (
     FiniteSupport,
@@ -471,9 +472,11 @@ def independent_uniform_diagonal(k: int, low: float = 0.0, high: float = 1.0) ->
     )
 
 
-def _uniform_params(params, key: str) -> tuple:
-    """(params[key], low, high) of a uniform generator's JSON params."""
+def _uniform_params(params, key: str, extra: tuple = ()) -> tuple:
+    """(params[key], low, high) of a uniform generator's JSON params, which
+    hold no keys but these and extra."""
     size = _number(int, _field(params, key, "generator params"), key)
+    reject_unknown_keys(params, (key, "low", "high", *extra), "generator params")
     low = _number(float, params.get("low", 0.0), "low")
     return size, low, _number(float, params.get("high", 1.0), "high")
 
@@ -487,7 +490,7 @@ def _build_independent_uniform(params: dict) -> GeneratorDistribution:
 
 
 def _build_cjn_uniform(params: dict) -> GeneratorDistribution:
-    queues, low, high = _uniform_params(params, "queues")
+    queues, low, high = _uniform_params(params, "queues", ("customers",))
     spec = CjnSpec(
         queues=queues,
         customers=_number(int, params.get("customers", queues), "customers"),
@@ -497,7 +500,7 @@ def _build_cjn_uniform(params: dict) -> GeneratorDistribution:
 
 
 def _build_taskgraph_uniform(params: dict) -> GeneratorDistribution:
-    k, low, high = _uniform_params(params, "k")
+    k, low, high = _uniform_params(params, "k", ("subsets",))
     subsets = _field(params, "subsets", "generator params")
     if not isinstance(subsets, list) or not all(
         isinstance(s, list) and len(s) == 2 for s in subsets

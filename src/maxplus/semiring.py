@@ -363,9 +363,17 @@ def matrix_to_json(A: Matrix) -> dict:
     }
 
 
+def reject_unknown_keys(obj: dict, allowed, what: str, hint: str = "") -> None:
+    """ContractViolation when the JSON object obj has a key outside allowed."""
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ContractViolation(f"{what}: unknown keys {unknown}{hint}")
+
+
 def matrix_from_json(obj, backing: str = EXACT) -> Matrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ContractViolation('matrix JSON must be {"k": ..., "entries": [[...]]}')
+    reject_unknown_keys(obj, ("k", "entries"), "matrix JSON")
     M = Matrix.make(obj["entries"], backing)
     if "k" in obj and obj["k"] != M.k:
         raise ContractViolation(f'matrix JSON: declared k={obj["k"]} but entries are {M.k}x{M.k}')

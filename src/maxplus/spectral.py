@@ -12,11 +12,21 @@ Every reader builds one exact record per matrix (``_spectrum``): A is
 scaled by the lcm L of its entry denominators, Karp's algorithm gives
 lambda = p / (q L), and the normalized matrix is held as the integer matrix
 Abar = q L A - p (otimes is positively homogeneous). Its closure Abar+ (one
-Floyd-Warshall pass, O(k^3)), the critical graph, the eigenvectors and the
-powers behind the transient M and cyclicity d are integer computations;
-``Fraction`` appears only on output. A float matrix enters the same record
-as the exact dyadic rationals its entries denote and is rounded once on
-output, so no check fails through rounding.
+Floyd-Warshall pass, O(k^3)), the critical graph and the eigenvectors are
+computed on Python ints; ``Fraction`` appears only on output. A float
+matrix enters the same record as the exact dyadic rationals its entries
+denote and is rounded once on output, so no check fails through rounding.
+
+The power loop behind the transient M and cyclicity d walks Abar, Abar^2,
+... on the array kernel of ``arrays``. An entry of Abar^n is a sum of n
+entries of Abar, so at most max|Abar| n in magnitude. While that bound at
+the power budget stays below 2**53 the walk runs on float64 with -inf for
+eps: every such integer is exact there, no -0.0 or NaN arises, and equal
+powers have equal ``tobytes()``. Past it the same code runs on object
+arrays of Python ints, with an integer sentinel for eps and tuple keys.
+``first_rank_one_power`` stays on Python ints: its one caller, the
+rank-one script, passes 2 x 2 matrices, where an unbatched numpy step
+costs more than the Python-int product.
 """
 
 from __future__ import annotations
@@ -183,14 +193,53 @@ def _require_exact(A: Matrix, what: str) -> None:
         raise ContractViolation(f"{what}: exact backing required")
 
 
+def _powers(abar: Matrix, max_power: int):
+    """(n, Abar^n) for n = 1..max_power, each power the one before times Abar.
+
+    An entry of Abar^n is at most max|Abar| n in magnitude. The arrays are
+    float64 with -inf for eps while max|Abar| max_power < 2**53, where all
+    those integers are exact. Past that they are object arrays of Python
+    ints, and eps is the integer -B with B = 4 max|Abar| max_power + 4:
+    a sum that involves eps is then below -B/2 and every finite entry
+    above it, so each product sets what fell below -B/2 back to -B. (-inf
+    would not do there: int + -inf converts the int to float, which
+    overflows past 2**1024.)
+    """
+    # numpy loads here, on the first walk, and not with this module: the
+    # package imports spectral before stochastic, and without a bytecode
+    # cache numpy loaded ahead of compiling stochastic.py raises the peak
+    # memory of every process by about 1.7 MB.
+    import numpy as np
+
+    from .arrays import _max_last
+
+    top = max((abs(v) for row in abar.rows for v in row if v is not EPS), default=0)
+    exact = top * max_power < 2**53
+    bottom = 4 * top * max_power + 4
+    eps = -math.inf if exact else -bottom
+    A = np.array(
+        [[eps if v is EPS else v for v in row] for row in abar.rows],
+        dtype=float if exact else object,
+    )
+    P = None
+    for n in range(1, max_power + 1):
+        P = A if P is None else _max_last(P[:, None, :] + A.T[None], False)
+        if not exact:
+            P[P < -bottom // 2] = -bottom
+        yield n, P
+
+
+def _key(P):
+    """Hashable and equal exactly for equal powers."""
+    return P.tobytes() if P.dtype == float else tuple(P.flat)
+
+
 def _period_and_transient(rec: _Spectrum, max_power: Optional[int]) -> Tuple[int, int]:
     if max_power is None:
         max_power = default_power_budget(rec.abar.k)
     seen: dict = {}
-    power = None
-    for n in range(1, max_power + 1):
-        power = rec.abar if power is None else mat_mul(power, rec.abar)
-        first = seen.setdefault(power.rows, n)
+    for n, P in _powers(rec.abar, max_power):
+        first = seen.setdefault(_key(P), n)
         if first != n:
             d = n - first
             crit_d = _cyclicity(rec.critical)
@@ -268,6 +317,11 @@ def cyclicity_and_transient(A: Matrix, max_power: Optional[int] = None) -> Tuple
     period is cross-checked against the critical graph. Exact backing
     only. Raises BudgetExceeded when max_power (default 10 k^2 + 64) is
     hit before a repetition.
+
+    The powers are computed on the array kernel: on float64, keyed by
+    their bytes, while max|Abar| max_power < 2**53, so that every entry of
+    every power is an exactly held integer, and on object arrays of Python
+    ints, keyed by their entries, past that.
     """
     _require_exact(A, "cyclicity_and_transient")
     return _period_and_transient(_spectrum(A), max_power)
@@ -379,7 +433,9 @@ def weak_rank(A: Matrix) -> int:
 
 def first_rank_one_power(A: Matrix, max_power: Optional[int] = None) -> Optional[int]:
     """Least n with A^n rank-one, or None when the power sequence provably
-    cycles without ever reaching a rank-one matrix. Exact backing only."""
+    cycles without ever reaching a rank-one matrix. Exact backing only.
+    The powers are Python-int products, not array ones: the matrices this
+    is called on are small, and there numpy costs more per step."""
     _require_exact(A, "first_rank_one_power")
     if max_power is None:
         max_power = default_power_budget(A.k)

@@ -37,7 +37,8 @@ replications at once. Each step is the same IEEE additions and maxima as
 the scalar kernel, and of tied signed zeros the first is kept, as Python's
 ``max`` does, so reports are bit for bit those of ``semiring.mat_vec`` and
 ``projective.proj_dist``. No numpy value leaves the module: results are
-Python floats.
+Python floats. The array helpers are the kernel in ``arrays``, which the
+exact power loops of ``spectral`` share.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .arrays import _as_array, _matrix_of, _max_last, _negative_zero
 from .graphs import graph_of, scc_decompose, scc_from_arcs
 from .projective import (
     ProjVector,
@@ -72,6 +74,7 @@ from .semiring import (
     mat_vec,
     matrix_from_json,
     matrix_to_json,
+    reject_unknown_keys,
     scalar_to_json,
     scale_to_integers,
     zero,
@@ -335,20 +338,6 @@ class _MatrixStream:
         return self._matrices[self._pending.pop()]
 
 
-def _as_array(matrices) -> np.ndarray:
-    """float64 (n, k, k) array of matrix rows, eps as -inf."""
-    return np.array(
-        [[[-math.inf if v is EPS else v for v in row] for row in rows] for rows in matrices],
-        dtype=float,
-    )
-
-
-def _matrix_of(a: np.ndarray) -> Matrix:
-    return Matrix(
-        tuple(tuple(EPS if v == -math.inf else v for v in row) for row in a.tolist()), FLOAT
-    )
-
-
 def _sample_one(sample_block: Callable) -> Callable:
     """The sample_fn of a block sampler: the one matrix of a block of one."""
     return lambda rng, n: _matrix_of(sample_block(rng, 1)[0])
@@ -430,21 +419,6 @@ class _FloatStream:
         """The next total matrices one by one, drawn as blocks()."""
         for block in self.blocks(total, first):
             yield from block
-
-
-def _negative_zero(a: np.ndarray) -> bool:
-    return bool(np.signbit(a[a == 0]).any())
-
-
-def _max_last(a: np.ndarray, signed: bool) -> np.ndarray:
-    """Max over the last axis. Of tied values the scalar kernel keeps the
-    first, as Python's max does; numpy need not for +0.0 and -0.0. -0.0
-    arises only from -0.0 inputs, so callers pass signed=True once one
-    was seen, and the first maximal entry is taken."""
-    if not signed:
-        return a.max(-1)
-    first = (a == a.max(-1, keepdims=True)).argmax(-1)
-    return np.take_along_axis(a, first[..., None], -1)[..., 0]
 
 
 def _integer_support(D: FiniteSupport, vectors: Sequence[Vector] = ()) -> tuple:
@@ -1724,34 +1698,46 @@ def distribution_to_json(D: MatrixDistribution) -> dict:
 
 # what distribution_to_json writes, and the condition `maxplus model cjn` adds
 _FINITE_KEYS = frozenset({"kind", "k", "backing", "support", "kernel", "cjn_stability_condition"})
+_GENERATOR_KEYS = frozenset({"kind", "name", "k", "params"})
+_ITEM_KEYS = frozenset({"matrix", "probability"})
 
 
 def distribution_from_json(obj: dict) -> MatrixDistribution:
+    """Load what distribution_to_json writes. A key it does not write, at any
+    level, is a ContractViolation, and so is a declared k that the matrices
+    do not have; a generator's builder checks the keys of its params."""
     kind = obj.get("kind", "finite")
     if kind == "generator":
+        reject_unknown_keys(obj, _GENERATOR_KEYS, "generator distribution JSON")
         name = obj.get("name")
         builder = GENERATOR_BUILDERS.get(name)
         if builder is None:
             known = ", ".join(sorted(GENERATOR_BUILDERS)) or "(none registered)"
             raise ContractViolation(f"unknown generator {name!r}; known: {known}")
-        return builder(obj.get("params", {}))
-    if kind != "finite":
-        raise ContractViolation(f"unknown distribution kind {kind!r}")
-    unknown = sorted(set(obj) - _FINITE_KEYS)
-    if unknown:
-        raise ContractViolation(
-            f"finite distribution JSON: unknown keys {unknown}; a Markov kernel is the "
-            'top-level "kernel"'
+        D = builder(obj.get("params", {}))
+    elif kind == "finite":
+        reject_unknown_keys(
+            obj, _FINITE_KEYS, "finite distribution JSON",
+            '; a Markov kernel is the top-level "kernel"',
         )
-    backing = obj.get("backing")
-    if backing not in (EXACT, FLOAT):
-        raise ContractViolation('distribution JSON needs "backing": "exact" or "float"')
-    support = obj.get("support")
-    if not support or not isinstance(support, list):
-        raise ContractViolation("distribution JSON needs a non-empty support list")
-    if not all(isinstance(item, dict) and "matrix" in item and "probability" in item
-               for item in support):
-        raise ContractViolation('distribution JSON support items need "matrix" and "probability"')
-    mats = [matrix_from_json(item["matrix"], backing) for item in support]
-    probs = [item["probability"] for item in support]
-    return FiniteSupport.make(mats, probs, kernel=obj.get("kernel"))
+        backing = obj.get("backing")
+        if backing not in (EXACT, FLOAT):
+            raise ContractViolation('distribution JSON needs "backing": "exact" or "float"')
+        support = obj.get("support")
+        if not support or not isinstance(support, list):
+            raise ContractViolation("distribution JSON needs a non-empty support list")
+        if not all(isinstance(item, dict) and "matrix" in item and "probability" in item
+                   for item in support):
+            raise ContractViolation('distribution JSON support items need "matrix" and "probability"')
+        for item in support:
+            reject_unknown_keys(item, _ITEM_KEYS, "distribution JSON support item")
+        mats = [matrix_from_json(item["matrix"], backing) for item in support]
+        probs = [item["probability"] for item in support]
+        D = FiniteSupport.make(mats, probs, kernel=obj.get("kernel"))
+    else:
+        raise ContractViolation(f"unknown distribution kind {kind!r}")
+    if "k" in obj and obj["k"] != D.k:
+        raise ContractViolation(
+            f'distribution JSON: declared k={obj["k"]!r} but its matrices are {D.k}x{D.k}'
+        )
+    return D
