@@ -16,11 +16,14 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
+import math
 import sys
 
 from . import __version__
 from .semiring import (
+    EPS,
     EXACT,
     FLOAT,
     BudgetExceeded,
@@ -68,8 +71,20 @@ def _read_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}")
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
         raise InputError(f"malformed JSON in {path}: {exc}")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}")
+
+
+def _open_for_writing(path: str, **kw):
+    """open(path, "w", **kw) for a report or CSV file, InputError when it cannot."""
+    try:
+        return open(path, "w", **kw)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _load_matrix(path: str, backing: str):
@@ -90,7 +105,67 @@ def _load_vector(path: str, backing: str):
 
 
 def _vector_json(v) -> list:
+    # A float entry is its own JSON value; only eps (None) needs converting.
+    if v.backing == FLOAT and EPS not in v.entries:
+        return list(v.entries)
     return [scalar_to_json(x) for x in v.entries]
+
+
+# ---------------------------------------------------------------------------
+# Report layout
+
+
+# Reports are laid out as json.dumps(obj, sort_keys=True, indent=2). With
+# indent set, CPython runs its pure-Python encoder, and a float trajectory
+# holds tens of thousands of numbers. _layout writes the same text: it lays
+# out dicts and lists itself and hands each list of numbers, or list of
+# such lists, to the compact C encoder in one call. The text of a JSON
+# number never contains ",", "[" or "]", so the compact text is indented by
+# plain replacement.
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+_encode_str = json.encoder.encode_basestring_ascii
+_NUMBERS = frozenset((int, float))
+# The text of one scalar, without building an encoder per call.
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else _compact(x),
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _layout(obj, pad: str = "") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) for obj placed on a line
+    indented by pad."""
+    kind = type(obj)
+    scalar = _SCALAR_TEXT.get(kind)
+    if scalar is not None:
+        return scalar(obj)
+    inner = pad + "  "
+    if kind is dict and all(type(key) is str for key in obj):
+        if not obj:
+            return "{}"
+        items = (f"{_encode_str(key)}: {_layout(obj[key], inner)}" for key in sorted(obj))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if (kind is list or kind is tuple) and obj:
+        types = set(map(type, obj))
+        if types <= _NUMBERS:
+            body = _compact(obj)[1:-1].replace(",", ",\n" + inner)
+        elif (types == {list} and all(obj)
+              and set(map(type, itertools.chain.from_iterable(obj))) <= _NUMBERS):
+            row = inner + "  "
+            body = (f"[\n{row}" + _compact(obj)[2:-2]
+                    .replace(",", ",\n" + row)
+                    .replace(f"],\n{row}[", f"\n{inner}],\n{inner}[\n{row}")
+                    + f"\n{inner}]")
+        else:
+            body = f",\n{inner}".join(_layout(item, inner) for item in obj)
+        return f"[\n{inner}{body}\n{pad}]"
+    # Empty lists, numeric subclasses such as numpy floats, dicts with
+    # non-str keys and anything else unusual. An encoded string never holds
+    # a raw newline, so every newline in the text starts a layout line.
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +202,10 @@ def _cmd_simulate(args):
         "sample_times": list(tr.sample_times),
         "states": [_vector_json(s) for s in tr.states],
         "projective": [_vector_json(p) for p in tr.projective],
-        "increments": [[scalar_to_json(v) for v in z] for z in tr.increments],
+        "increments": (
+            [list(z) for z in tr.increments] if tr.x0.backing == FLOAT
+            else [[scalar_to_json(v) for v in z] for z in tr.increments]
+        ),
     }
     if args.cjn_columns != "none":
         mats = sample_sequence(D, seed=args.seed, n=args.horizon, replication=args.replication)
@@ -138,7 +216,7 @@ def _cmd_simulate(args):
             else [[scalar_to_json(v) for v in row] for row in cols["waiting"]]
         )
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with _open_for_writing(args.csv, newline="") as fh:
             w = csv.writer(fh)
             k = len(x0)
             w.writerow(["n"] + [f"x_{i}" for i in range(k)])
@@ -182,7 +260,7 @@ def _cmd_couple(args):
         ],
     }
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with _open_for_writing(args.csv, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["replication", "merge_time", "eta_time", "window_start", "window_length"])
             for s in rep.samples:
@@ -204,7 +282,7 @@ def _cmd_loynes(args):
                           seed=args.seed, replication=args.replication,
                           trace_every=args.trace_every)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
+        with _open_for_writing(args.csv, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["n", "diameter"])
             for n, d in res.trace:
@@ -424,6 +502,18 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         result, summary = args.func(args)
+        envelope = {
+            "command": args.command,
+            "config": _config_json(args),
+            "version": __version__,
+            "result": result,
+        }
+        text = _layout(envelope) + "\n"
+        if args.output:
+            with _open_for_writing(args.output) as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except InputError as exc:
         _emit_error("input", str(exc))
         return 2
@@ -436,18 +526,6 @@ def main(argv=None) -> int:
     except MaxPlusError as exc:
         _emit_error("contract", str(exc))
         return 3
-    envelope = {
-        "command": args.command,
-        "config": _config_json(args),
-        "version": __version__,
-        "result": result,
-    }
-    text = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     if args.verbose and summary:
         print(summary, file=sys.stderr)
     return 0

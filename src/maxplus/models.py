@@ -537,50 +537,67 @@ def _number(convert, value, what: str):
         raise ContractViolation(f"{what} must be a number, got {value!r}") from None
 
 
+def _object(obj, keys, what: str) -> dict:
+    """obj when it is a JSON object holding no key outside keys, else a ContractViolation."""
+    if not isinstance(obj, dict):
+        raise ContractViolation(f"{what} JSON must be an object")
+    reject_unknown_keys(obj, keys, f"{what} JSON")
+    return obj
+
+
+_LAW_KEYS = {
+    "joint": ("atoms", "probs"),
+    "per_queue": ("values", "probs"),
+    "uniform": ("low", "high"),
+}
+
+
 def cjn_spec_from_json(obj: dict) -> CjnSpec:
     """{"queues": k, "customers": c, "law": {"joint": {"atoms": [[...]], "probs": [...]}}
     or {"per_queue": {"values": [[...]], "probs": [[...]]}}
     or {"uniform": {"low": a, "high": b}}}"""
+    _object(obj, ("queues", "customers", "law"), "CjnSpec")
     queues = _number(int, _field(obj, "queues", "CjnSpec"), "queues")
     customers = _number(int, obj.get("customers", queues), "customers")
     law_obj = _field(obj, "law", "CjnSpec")
-    if not isinstance(law_obj, dict):
-        raise ContractViolation("CjnSpec JSON law must be an object")
-    if "joint" in law_obj:
-        j = law_obj["joint"]
-        law = JointServiceLaw.make(_field(j, "atoms", "joint law"), _field(j, "probs", "joint law"))
-    elif "per_queue" in law_obj:
-        p = law_obj["per_queue"]
-        law = PerQueueServiceLaw.make(
-            _field(p, "values", "per_queue law"), _field(p, "probs", "per_queue law")
+    if not isinstance(law_obj, dict) or len(law_obj) != 1 or not law_obj.keys() <= _LAW_KEYS.keys():
+        raise ContractViolation(
+            'CjnSpec JSON law must hold exactly one of "joint", "per_queue", or "uniform"'
         )
-    elif "uniform" in law_obj:
-        u = law_obj["uniform"]
-        if not isinstance(u, dict):
-            raise ContractViolation("uniform law JSON must be an object")
-        law = UniformServiceLaw(
-            k=queues,
-            low=_number(float, u.get("low", 0.0), "low"),
-            high=_number(float, u.get("high", 1.0), "high"),
+    [(kind, body)] = law_obj.items()
+    _object(body, _LAW_KEYS[kind], f"{kind} law")
+    if kind == "joint":
+        law = JointServiceLaw.make(
+            _field(body, "atoms", "joint law"), _field(body, "probs", "joint law")
+        )
+    elif kind == "per_queue":
+        law = PerQueueServiceLaw.make(
+            _field(body, "values", "per_queue law"), _field(body, "probs", "per_queue law")
         )
     else:
-        raise ContractViolation('CjnSpec JSON law must be "joint", "per_queue", or "uniform"')
+        law = UniformServiceLaw(
+            k=queues,
+            low=_number(float, body.get("low", 0.0), "low"),
+            high=_number(float, body.get("high", 1.0), "high"),
+        )
     return CjnSpec(queues=queues, customers=customers, law=law)
 
 
 def taskgraph_spec_from_json(obj: dict) -> TaskGraphSpec:
     """{"k": k, "subsets": [{"masks": [...], "probs": [...]}, ...],
     "duration": 1 | "3/2" | {"uniform": {"low": a, "high": b}}}"""
+    _object(obj, ("k", "subsets", "duration"), "TaskGraphSpec")
     k = _number(int, _field(obj, "k", "TaskGraphSpec"), "k")
+    laws = [_object(s, ("masks", "probs"), "subset law")
+            for s in _field(obj, "subsets", "TaskGraphSpec")]
     subsets = tuple(
         SubsetLaw.make(_field(s, "masks", "subset law"), _field(s, "probs", "subset law"))
-        for s in _field(obj, "subsets", "TaskGraphSpec")
+        for s in laws
     )
     dur = obj.get("duration", 1)
-    if isinstance(dur, dict) and "uniform" in dur:
-        u = dur["uniform"]
-        if not isinstance(u, dict):
-            raise ContractViolation("uniform duration JSON must be an object")
+    if isinstance(dur, dict):
+        _object(dur, ("uniform",), "duration")
+        u = _object(_field(dur, "uniform", "duration"), ("low", "high"), "uniform duration")
         duration = (
             "uniform",
             _number(float, u.get("low", 0.0), "low"),

@@ -381,8 +381,15 @@ def matrix_from_json(obj, backing: str = EXACT) -> Matrix:
 
 
 def vector_from_json(obj, backing: str = EXACT) -> Vector:
+    declared = None
     if isinstance(obj, dict) and "entries" in obj:
-        obj = obj["entries"]
+        reject_unknown_keys(obj, ("k", "entries"), "vector JSON")
+        declared, obj = obj.get("k"), obj["entries"]
     if not isinstance(obj, list):
         raise ContractViolation("vector JSON must be an array (or {'entries': [...]})")
-    return Vector.make(obj, backing)
+    v = Vector.make(obj, backing)
+    if declared is not None and declared != len(v):
+        raise ContractViolation(
+            f"vector JSON: declared k={declared} but there are {len(v)} entries"
+        )
+    return v
