@@ -37,6 +37,14 @@ from .stochastic import (
 # Cyclic Jackson networks
 
 
+def _sequence(value, what: str) -> tuple:
+    """value as a tuple when it is a list or tuple, else a ContractViolation
+    (a spec read from JSON may hold a number or an object there)."""
+    if not isinstance(value, (list, tuple)):
+        raise ContractViolation(f"{what} must be an array, got {value!r}")
+    return tuple(value)
+
+
 def cjn_matrix(sigma: Sequence, backing: str = EXACT) -> Matrix:
     """Cycle of k single-server queues with service times sigma.
 
@@ -69,13 +77,13 @@ class JointServiceLaw:
 
     @staticmethod
     def make(atoms, probs) -> "JointServiceLaw":
-        ats = tuple(tuple(a) for a in atoms)
+        ats = tuple(_sequence(a, "service atom") for a in _sequence(atoms, "atoms"))
         if not ats:
             raise ContractViolation("JointServiceLaw: empty support")
         k = len(ats[0])
         if any(len(a) != k for a in ats):
             raise ContractViolation("JointServiceLaw: mixed vector lengths")
-        ps = tuple(_as_probability(p) for p in probs)
+        ps = tuple(_as_probability(p) for p in _sequence(probs, "probs"))
         if len(ps) != len(ats):
             raise ContractViolation("JointServiceLaw: probabilities do not match atoms")
         return JointServiceLaw(ats, ps)
@@ -95,8 +103,11 @@ class PerQueueServiceLaw:
 
     @staticmethod
     def make(values, probs) -> "PerQueueServiceLaw":
-        vals = tuple(tuple(v) for v in values)
-        ps = tuple(tuple(_as_probability(p) for p in row) for row in probs)
+        vals = tuple(_sequence(v, "queue values") for v in _sequence(values, "values"))
+        ps = tuple(
+            tuple(_as_probability(p) for p in _sequence(row, "queue probs"))
+            for row in _sequence(probs, "probs")
+        )
         if len(vals) != len(ps) or not vals:
             raise ContractViolation("PerQueueServiceLaw: values/probs shape mismatch")
         for v, p in zip(vals, ps):
@@ -311,8 +322,8 @@ class SubsetLaw:
 
     @staticmethod
     def make(masks, probs) -> "SubsetLaw":
-        ms = tuple(_number(int, m, "subset mask") for m in masks)
-        ps = tuple(_as_probability(p) for p in probs)
+        ms = tuple(_number(int, m, "subset mask") for m in _sequence(masks, "masks"))
+        ps = tuple(_as_probability(p) for p in _sequence(probs, "probs"))
         if not ms or len(ms) != len(ps):
             raise ContractViolation("SubsetLaw: masks/probs shape mismatch")
         if any(m < 0 for m in ms):
@@ -589,7 +600,7 @@ def taskgraph_spec_from_json(obj: dict) -> TaskGraphSpec:
     _object(obj, ("k", "subsets", "duration"), "TaskGraphSpec")
     k = _number(int, _field(obj, "k", "TaskGraphSpec"), "k")
     laws = [_object(s, ("masks", "probs"), "subset law")
-            for s in _field(obj, "subsets", "TaskGraphSpec")]
+            for s in _sequence(_field(obj, "subsets", "TaskGraphSpec"), "subsets")]
     subsets = tuple(
         SubsetLaw.make(_field(s, "masks", "subset law"), _field(s, "probs", "subset law"))
         for s in laws

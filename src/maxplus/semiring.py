@@ -72,6 +72,8 @@ def as_scalar(value, backing: str) -> Scalar:
             out = float(value)
         except OverflowError:
             raise ContractViolation(f"float entry out of range: {raw!r}") from None
+        except TypeError:
+            raise ContractViolation(f"not a max-plus scalar: {raw!r}") from None
         if math.isnan(out) or math.isinf(out):
             raise ContractViolation("float entries must be finite; eps is None or '-inf'")
         return out

@@ -196,36 +196,22 @@ def _require_exact(A: Matrix, what: str) -> None:
 def _powers(abar: Matrix, max_power: int):
     """(n, Abar^n) for n = 1..max_power, each power the one before times Abar.
 
-    An entry of Abar^n is at most max|Abar| n in magnitude. The arrays are
-    float64 with -inf for eps while max|Abar| max_power < 2**53, where all
-    those integers are exact. Past that they are object arrays of Python
-    ints, and eps is the integer -B with B = 4 max|Abar| max_power + 4:
-    a sum that involves eps is then below -B/2 and every finite entry
-    above it, so each product sets what fell below -B/2 back to -B. (-inf
-    would not do there: int + -inf converts the int to float, which
-    overflows past 2**1024.)
+    An entry of Abar^n is at most max|Abar| n in magnitude, so the powers
+    run on arrays._int_stack with reach max_power: float64 while those
+    integers are exact, object arrays of Python ints past that.
     """
     # numpy loads here, on the first walk, and not with this module: the
     # package imports spectral before stochastic, and without a bytecode
     # cache numpy loaded ahead of compiling stochastic.py raises the peak
     # memory of every process by about 1.7 MB.
-    import numpy as np
+    from .arrays import _int_stack, _max_last
 
-    from .arrays import _max_last
-
-    top = max((abs(v) for row in abar.rows for v in row if v is not EPS), default=0)
-    exact = top * max_power < 2**53
-    bottom = 4 * top * max_power + 4
-    eps = -math.inf if exact else -bottom
-    A = np.array(
-        [[eps if v is EPS else v for v in row] for row in abar.rows],
-        dtype=float if exact else object,
-    )
+    stack, _, clamp = _int_stack([abar], max_power)
+    A = stack[0]
     P = None
     for n in range(1, max_power + 1):
         P = A if P is None else _max_last(P[:, None, :] + A.T[None], False)
-        if not exact:
-            P[P < -bottom // 2] = -bottom
+        clamp(P)
         yield n, P
 
 

@@ -45,20 +45,28 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .arrays import _as_array, _matrix_of, _max_last, _negative_zero
+from .arrays import (
+    _as_array,
+    _int_matrix,
+    _int_stack,
+    _matrix_of,
+    _max_last,
+    _negative_zero,
+    _rank_one_flags,
+    _stack_keys,
+    _stack_mul,
+)
 from .graphs import graph_of, scc_decompose, scc_from_arcs
 from .projective import (
     ProjVector,
     canonicalize,
     is_rank_one,
-    matrix_proj_normal,
     proj_dist,
     proj_diameter,
 )
@@ -1063,55 +1071,60 @@ def _next_letters(D: FiniteSupport, last: int) -> tuple:
     return tuple(j for j in range(D.size) if float(D.kernel[last][j]) > 0.0)
 
 
-def _word_bfs(D: FiniteSupport, start, step, visit, max_len: int, budget: int):
-    """Breadth-first walk over the admissible words of D, shortest first.
+def _word_bfs(D: FiniteSupport, root, expand, visit, max_len: int, budget: int):
+    """Breadth-first walk over the admissible words of D, shortest first,
+    one level of equal-length words at a time.
 
     Each word carries a state that stands for its product
-    A(u_{N-1}) ... A(u_0): start(letter) gives the state of a one-letter
-    word, and step(letter, s) the state of (u_0, ..., u_{N-1}, letter) from
-    the state s of (u_0, ..., u_{N-1}). A state is hashable and is its own
-    dedupe key; under a Markov kernel the key also holds the last letter,
-    which decides the letters that may follow. visit(word, state) sees each
-    new key once and may return a result to stop with. At most budget
-    states are expanded, and words stop growing at max_len. Returns
-    (result, saturated, states): saturated means every state reachable
-    below max_len was visited; states counts the distinct keys seen."""
+    A(u_{N-1}) ... A(u_0); root is a level holding the state of the empty
+    word alone, the identity. expand(level, parents, letters) gives the
+    level of the words (parent word of parents[i]) + (letters[i],), with
+    parents indexing into level, and their dedupe keys: (children,
+    keys). The walk asks for all the children of a level at once, parent
+    major and letter minor, and takes them in that order, which is the
+    order of a first-in first-out queue. Under a Markov kernel the key also
+    holds the last letter, which decides the letters that may follow.
+    visit(word, children, i) sees each new key once and may return a result
+    to stop with. At most budget words are expanded (the empty word aside),
+    and words stop growing at max_len. Returns (result, saturated, states):
+    saturated means every state reachable below max_len was visited; states
+    counts the distinct keys seen."""
     markov = D.kernel is not None
     follows = [_next_letters(D, letter) for letter in range(D.size)]
     seen = set()
-    queue = deque()
-
-    def is_new(word, state) -> bool:
-        key = (state, word[-1]) if markov else state
-        if key in seen:
-            return False
-        seen.add(key)
-        queue.append((state, word))
-        return True
-
-    for letter in _initial_letters(D):
-        word, state = (letter,), start(letter)
-        if is_new(word, state):
-            res = visit(word, state)
+    level, parents, words = root, [0], [()]
+    expanded = 0
+    cut = False
+    while parents:
+        if words[0]:  # the empty word is not counted
+            if len(words[0]) >= max_len or expanded >= budget:
+                return None, False, len(seen)
+            cut = len(parents) > budget - expanded
+            del parents[budget - expanded :], words[budget - expanded :]
+            expanded += len(parents)
+        at, letters, stems = [], [], []
+        for p, word in zip(parents, words):
+            nxt = follows[word[-1]] if word else _initial_letters(D)
+            at += [p] * len(nxt)
+            letters += nxt
+            stems += [word] * len(nxt)
+        children, keys = expand(level, at, letters)
+        level, parents, words = children, [], []
+        for i, (key, letter, stem) in enumerate(zip(keys, letters, stems)):
+            if markov:
+                key = (key, letter)
+            if key in seen:
+                continue
+            seen.add(key)
+            word = stem + (letter,)
+            res = visit(word, children, i)
             if res is not None:
                 return res, False, len(seen)
-    explored = 0
-    truncated = False
-    while queue:
-        explored += 1
-        if explored > budget:
+            parents.append(i)
+            words.append(word)
+        if cut:
             return None, False, len(seen)
-        state, word = queue.popleft()
-        if len(word) >= max_len:
-            truncated = True
-            continue
-        for letter in follows[word[-1]]:
-            nxt, Q = word + (letter,), step(letter, state)
-            if is_new(nxt, Q):
-                res = visit(nxt, Q)
-                if res is not None:
-                    return res, False, len(seen)
-    return None, not truncated, len(seen)
+    return None, True, len(seen)
 
 
 def word_product(D: FiniteSupport, word: Sequence[int]) -> Matrix:
@@ -1192,26 +1205,33 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
         raise ContractViolation("pattern_search: max_len must be >= 1")
     _check_condition_i(D)
     weak = {}
+    # states are the projective normal forms of the integer-scaled products:
+    # scaling every matrix by one positive factor visits the same words. A
+    # word has at most W = min(max_len, budget + 1) letters, so a normal
+    # form has entries in [-2 W top, 0] and the outer sums of the rank-one
+    # test in [-4 W top, 0] (see _rank_one_flags).
+    _, Dint, _ = _integer_support(D)
+    length = min(max_len, max(budget, 0) + 1)
+    support, eps, clamp = _int_stack(Dint.matrices, 2 * (length + 1))
+    # a level is (normal forms, rank-one flags); the root holds the identity
+    identity = np.full((D.k, D.k), eps, support.dtype)
+    np.fill_diagonal(identity, 0)
 
-    def on_state(word, P):
-        if is_rank_one(P):
+    def expand(level, parents, letters):
+        Q = _stack_mul(support[letters], level[0][parents])
+        Q -= Q.max((1, 2))[:, None, None]
+        clamp(Q)
+        return (Q, _rank_one_flags(Q, clamp)), _stack_keys(Q)
+
+    def on_state(word, level, i):
+        Q, rank_one = level
+        if rank_one[i]:
             return word
-        if not weak and _irreducible_scs1cyc1(P):
+        if not weak and _irreducible_scs1cyc1(_int_matrix(Q[i], eps)):
             weak["word"] = word
         return None
 
-    # states are the projective normal forms of the integer-scaled products:
-    # scaling every matrix by one positive factor visits the same words
-    _, Dint, _ = _integer_support(D)
-    mats = Dint.matrices
-    hit, saturated, explored = _word_bfs(
-        D,
-        lambda letter: matrix_proj_normal(mats[letter]),
-        lambda letter, P: matrix_proj_normal(mat_mul(mats[letter], P)),
-        on_state,
-        max_len,
-        budget,
-    )
+    hit, saturated, explored = _word_bfs(D, (identity[None],), expand, on_state, max_len, budget)
     scs_word = weak.get("word")
     scs_mat = word_product(D, scs_word) if scs_word is not None else None
     scs_prob = word_probability(D, scs_word) if scs_word is not None else None
@@ -1320,11 +1340,16 @@ def structural_conditions(D: FiniteSupport, max_len: int = 64, budget: int = 500
     k = D.k
     full_rows = ((1 << k) - 1,) * k
     masks = [_mask_rows(M) for M in D.matrices]
+
+    def expand(level, parents, letters):
+        children = [_mask_mul(masks[letter], level[p], k) for p, letter in zip(parents, letters)]
+        return children, children
+
     witness, saturated, states = _word_bfs(
         D,
-        lambda letter: masks[letter],
-        lambda letter, m: _mask_mul(masks[letter], m, k),
-        lambda word, m: word if m == full_rows else None,
+        [tuple(1 << i for i in range(k))],
+        expand,
+        lambda word, level, i: word if level[i] == full_rows else None,
         max_len,
         budget,
     )

@@ -185,6 +185,35 @@ class TestInProcess:
         assert config["x0"] == [b, a, a]
         assert json.loads((tmp_path / "out3.json").read_text())["config"]["transient"] is False
 
+    TWO_TASKS = {"k": 2, "subsets": [{"masks": [3], "probs": [1]}, {"masks": [3], "probs": [1]}]}
+
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (["model", "taskgraph", "--spec", "spec"], {"spec": {"k": 2, "subsets": 5}}),
+            (["model", "taskgraph", "--spec", "spec"],
+             {"spec": {"k": 1, "subsets": [{"masks": 1, "probs": [1]}]}}),
+            (["model", "cjn", "--spec", "spec"],
+             {"spec": {"queues": 2, "law": {"joint": {"atoms": [[1, 1]], "probs": 1}}}}),
+            (["model", "cjn", "--spec", "spec"],
+             {"spec": {"queues": 2, "law": {"per_queue": {"values": 3, "probs": [[1], [1]]}}}}),
+            (["model", "taskgraph", "--spec", "spec", "--backing", "float"],
+             {"spec": {**TWO_TASKS, "duration": [1]}}),
+            (["simulate", "--dist", "dist", "--x0", "x0", "--horizon", "3", "--seed", "0"],
+             {"dist": {"kind": "generator", "name": "shared_uniform_diagonal",
+                       "params": {"k": 3}},
+              "x0": {"entries": [[1], 0, 0]}}),
+        ],
+    )
+    def test_misshapen_value_is_contract_violation(self, tmp_path, capsys, argv, files):
+        """A number where an array belongs, or an array where a number
+        belongs, is a contract error and not a TypeError."""
+        from maxplus import cli
+
+        paths = {name: write(tmp_path / f"{name}.json", obj) for name, obj in files.items()}
+        assert cli.main([paths.get(a, a) for a in argv]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "contract"
+
 
 class TestFloatBacking:
     def test_float_matrix_analysed_exactly(self, tmp_path):

@@ -22,7 +22,7 @@ from maxplus.semiring import (
 )
 from maxplus.projective import canonicalize, is_rank_one, proj_dist
 from maxplus.spectral import eigenbasis
-from maxplus import stochastic
+from maxplus import projective, semiring, spectral, stochastic
 from maxplus.stochastic import (
     CouplingSample,
     FiniteSupport,
@@ -995,6 +995,144 @@ def test_structural_conditions_match_reference_at_every_budget(D):
             got = structural_conditions(D, max_len=max_len, budget=budget)
             want = reference.structural_conditions(D, max_len, budget)
             assert same_json(got, want), (budget, max_len)
+
+
+@settings(max_examples=20, deadline=None)
+@given(rational_supports())
+def test_pattern_search_matches_reference_at_every_budget(D):
+    """A budget may run out in the middle of a level, which the walk expands
+    as one array product: every cut-off of a search of up to 25 expansions
+    (a search expands at most one word per state)."""
+    states = reference.pattern_search(D, 64, 25).states_explored
+    for budget in range(1, min(states, 25) + 2):
+        for max_len in (1, 2, 3, 4, 64):
+            got = pattern_search(D, max_len=max_len, budget=budget)
+            want = reference.pattern_search(D, max_len, budget)
+            assert same_json(got, want), (budget, max_len)
+
+
+def test_cyclic_shifts_match_reference_at_every_budget():
+    """The three cyclic shifts of (2, 2, 1) under a Markov kernel, then iid,
+    at every budget up to saturation or the first rank-one word."""
+    D = FiniteSupport.make(
+        [cjn_matrix([2, 2, 1]), cjn_matrix([1, 2, 2]), cjn_matrix([2, 1, 2])],
+        ["1/3", "1/3", "1/3"],
+        kernel=[["1/2", "1/2", 0], [0, "1/2", "1/2"], ["1/2", 0, "1/2"]],
+    )
+    for D in (D, FiniteSupport.make(D.matrices, D.probabilities)):
+        saturation = reference.pattern_search(D, 64, 10**4).states_explored
+        for budget in range(1, saturation + 2):
+            for max_len in (1, 2, 3, 4, 64):
+                got = pattern_search(D, max_len=max_len, budget=budget)
+                assert same_json(got, reference.pattern_search(D, max_len, budget))
+
+
+# Entries of magnitude <= 1: the shortest rank-one word has length 6, after
+# 58 states. Scaled by c, max|Aint| = c.
+UNIT_SUPPORT = [
+    [[1, -1, EPS], [0, 1, -1], [EPS, -1, 0]],
+    [[1, EPS, 0], [1, 0, -1], [-1, EPS, 1]],
+]
+
+
+def unit_support(c=1, denominators=(1, 1)):
+    return FiniteSupport.make(
+        [
+            M([[EPS if v is EPS else Fraction(c * v, q) for v in row] for row in rows])
+            for rows, q in zip(UNIT_SUPPORT, denominators)
+        ],
+        ["1/2", "1/2"],
+    )
+
+
+def walk_dtypes(monkeypatch, D, max_len, budget=200000):
+    """pattern_search(D) and the dtypes of the stacks its walk multiplied."""
+    dtypes = set()
+
+    def recording(A, P):
+        dtypes.add(A.dtype)
+        return stack_mul(A, P)
+
+    stack_mul = stochastic._stack_mul
+    monkeypatch.setattr(stochastic, "_stack_mul", recording)
+    return pattern_search(D, max_len=max_len, budget=budget), dtypes
+
+
+def test_pattern_guard_boundary(monkeypatch):
+    # a word has at most 6 letters, so the walk holds float64 while
+    # 2 (6 + 1) max|Aint| < 2**53
+    inside = (2**53 - 1) // 14
+    for c, dtype in ((inside, np.float64), (inside + 1, object)):
+        D = unit_support(c)
+        got, dtypes = walk_dtypes(monkeypatch, D, 6)
+        assert dtypes == {np.dtype(dtype)}
+        assert same_json(got, reference.pattern_search(D, 6, 200000))
+        assert (got.word, got.states_explored) == ((0, 1, 0, 0, 1, 0), 58)
+    # the budget bounds the word length too: 3 expansions make words of <= 4
+    # letters, and 2 (4 + 1) (2**53 // 10 - 1) < 2**53
+    D = unit_support(2**53 // 10 - 1)
+    for budget, dtype in ((3, np.float64), (4, object)):
+        got, dtypes = walk_dtypes(monkeypatch, D, 16, budget)
+        assert dtypes == {np.dtype(dtype)}
+        assert same_json(got, reference.pattern_search(D, 16, budget))
+
+
+def test_large_lcm_takes_the_object_pattern_path(monkeypatch):
+    # L = (2**40 + 15)(2**40 + 21), about 2**80, and max|Aint| about 2**60
+    D = unit_support(2**20, (2**40 + 15, 2**40 + 21))
+    for max_len in (4, 6, 8):
+        got, dtypes = walk_dtypes(monkeypatch, D, max_len)
+        assert dtypes == {np.dtype(object)}
+        assert same_json(got, reference.pattern_search(D, max_len, 200000))
+    assert (got.word, got.states_explored) == ((0, 1, 0, 0, 1, 0, 1), 115)
+    # a rank-one letter with an all-eps column: its outer sums with eps must
+    # come back to the eps sentinel
+    p, q = 2**40 + 15, 2**40 + 21
+    D = FiniteSupport.make(
+        [M([[1, Fraction(1, p)], [Fraction(1, q), 0]]), M([[Fraction(1, p), EPS], [2**20, EPS]])],
+        ["1/2", "1/2"],
+    )
+    got, dtypes = walk_dtypes(monkeypatch, D, 4)
+    assert dtypes == {np.dtype(object)}
+    assert same_json(got, reference.pattern_search(D, 4, 200000))
+    assert got.word == (1,)
+
+
+def test_pattern_walk_makes_no_matrix_product(monkeypatch):
+    """The walk multiplies, normalizes and tests whole levels on arrays: no
+    mat_mul, matrix_proj_normal or is_rank_one runs in it, except in the
+    report's word_product and the spectral records of
+    _irreducible_scs1cyc1."""
+    outside = []
+    inside = []
+
+    def guarded(fn):
+        def wrapped(*args):
+            if not inside:
+                outside.append(fn.__name__)
+            return fn(*args)
+
+        return wrapped
+
+    def allowed(fn):
+        def wrapped(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    for module in (semiring, projective, spectral, stochastic):
+        for name in ("mat_mul", "matrix_proj_normal", "is_rank_one"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+    for name in ("word_product", "_irreducible_scs1cyc1"):
+        monkeypatch.setattr(stochastic, name, allowed(getattr(stochastic, name)))
+    got = pattern_search(unit_support(1, (3, 1)), max_len=8)
+    assert (got.word, got.states_explored) == ((0, 0, 0, 0, 1, 0, 0), 60)
+    assert outside == []
 
 
 def test_both_searches_run_through_one_word_walk(monkeypatch, good_cjn):
