@@ -11,22 +11,32 @@ the eventually periodic behaviour of matrix powers:
 Every reader builds one exact record per matrix (``_spectrum``): A is
 scaled by the lcm L of its entry denominators, Karp's algorithm gives
 lambda = p / (q L), and the normalized matrix is held as the integer matrix
-Abar = q L A - p (otimes is positively homogeneous). Its closure Abar+ (one
-Floyd-Warshall pass, O(k^3)), the critical graph and the eigenvectors are
-computed on Python ints; ``Fraction`` appears only on output. A float
-matrix enters the same record as the exact dyadic rationals its entries
-denote and is rounded once on output, so no check fails through rounding.
+Abar = q L A - p (otimes is positively homogeneous). The record is built on
+the array kernel of ``arrays``: irreducibility by boolean reachability on
+the finite pattern, Karp by k array mat-vec steps with the minimum over
+walk lengths and the maximum over nodes found by comparing the means as
+integer cross products, the closure Abar+ by k vectorised Floyd-Warshall
+relaxations, its fixpoint check by one array product, and the critical
+graph and the eigenvectors by array comparisons. Only the SCC
+decomposition of the critical graph runs in Python, and ``Fraction``
+appears only on output. The record bounds every integer it forms by
+6 k^2 max|B| (``_reach``); the array is float64 with -inf for eps while
+those integers are below 2**53, where float64 holds them exactly, and an
+object array of Python ints with an integer eps past that
+(``arrays._guard``), with the same code. A float matrix enters the same
+record as the exact dyadic rationals its entries denote and is rounded
+once on output, so no check fails through rounding. The word search hands
+its integer states to the record directly (``_int_scs1cyc1``).
 
 The power loop behind the transient M and cyclicity d walks Abar, Abar^2,
-... on the array kernel of ``arrays``. An entry of Abar^n is a sum of n
-entries of Abar, so at most max|Abar| n in magnitude. While that bound at
-the power budget stays below 2**53 the walk runs on float64 with -inf for
-eps: every such integer is exact there, no -0.0 or NaN arises, and equal
-powers have equal ``tobytes()``. Past it the same code runs on object
-arrays of Python ints, with an integer sentinel for eps and tuple keys.
-``first_rank_one_power`` stays on Python ints: its one caller, the
-rank-one script, passes 2 x 2 matrices, where an unbatched numpy step
-costs more than the Python-int product.
+... on the same kernel. An entry of Abar^n is a sum of n entries of Abar,
+so at most n max|Abar| in magnitude. While that bound stays below 2**53
+the walk runs on float64: no -0.0 or NaN arises, and equal powers have
+equal ``tobytes()``. From the first power past it the walk runs on object
+arrays of Python ints, keyed by tuples, and the powers seen so far are
+re-keyed once. ``first_rank_one_power`` multiplies Python ints: its one
+caller, the rank-one script, passes 2 x 2 matrices, where an unbatched
+numpy step costs more than the Python-int product.
 """
 
 from __future__ import annotations
@@ -36,8 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .graphs import SccDecomposition, is_irreducible, scc_from_arcs
-from .projective import ProjVector, canonicalize, is_rank_one, matrix_proj_normal
+from .graphs import SccDecomposition, scc_from_arcs
+from .projective import ProjVector, is_rank_one, matrix_proj_normal
 from .semiring import (
     EPS,
     EXACT,
@@ -46,8 +56,6 @@ from .semiring import (
     Matrix,
     Vector,
     mat_mul,
-    mat_oplus,
-    mat_vec,
     otimes,
     scalar_to_json,
     scale_to_integers,
@@ -82,101 +90,135 @@ class _Spectrum:
     """Exact spectral data of one irreducible matrix A.
 
     abar = scale * A - shift holds integers, so lambda = shift / scale;
-    plus is the closure abar+. Integer matrices never leave the module:
-    ``value`` turns one of their entries back into a scalar of A's backing.
+    plus is the closure abar+. Both are (k, k) arrays of the array kernel
+    whose eps entries equal eps: float64 with -inf, or object arrays of
+    Python ints with an integer eps (``arrays._guard``). They never leave
+    the module: ``value`` turns one of their entries back into a scalar of
+    A's backing.
     """
 
     backing: str
     scale: int
     shift: int
-    abar: Matrix
-    plus: Matrix
+    abar: object
+    plus: object
+    eps: object
     critical: CriticalGraph
 
     def value(self, v):
-        if v is EPS:
+        if v == self.eps:
             return EPS
-        x = Fraction(v, self.scale)
+        x = Fraction(int(v), self.scale)
         return x if self.backing == EXACT else float(x)
 
-    def matrix(self, M: Matrix) -> Matrix:
-        return Matrix(tuple(tuple(self.value(v) for v in row) for row in M.rows), self.backing)
+    def matrix(self, X) -> Matrix:
+        return Matrix(tuple(tuple(self.value(v) for v in row) for row in X.tolist()), self.backing)
 
 
-def _max_cycle_mean(B: Matrix) -> Fraction:
-    """Karp's algorithm: walks of 0..k arcs from node 0, one mat_vec each."""
-    k = B.k
-    x = Vector(tuple(0 if i == 0 else EPS for i in range(k)), B.backing)
-    walks = [x.entries]
-    for _ in range(k):
-        x = mat_vec(B, x)
-        walks.append(x.entries)
-    best = None
-    for v in range(k):
-        top = walks[k][v]
-        if top is EPS:
-            continue
-        worst = min(
-            (Fraction(top - walks[j][v], k - j) for j in range(k) if walks[j][v] is not EPS),
-            default=None,
-        )
-        if worst is not None and (best is None or worst > best):
-            best = worst
-    if best is None:
-        raise ContractViolation("eigenvalue: graph has no circuit")
-    return best
+def _reach(k: int) -> int:
+    """A bound, in units of max|B|, on every integer the record of a k x k
+    integer matrix B forms (see _int_spectrum)."""
+    return 6 * k * k
 
 
-def _closure(A: Matrix) -> Matrix:
-    """A+ = A oplus A^2 oplus ... by one Floyd-Warshall pass, O(k^3).
+def _int_spectrum(B, eps, backing: str = EXACT, scale: int = 1) -> Optional[_Spectrum]:
+    """The record of A = B / scale, for B a (k, k) integer array of the
+    array kernel whose eps entries equal eps; None when B is reducible.
 
-    Entry (i, j) is the best weight of a path from j to i of length >= 1;
-    valid when no circuit has positive weight, which the caller checks.
+    Every step runs on arrays. With t = max|B|, the integers formed are:
+    the Karp walks of up to k arcs (at most k t), the cross products that
+    compare their means (at most 2 k^2 t), Abar = q B - p (at most
+    a = 2 k t, as q <= k and |p| <= k t), the closure, whose entries are
+    best path weights (at most k a) and whose candidate sums are at most
+    2 k a, the fixpoint and critical sums (at most 2 k a), and the
+    eigenvector check (at most 3 k a = 6 k^2 t). So B is recast under the
+    guard with reach ``_reach(k)`` = 6 k^2: float64 when all of these are
+    exact there.
     """
-    k = A.k
-    P = [list(row) for row in A.rows]
+    # numpy and the kernel load on first use, in the functions that use
+    # them, and not with this module: the package imports spectral before
+    # stochastic, and without a bytecode cache numpy loaded ahead of
+    # compiling stochastic.py raises the peak memory of every process by
+    # about 1.7 MB.
+    import numpy as np
+
+    from .arrays import _max_last, _recast
+
+    k = len(B)
+    finite = B != eps
+    # irreducible iff every node reaches every other: square the pattern
+    # with the identity until paths of k - 1 arcs are covered
+    reach = finite | np.eye(k, dtype=bool)
+    for _ in range((k - 1).bit_length()):
+        reach = reach @ reach
+    if not reach.all():
+        return None
+    B, eps, clamp = _recast(B, finite, _reach(k))
+
+    # Karp: walks of 0..k arcs from node 0, one array mat-vec step each
+    x = np.full(k, eps, B.dtype)
+    x[0] = 0
+    walks = [x]
+    for _ in range(k):
+        x = _max_last(B + x, False)
+        clamp(x)
+        walks.append(x)
+    W = np.array(walks)
+    live = W[k] != eps
+    if not live.any():
+        raise ContractViolation("eigenvalue: graph has no circuit")
+    # lambda = max over v of min over j of D[j, v] / E[j], with
+    # D = W[k] - W[j] and E = k - j, comparing a / b with c / d as a d with
+    # c b. A node reached in k arcs is reached in fewer too, so every min
+    # is finite; an eps W[j, v] gives +inf, or on an object array an integer
+    # above every finite D, and never attains the min.
+    D = W[k, live] - W[:k, live]
+    E = np.arange(k, 0, -1, dtype=B.dtype)[:, None]
+    least = (D[:, None] * E[None] <= D[None] * E[:, None]).all(1).argmax(0)
+    num, den = D[least, np.arange(len(least))], E[least, 0]
+    best = (num[:, None] * den[None] >= num[None] * den[:, None]).all(1).argmax()
+    lam = Fraction(int(num[best]), int(den[best]))
+    q, p = lam.denominator, lam.numerator
+
+    abar = B * q - p
+    clamp(abar)
+    # abar+ by k Floyd-Warshall relaxations: entry (i, j) is the best
+    # weight of a path from j to i of length >= 1, as no circuit of abar
+    # has positive weight
+    plus = abar.copy()
     for m in range(k):
-        via = P[m]
-        for row in P:
-            head = row[m]
-            if head is EPS:
-                continue
-            for j in range(k):
-                tail = via[j]
-                if tail is EPS:
-                    continue
-                s = head + tail
-                if row[j] is EPS or s > row[j]:
-                    row[j] = s
-    return Matrix(tuple(tuple(row) for row in P), A.backing)
+        np.maximum(plus, plus[:, m, None] + plus[m], out=plus)
+        clamp(plus)
+    closed = _max_last(plus[:, None, :] + abar.T[None], False)  # abar+ abar
+    clamp(closed)
+    if (closed > plus).any():
+        raise ContractViolation("a_plus: fixpoint A+ oplus A^(k+1) = A+ failed")
+    # node i is critical iff abar+_(ii) = 0, the arc i -> j iff
+    # abar_(ji) + abar+_(ij) = 0 (such an arc closes a circuit of weight 0,
+    # so both its ends are critical)
+    nodes = tuple(np.flatnonzero(plus.diagonal() == 0).tolist())
+    arcs = tuple(map(tuple, np.argwhere(abar.T + plus == 0).tolist()))
+    critical = CriticalGraph(nodes, arcs, scc_from_arcs(k, arcs, nodes=nodes))
+    return _Spectrum(backing, q * scale, p, abar, plus, eps, critical)
+
+
+def _integers(A: Matrix) -> tuple:
+    """(B, eps, L): A scaled by the lcm L of its entry denominators, as an
+    integer array of the array kernel with eps entries eps."""
+    from .arrays import _int_stack
+
+    lcm, (B,), _ = scale_to_integers((A,))
+    stack, eps, _ = _int_stack([B], 1)
+    return stack[0], eps, lcm
 
 
 def _spectrum(A: Matrix) -> _Spectrum:
     """The one exact record behind every spectral reader of A."""
-    if not is_irreducible(A):
+    B, eps, lcm = _integers(A)
+    rec = _int_spectrum(B, eps, A.backing, lcm)
+    if rec is None:
         raise ContractViolation("eigenvalue: matrix is not irreducible")
-    return _irreducible_spectrum(A)
-
-
-def _irreducible_spectrum(A: Matrix) -> _Spectrum:
-    lcm, (B,), _ = scale_to_integers((A,))
-    lam = _max_cycle_mean(B)
-    q, p = lam.denominator, lam.numerator
-    abar = Matrix(
-        tuple(tuple(EPS if v is EPS else q * v - p for v in row) for row in B.rows), EXACT
-    )
-    plus = _closure(abar)
-    if mat_oplus(plus, mat_mul(plus, abar)) != plus:
-        raise ContractViolation("a_plus: fixpoint A+ oplus A^(k+1) = A+ failed")
-    nodes = tuple(i for i in range(A.k) if plus.rows[i][i] == 0)
-    arcs = tuple(
-        (i, j)
-        for i in nodes
-        for j in nodes
-        if otimes(abar.rows[j][i], plus.rows[i][j]) == 0
-    )
-    critical = CriticalGraph(nodes, arcs, scc_from_arcs(A.k, arcs, nodes=nodes))
-    return _Spectrum(A.backing, q * lcm, p, abar, plus, critical)
+    return rec
 
 
 def _cyclicity(crit: CriticalGraph) -> int:
@@ -193,23 +235,37 @@ def _require_exact(A: Matrix, what: str) -> None:
         raise ContractViolation(f"{what}: exact backing required")
 
 
-def _powers(abar: Matrix, max_power: int):
+def _powers(rec: _Spectrum, max_power: int, rekey=None):
     """(n, Abar^n) for n = 1..max_power, each power the one before times Abar.
 
-    An entry of Abar^n is at most max|Abar| n in magnitude, so the powers
-    run on arrays._int_stack with reach max_power: float64 while those
-    integers are exact, object arrays of Python ints past that.
+    An entry of Abar^n, and every sum that forms it, is at most n max|Abar|
+    in magnitude. The walk runs on float64 with -inf for eps while that
+    bound is below 2**53, where those integers are exact, and from the
+    first power past it on object arrays of Python ints, with the eps that
+    arrays._guard picks for max_power. At that switch rekey, when given, is
+    called once with the function that takes a float64 power to its object
+    form, so that a caller holding earlier powers can convert them.
     """
-    # numpy loads here, on the first walk, and not with this module: the
-    # package imports spectral before stochastic, and without a bytecode
-    # cache numpy loaded ahead of compiling stochastic.py raises the peak
-    # memory of every process by about 1.7 MB.
-    from .arrays import _int_stack, _max_last
+    from .arrays import _FLOAT_EXACT, _as_object, _guard, _max_last, _recast, _top
 
-    stack, _, clamp = _int_stack([abar], max_power)
-    A = stack[0]
+    finite = rec.abar != rec.eps
+    top = _top(rec.abar, finite)
+    eps, _, object_clamp = _guard(top, max_power)
+
+    def to_object(F):
+        return _as_object(F, F != -math.inf, eps)
+
+    if top < _FLOAT_EXACT:
+        A, _, clamp = _recast(rec.abar, finite, 1)  # float64, no clamp
+    else:
+        A, clamp = _as_object(rec.abar, finite, eps), object_clamp
     P = None
     for n in range(1, max_power + 1):
+        if A.dtype == float and n * top >= _FLOAT_EXACT:
+            A, clamp = to_object(A), object_clamp
+            P = to_object(P)
+            if rekey is not None:
+                rekey(to_object)
         P = A if P is None else _max_last(P[:, None, :] + A.T[None], False)
         clamp(P)
         yield n, P
@@ -221,10 +277,19 @@ def _key(P):
 
 
 def _period_and_transient(rec: _Spectrum, max_power: Optional[int]) -> Tuple[int, int]:
+    import numpy as np
+
+    k = len(rec.abar)
     if max_power is None:
-        max_power = default_power_budget(rec.abar.k)
+        max_power = default_power_budget(k)
     seen: dict = {}
-    for n, P in _powers(rec.abar, max_power):
+
+    def rekey(to_object):
+        old = list(seen.items())
+        seen.clear()
+        seen.update((_key(to_object(np.frombuffer(b).reshape(k, k))), n) for b, n in old)
+
+    for n, P in _powers(rec, max_power, rekey):
         first = seen.setdefault(_key(P), n)
         if first != n:
             d = n - first
@@ -240,12 +305,15 @@ def _period_and_transient(rec: _Spectrum, max_power: Optional[int]) -> Tuple[int
 
 
 def _eigenbasis(rec: _Spectrum) -> tuple:
+    from .arrays import _max_last
+
     basis = []
     for comp in rec.critical.scc.components:
-        v = canonicalize(Vector(rec.plus.col(comp[0]), EXACT)).as_vector()
-        if mat_vec(rec.abar, v) != v:
+        v = rec.plus[:, comp[0]]
+        v = v - v.max()
+        if (_max_last(rec.abar + v, False) != v).any():
             raise ContractViolation("eigenbasis: eigenvector relation failed")
-        basis.append(v.entries)
+        basis.append(tuple(v.tolist()))
     if len(set(basis)) != len(basis):
         raise ContractViolation("eigenbasis: repeated classes across critical SCCs")
     return tuple(ProjVector(tuple(rec.value(x) for x in v), rec.backing) for v in basis)
@@ -305,9 +373,9 @@ def cyclicity_and_transient(A: Matrix, max_power: Optional[int] = None) -> Tuple
     hit before a repetition.
 
     The powers are computed on the array kernel: on float64, keyed by
-    their bytes, while max|Abar| max_power < 2**53, so that every entry of
-    every power is an exactly held integer, and on object arrays of Python
-    ints, keyed by their entries, past that.
+    their bytes, while n max|Abar| < 2**53 at power n, so that every entry
+    of every power is an exactly held integer, and on object arrays of
+    Python ints, keyed by their entries, from the first power past that.
     """
     _require_exact(A, "cyclicity_and_transient")
     return _period_and_transient(_spectrum(A), max_power)
@@ -330,9 +398,16 @@ def is_scs1cyc1(A: Matrix) -> bool:
     return _scs1cyc1(_spectrum(A))
 
 
+def _int_scs1cyc1(B, eps) -> bool:
+    """Irreducible and scs1cyc1, for the integer array B of the array
+    kernel whose eps entries equal eps; reducible B reads as False."""
+    rec = _int_spectrum(B, eps)
+    return rec is not None and _scs1cyc1(rec)
+
+
 def _irreducible_scs1cyc1(A: Matrix) -> bool:
-    """is_irreducible(A) and is_scs1cyc1(A), with one SCC decomposition."""
-    return is_irreducible(A) and _scs1cyc1(_irreducible_spectrum(A))
+    """is_irreducible(A) and is_scs1cyc1(A), from one record."""
+    return _int_scs1cyc1(*_integers(A)[:2])
 
 
 def classify(A: Matrix, with_transient: bool = False, max_power: Optional[int] = None) -> SpectralSummary:
@@ -420,12 +495,16 @@ def weak_rank(A: Matrix) -> int:
 def first_rank_one_power(A: Matrix, max_power: Optional[int] = None) -> Optional[int]:
     """Least n with A^n rank-one, or None when the power sequence provably
     cycles without ever reaching a rank-one matrix. Exact backing only.
-    The powers are Python-int products, not array ones: the matrices this
-    is called on are small, and there numpy costs more per step."""
+    The powers are Python-int products of the record's Abar, not array
+    ones: the matrices this is called on are small, and there numpy costs
+    more per step."""
+    from .arrays import _int_matrix
+
     _require_exact(A, "first_rank_one_power")
     if max_power is None:
         max_power = default_power_budget(A.k)
-    abar = _spectrum(A).abar
+    rec = _spectrum(A)
+    abar = _int_matrix(rec.abar, rec.eps)
     seen = set()
     power = None
     for n in range(1, max_power + 1):

@@ -21,7 +21,11 @@ ones, with the same projective classes, rank-one tests and dedupe keys;
 distances are L times larger and are compared with L times the exact
 threshold. ``Fraction`` stays at the boundary: every value that leaves the
 module is divided by L again, and report matrices are products of the
-original support.
+original support. The word search multiplies those integers on the array
+kernel of ``arrays``, a breadth-first level at a time, and hands each new
+state to the spectral record of ``spectral`` as it is. Under a Markov
+kernel a letter may follow another when the exact transition probability
+is positive, however small.
 
 The float routines (``simulate``, ``lyapunov_estimate``, the eta track of
 ``forward_coupling``, ``backward_loynes`` at a positive tolerance) run on
@@ -53,7 +57,6 @@ import numpy as np
 
 from .arrays import (
     _as_array,
-    _int_matrix,
     _int_stack,
     _matrix_of,
     _max_last,
@@ -87,7 +90,7 @@ from .semiring import (
     scale_to_integers,
     zero,
 )
-from .spectral import _irreducible_scs1cyc1
+from .spectral import _int_scs1cyc1, _irreducible_scs1cyc1
 
 DEFAULT_ETA = 1e-6
 _Z95 = 1.959963984540054
@@ -267,7 +270,7 @@ def _recurrent_letters(kernel) -> tuple:
     """Indices with positive stationary mass: members of sink components of
     the positive-transition graph."""
     m = len(kernel)
-    arcs = [(i, j) for i in range(m) for j in range(m) if float(kernel[i][j]) > 0.0]
+    arcs = [(i, j) for i in range(m) for j in range(m) if kernel[i][j] > 0]
     dec = scc_from_arcs(m, arcs)
     out = []
     for ci, comp in enumerate(dec.components):
@@ -1068,7 +1071,7 @@ def _initial_letters(D: FiniteSupport) -> tuple:
 def _next_letters(D: FiniteSupport, last: int) -> tuple:
     if D.kernel is None:
         return tuple(range(D.size))
-    return tuple(j for j in range(D.size) if float(D.kernel[last][j]) > 0.0)
+    return tuple(j for j in range(D.size) if D.kernel[last][j] > 0)
 
 
 def _word_bfs(D: FiniteSupport, root, expand, visit, max_len: int, budget: int):
@@ -1227,7 +1230,7 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
         Q, rank_one = level
         if rank_one[i]:
             return word
-        if not weak and _irreducible_scs1cyc1(_int_matrix(Q[i], eps)):
+        if not weak and _int_scs1cyc1(Q[i], eps):
             weak["word"] = word
         return None
 

@@ -378,6 +378,27 @@ class TestModelPipeline:
         assert stab.returncode == 0
         assert json.loads(stab.stdout)["result"]["verdict"] == "StableStrong"
 
+    def test_markov_transition_below_the_smallest_double(self, tmp_path):
+        # 10**-400 is 0.0 as a double, but the transition is possible
+        tiny = 10**400
+        dist = write(tmp_path / "tiny.json", {
+            "kind": "finite", "k": 2, "backing": "exact",
+            "support": [
+                {"matrix": {"k": 2, "entries": [[0, "-inf"], ["-inf", 0]]}, "probability": "1/2"},
+                {"matrix": {"k": 2, "entries": [[0, 0], [0, 0]]}, "probability": "1/2"},
+            ],
+            "kernel": [[f"{tiny - 1}/{tiny}", f"1/{tiny}"], ["1/2", "1/2"]],
+        })
+        results = {}
+        for cmd, *extra in (("patterns",), ("conditions",), ("stability", "--seed", "7")):
+            proc = run_cli(cmd, "--dist", dist, *extra)
+            assert proc.returncode == 0, proc.stderr
+            results[cmd] = json.loads(proc.stdout)["result"]
+        assert (results["patterns"]["status"], results["patterns"]["word"]) == ("found", [1])
+        assert (results["conditions"]["condition_ii"], results["conditions"]["witness"]) == (True, [1])
+        assert results["stability"]["basis"] == "stationary-rank-one-pattern"
+        assert results["stability"]["certificate"]["word"] == [1]
+
     @pytest.mark.parametrize(
         "kind, spec",
         [

@@ -2,16 +2,18 @@
 
 ``_period_and_transient`` walks the integer powers of Abar on float64
 while every value it forms is below 2**53 and on object arrays of Python
-ints past that. These tests hold both sides of that guard to the
-product-based reference in ``reference_spectral``.
+ints from the first power past that. These tests hold both sides of that
+guard, and the switch between them, to the product-based reference in
+``reference_spectral``.
 """
 
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxplus import semiring, spectral
+from maxplus import arrays, semiring, spectral
 from maxplus.arrays import _max_last
 from maxplus.semiring import EPS, EXACT, BudgetExceeded, Matrix
 from maxplus.spectral import classify, cyclicity_and_transient, first_rank_one_power
@@ -45,8 +47,10 @@ def agree_with_reference(A, max_power):
 
 
 def walk_dtype(A, max_power):
-    """dtype of the arrays the power walk of A runs on."""
-    return next(spectral._powers(spectral._spectrum(A).abar, max_power))[1].dtype
+    """dtype of the arrays the power walk of A runs on at power max_power."""
+    for _, P in spectral._powers(spectral._spectrum(A), max_power):
+        pass
+    return P.dtype
 
 
 @st.composite
@@ -87,21 +91,53 @@ def test_transient_guard_boundary():
     assert cyclicity_and_transient(at, 64) == cyclicity_and_transient(M(CYCLIC), 64)
 
 
-def test_large_budget_takes_the_object_path():
+def test_large_budget_stays_on_float64():
     # max|Abar| = 1: only the budget passes 2**53, and the walk stops at the
-    # first repetition
-    assert walk_dtype(M(CYCLIC), 2**60) == object
-    agree_with_reference(M(CYCLIC), 2**60)
-    assert cyclicity_and_transient(M(CYCLIC), 2**60) == cyclicity_and_transient(M(CYCLIC))
+    # first repetition, long before a power could leave float64
+    walk = spectral._powers(spectral._spectrum(M(CYCLIC)), 10**18)
+    assert {P.dtype for _, (_, P) in zip(range(50), walk)} == {np.dtype(float)}
+    agree_with_reference(M(CYCLIC), 10**18)
+    assert cyclicity_and_transient(M(CYCLIC), 10**18) == cyclicity_and_transient(M(CYCLIC))
+
+
+# lambda = 1 and max|Abar| = 4; the powers repeat with period 3 from power 7
+# on, first seen at power 10
+LATE = [
+    [-1, 0, 2, 1, EPS],
+    [0, EPS, -3, EPS, EPS],
+    [EPS, EPS, -1, EPS, 1],
+    [EPS, 2, EPS, EPS, 2],
+    [EPS, EPS, -2, -1, 1],
+]
+
+
+def test_walk_switches_to_object_at_the_power_it_reaches():
+    assert cyclicity_and_transient(M(LATE)) == (3, 7)
+    for n0 in range(2, 13):
+        # max|Abar| = 4c, so power n0 is the first with n0 max|Abar| >= 2**53;
+        # n0 = 8 puts the entries near 2**50, and n0 = 8..10 falls between
+        # the two powers that repeat, whose keys are then converted
+        c = -(-(2**51) // n0)
+        A = scaled(LATE, c)
+        dtypes = [P.dtype for _, P in spectral._powers(spectral._spectrum(A), 12)]
+        assert dtypes == [np.dtype(float)] * (n0 - 1) + [np.dtype(object)] * (13 - n0)
+        agree_with_reference(A, 40)
+        assert cyclicity_and_transient(A, 40) == (3, 7)
 
 
 @settings(max_examples=20, deadline=None)
 @given(large_irreducible_matrices())
 def test_object_walk_matches_float_walk(A):
     # the same powers on both sides of the guard: equal finite entries, and
-    # one sentinel value, below them all, wherever float64 holds -inf
-    abar = spectral._spectrum(A).abar
-    for (_, F), (_, O) in zip(spectral._powers(abar, 40), spectral._powers(abar, 2**60)):
+    # one sentinel value, below them all, wherever float64 holds -inf. The
+    # object walk is the same walk with the float64 range of exact integers
+    # taken as empty.
+    rec = spectral._spectrum(A)
+    floats = [F for _, F in spectral._powers(rec, 40)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrays, "_FLOAT_EXACT", 1)
+        objects = [O for _, O in spectral._powers(rec, 40)]
+    for F, O in zip(floats, objects):
         live = F > -np.inf
         assert O[live].tolist() == F[live].tolist()
         bottom = set(O[~live].tolist())
@@ -141,16 +177,15 @@ def test_transient_loop_makes_no_matrix_product(monkeypatch):
     monkeypatch.setattr(semiring, "mat_mul", counting(semiring.mat_mul))
     A = M([[-1, 0, EPS, 2], [EPS, -1, 0, EPS], [0, EPS, -1, 1], [-3, EPS, EPS, -2]])
     classify(A, with_transient=True)
-    assert calls == ["mat_mul"]  # the A+ fixpoint check
-    calls.clear()
+    assert calls == []  # the A+ fixpoint check is an array product too
     cyclicity_and_transient(A)
-    assert calls == ["mat_mul"]
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)
 @given(large_irreducible_matrices(), st.integers(1, 6), st.integers(1, 6))
 def test_equal_powers_have_equal_keys(A, a, b):
-    powers = [P for _, P in spectral._powers(spectral._spectrum(A).abar, a + b)]
+    powers = [P for _, P in spectral._powers(spectral._spectrum(A), a + b)]
     Pa, Pb, P = powers[a - 1], powers[b - 1], powers[a + b - 1]
     other = _max_last(Pa[:, None, :] + Pb.T[None], False)  # A^a A^b, not A^(a+b-1) A
     assert spectral._key(other) == spectral._key(P)

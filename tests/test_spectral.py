@@ -17,9 +17,8 @@ from maxplus.semiring import (
     otimes_repeat,
     scale_matrix,
 )
-from maxplus.graphs import is_irreducible
 from maxplus.projective import is_rank_one, proj_equal
-from maxplus import spectral
+from maxplus import graphs, spectral
 from maxplus.spectral import (
     a_plus,
     classify,
@@ -275,13 +274,15 @@ def test_classify_cost_is_one_record_plus_the_powers(monkeypatch):
 
 
 def test_search_helper_reads_reducible_as_not_scs1cyc1(monkeypatch):
-    # the word search asks once; the public reader still rejects reducible input
+    # the record decides irreducibility on its array pattern, with no SCC
+    # decomposition of the whole graph; the public reader still rejects
+    # reducible input
     reducible = M([[0, EPS], [0, 0]])
     calls = []
-    monkeypatch.setattr(spectral, "is_irreducible", lambda A: calls.append(A) or is_irreducible(A))
+    monkeypatch.setattr(graphs, "scc_decompose", lambda G: calls.append(G))
     assert spectral._irreducible_scs1cyc1(reducible) is False
     assert spectral._irreducible_scs1cyc1(M([[0, -1], [-1, 0]])) is False
     assert spectral._irreducible_scs1cyc1(M([[0, 0], [0, -1]])) is True
-    assert len(calls) == 3
+    assert calls == []
     with pytest.raises(ContractViolation):
         is_scs1cyc1(reducible)

@@ -1164,3 +1164,32 @@ def test_cyclic_shift_words_by_brute_force():
     assert all(len(w) == 4 for w in rank_one)
     assert (0, 0, 1, 0) in rank_one
     assert word_probability(D, (0, 0, 1, 0)) == Fraction(1, 81)
+
+
+# ---------------------------------------------------------------------------
+# Markov letters are admissible by their exact probabilities
+
+
+TINY = Fraction(1, 10**400)  # positive, and 0.0 as a double
+
+
+def tiny_markov():
+    """Letter 1 (all zero, rank-one) follows letter 0 with probability
+    1e-400 and is recurrent; letter 0 alone never gives a rank-one or
+    everywhere-finite product."""
+    return FiniteSupport.make(
+        [M([[0, EPS], [EPS, 0]]), M([[0, 0], [0, 0]])],
+        ["1/2", "1/2"],
+        kernel=[[1 - TINY, TINY], ["1/2", "1/2"]],
+    )
+
+
+def test_tiny_transition_is_admissible():
+    assert float(TINY) == 0.0
+    D = tiny_markov()
+    assert stochastic._initial_letters(D) == (0, 1)
+    assert stochastic._next_letters(D, 0) == (0, 1)
+    got = pattern_search(D)
+    assert (got.status, got.word, got.classification) == ("found", (1,), "rank-one+scs1cyc1")
+    cond = structural_conditions(D)
+    assert (cond.condition_ii, cond.witness, cond.status) == (True, (1,), "found")
