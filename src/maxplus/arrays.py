@@ -4,15 +4,16 @@ A k x k matrix is a (k, k) array with -inf for eps, and a stack of them an
 (n, k, k) array. The product P A takes, for each (i, j), the max over l of
 P[i, l] + A[l, j]: ``_max_last(P[:, None, :] + A.T[None], signed)``.
 
-Four kinds of caller share it:
+Its callers:
 
-- the float drivers of ``stochastic`` (simulation, Lyapunov estimates, the
-  eta track of coupling, Loynes at a positive tolerance), on float64;
+- the stochastic drivers of ``stochastic`` (simulation, Lyapunov estimates,
+  coupling, the backward scheme): on float64 one step at a time for float
+  models, and on the integer-scaled support for exact ones, where a
+  block's running products come from one prefix scan (``_scan``);
 - the exact spectral record of ``spectral`` (irreducibility, Karp's
   algorithm, the closure, its fixpoint check, the critical graph and the
-  eigenvectors), on the integer-scaled matrix;
-- the exact power loop of ``spectral`` behind the transient and the
-  cyclicity, on the integer normalized matrix;
+  eigenvectors), on the integer-scaled matrix, and its exact power loop
+  behind the transient and the cyclicity, on the normalized matrix;
 - the exact word search of ``stochastic.pattern_search``, on the
   integer-scaled support: it expands a whole breadth-first level as one
   stack of products (``_stack_mul``), takes their projective normal forms
@@ -65,7 +66,7 @@ def _int_matrix(a: np.ndarray, eps) -> Matrix:
 
 
 def _negative_zero(a: np.ndarray) -> bool:
-    return bool(np.signbit(a[a == 0]).any())
+    return a.dtype == float and bool(np.signbit(a[a == 0]).any())
 
 
 def _max_last(a: np.ndarray, signed: bool) -> np.ndarray:
@@ -104,11 +105,12 @@ def _guard(top: int, reach: int) -> tuple:
     return -bottom, object, clamp
 
 
-def _int_stack(mats, reach: int) -> tuple:
+def _int_stack(mats, reach: int, top: int = 0) -> tuple:
     """The integer matrices mats as one (m, k, k) array, for a walk whose
-    values stay within reach times their largest magnitude top, on the
-    dtype ``_guard`` picks. Returns (array, eps, clamp)."""
-    top = max((abs(v) for A in mats for row in A.rows for v in row if v is not EPS), default=0)
+    values stay within reach times top, the largest magnitude of their
+    entries and of the given top, on the dtype ``_guard`` picks. Returns
+    (array, eps, clamp)."""
+    top = max([top] + [abs(v) for A in mats for row in A.rows for v in row if v is not EPS])
     eps, dtype, clamp = _guard(top, reach)
     rows = [[[eps if v is EPS else v for v in row] for row in A.rows] for A in mats]
     return np.array(rows, dtype=dtype), eps, clamp
@@ -140,12 +142,34 @@ def _recast(a: np.ndarray, finite: np.ndarray, reach: int) -> tuple:
 
 
 def _stack_mul(A: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """The products A[c] P[c] of two (n, k, k) stacks. The max over l is
-    taken one l at a time, so no temporary is larger than (n, k, k)."""
-    Q = A[:, :, :1] + P[:, :1, :]
+    """The products A[c] P[c] of a (..., k, k) and a (..., k, j) stack,
+    broadcast over the leading axes. The max over l is taken one l at a
+    time, so no temporary is larger than the product."""
+    Q = A[..., :, :1] + P[..., :1, :]
     for l in range(1, A.shape[-1]):
-        np.maximum(Q, A[:, :, l : l + 1] + P[:, l : l + 1, :], out=Q)
+        np.maximum(Q, A[..., :, l : l + 1] + P[..., l : l + 1, :], out=Q)
     return Q
+
+
+def _scan(X: np.ndarray, carry, clamp, right: bool = False) -> np.ndarray:
+    """The running products of the integer stack X (..., n, k, k) along its
+    n axis, in place: X[j] becomes X[j] ... X[0] carry, or with right carry
+    X[0] ... X[j]; carry is a (..., k, k) stack or None. A Hillis-Steele
+    scan: ceil(log2 n) _stack_mul calls, each X[j] times X[j - d]. It
+    regroups the products, which integer arithmetic allows and float
+    rounding would not."""
+    if carry is not None:
+        first = _stack_mul(carry, X[..., 0, :, :]) if right else _stack_mul(X[..., 0, :, :], carry)
+        clamp(first)
+        X[..., 0, :, :] = first
+    d = 1
+    while d < X.shape[-3]:
+        late, early = X[..., d:, :, :], X[..., :-d, :, :]
+        Y = _stack_mul(early, late) if right else _stack_mul(late, early)
+        clamp(Y)
+        X[..., d:, :, :] = Y
+        d *= 2
+    return X
 
 
 def _rank_one_flags(Q: np.ndarray, clamp) -> list:

@@ -4,50 +4,49 @@ Distributions over matrices come in two shapes: a finite support with iid
 or Markov-modulated draws, and seeded generator callbacks for continuous
 laws. Everything downstream is replayable: random streams are derived from
 (seed, replication, channel) alone, and replications are independent units
-run in order, so reports do not depend on the ``threads`` argument, which
-is accepted and has no effect.
+reported in order, so reports do not depend on the ``threads`` argument,
+which is accepted and has no effect. Exact rational models support coupling
+certificates (windows whose matrix product is rank-one), projective-
+semigroup pattern search, and structural condition checks; float models get
+Monte-Carlo estimates and eta-coupling.
 
-The analysis operations split along the exact/float line. Exact rational
-models support coupling certificates (windows whose matrix product is
-rank-one), projective-semigroup pattern search, and structural condition
-checks; float models get Monte-Carlo estimates and eta-coupling.
+A stream yields its matrices in (n, k, k) blocks (_FloatStream): a finite
+support picks rows of its stacked support by a block of uniforms, a
+generator draws a block through its ``sample_block(rng, n)`` or stacks n
+``sample_fn`` calls. Blocks hold at most ``_CHUNK`` matrices, so memory
+stays O(_CHUNK k^2) on long horizons; drivers that stop early start from
+``_FIRST_CHUNK`` and double. A generator block is checked once for all-eps
+rows, and the driver fails at the step that would use such a matrix. Each
+driver (``simulate``, ``lyapunov_estimate``, ``forward_coupling``,
+``backward_loynes``) is one loop over blocks that tests every step of a
+block at once; the backings differ in how a block's states or products are
+formed, on the array kernel of ``arrays``.
 
-The exact routines (the word search behind ``pattern_search``, the strong
-and eta tracks of ``forward_coupling``, ``backward_loynes``) run on Python
-ints: each call scales the support, and the initial conditions, once by L,
-the lcm of their entry denominators (``semiring.scale_to_integers``).
-otimes is positively homogeneous, so products are L times the rational
-ones, with the same projective classes, rank-one tests and dedupe keys;
-distances are L times larger and are compared with L times the exact
-threshold. ``Fraction`` stays at the boundary: every value that leaves the
-module is divided by L again, and report matrices are products of the
-original support. The word search multiplies those integers on the array
-kernel of ``arrays``, a breadth-first level at a time, and hands each new
-state to the spectral record of ``spectral`` as it is. Under a Markov
-kernel a letter may follow another when the exact transition probability
-is positive, however small.
+Exact: each call scales the support, and the initial conditions, once by
+L, the lcm of their entry denominators (``semiring.scale_to_integers``), and
+stacks the integers (_IntWalk). otimes is positively homogeneous, so
+products are L times the rational ones, with the same projective classes,
+rank-one tests and dedupe keys; distances are L times larger and are
+compared with L times the exact threshold. Integer max-plus products are
+exactly associative, so a block's running products come from one prefix
+scan (``arrays._scan``). Every value that leaves the module is divided by L
+again, and report matrices are products of the original support. The word
+search expands a breadth-first level at a time on the same kernel. Under a
+Markov kernel a letter may follow another when the exact transition
+probability is positive, however small.
 
-The float routines (``simulate``, ``lyapunov_estimate``, the eta track of
-``forward_coupling``, ``backward_loynes`` at a positive tolerance) run on
-numpy float64 arrays with -inf for eps. A stream yields its matrices in
-(n, k, k) blocks: a float support picks indices from a block of uniforms,
-a generator draws a block through its ``sample_block(rng, n)``, or, without
-one, stacks n ``sample_fn`` calls. Blocks hold at most ``_CHUNK`` matrices,
-so memory stays O(_CHUNK k^2) on long horizons; drivers that stop early
-start from ``_FIRST_CHUNK`` and double. A generator block is checked for
-all-eps rows once, and the driver fails at the step that would use such a
-matrix, as it did one matrix at a time. ``lyapunov_estimate`` steps all
-replications at once. Each step is the same IEEE additions and maxima as
-the scalar kernel, and of tied signed zeros the first is kept, as Python's
-``max`` does, so reports are bit for bit those of ``semiring.mat_vec`` and
-``projective.proj_dist``. No numpy value leaves the module: results are
-Python floats. The array helpers are the kernel in ``arrays``, which the
-exact power loops of ``spectral`` share.
+Float: float64 with -inf for eps, each state from the one before, with the
+IEEE additions and maxima of the scalar kernel; of tied signed zeros the
+first is kept, as Python's ``max`` does, so reports are bit for bit those of
+``semiring.mat_vec`` and ``projective.proj_dist``. Results leave the module
+as Python floats.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,23 +55,22 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .arrays import (
+    _FLOAT_EXACT,
     _as_array,
+    _as_object,
     _int_stack,
     _matrix_of,
     _max_last,
     _negative_zero,
+    _no_clamp,
     _rank_one_flags,
+    _scan,
     _stack_keys,
     _stack_mul,
+    _top,
 )
 from .graphs import graph_of, scc_decompose, scc_from_arcs
-from .projective import (
-    ProjVector,
-    canonicalize,
-    is_rank_one,
-    proj_dist,
-    proj_diameter,
-)
+from .projective import ProjVector, canonicalize
 from .semiring import (
     EPS,
     EXACT,
@@ -82,7 +80,6 @@ from .semiring import (
     Vector,
     as_scalar,
     mat_mul,
-    mat_vec,
     matrix_from_json,
     matrix_to_json,
     reject_unknown_keys,
@@ -222,6 +219,8 @@ def dist_backing(D: MatrixDistribution) -> str:
 def _stream(seed: int, replication: int = 0, channel: int = 0) -> np.random.Generator:
     if seed < 0:
         raise ContractViolation("seed must be a non-negative integer")
+    if replication < 0 or channel < 0:
+        raise ContractViolation("replication and channel must be non-negative integers")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(replication), int(channel)))
     return np.random.default_rng(ss)
 
@@ -332,21 +331,14 @@ _CHUNK = 1024
 _FIRST_CHUNK = 16
 
 
-class _MatrixStream:
-    """Sequential sampler of A(0), A(1), ... or, backward, A(-1), A(-2), ...
-    of a FiniteSupport, one support matrix at a time (the exact routines)."""
-
-    def __init__(self, dist: FiniteSupport, rng: np.random.Generator, backward: bool = False):
-        self._matrices = dist.matrices
-        self._letters = _Letters(dist, rng, backward)
-        self._pending = []  # drawn indices, next one last
-        self._size = _FIRST_CHUNK
-
-    def next(self) -> Matrix:
-        if not self._pending:
-            self._pending = self._letters.draw(self._size).tolist()[::-1]
-            self._size = min(2 * self._size, _CHUNK)
-        return self._matrices[self._pending.pop()]
+def _block_sizes(total: int, first: int):
+    """The sizes of the blocks that cover total steps: first, doubling, at
+    most _CHUNK."""
+    n = first
+    while total > 0:
+        yield min(n, total)
+        total -= n
+        n = min(2 * n, _CHUNK)
 
 
 def _sample_one(sample_block: Callable) -> Callable:
@@ -355,8 +347,11 @@ def _sample_one(sample_block: Callable) -> Callable:
 
 
 class _FloatStream:
-    """A(0), A(1), ... or, backward, A(-1), A(-2), ... of a float
-    distribution as float64 (n, k, k) blocks, eps as -inf.
+    """A(0), A(1), ... or, backward, A(-1), A(-2), ... of a distribution as
+    (n, k, k) blocks, float64 with -inf for eps. A FiniteSupport picks the
+    matrices of a block from its stacked support by the block's letters,
+    kept as ``letters``; an exact driver passes its integer stack as
+    support (see _IntWalk).
 
     Generator blocks are checked for all-eps rows (when ``when`` names the
     caller): take() stops just before such a matrix and the next take()
@@ -366,7 +361,7 @@ class _FloatStream:
     """
 
     def __init__(self, dist: MatrixDistribution, rng: np.random.Generator,
-                 when: Optional[str], backward: bool = False):
+                 when: Optional[str], backward: bool = False, support=None):
         self.dist = dist
         self.rng = rng
         self.when = when
@@ -374,13 +369,14 @@ class _FloatStream:
         self.signed = False
         self._error = None
         if isinstance(dist, FiniteSupport):
-            self._support = _as_array(M.rows for M in dist.matrices)
+            self._support = _as_array(M.rows for M in dist.matrices) if support is None else support
             self._letters = _Letters(dist, rng, backward)
 
     def _draw(self, n: int) -> np.ndarray:
         d = self.dist
         if isinstance(d, FiniteSupport):
-            return self._support[self._letters.draw(n)]
+            self.letters = self._letters.draw(n)
+            return self._support[self.letters]
         if d.sample_block is not None:
             block = np.asarray(d.sample_block(self.rng, n), dtype=float)
             if block.shape != (n, d.k, d.k):
@@ -418,18 +414,11 @@ class _FloatStream:
         return block
 
     def blocks(self, total: int, first: int = _CHUNK):
-        """Blocks covering the next total matrices, of size first, doubling,
-        at most _CHUNK."""
-        end = self.position + total
-        n = first
-        while self.position < end:
-            yield self.take(min(n, end - self.position))
-            n = min(2 * n, _CHUNK)
-
-    def matrices(self, total: int, first: int = _CHUNK):
-        """The next total matrices one by one, drawn as blocks()."""
-        for block in self.blocks(total, first):
-            yield from block
+        """Blocks covering the next total matrices, of _block_sizes."""
+        for n in _block_sizes(total, first):
+            yield self.take(n)
+        if self._error is not None:
+            raise self._error
 
 
 def _integer_support(D: FiniteSupport, vectors: Sequence[Vector] = ()) -> tuple:
@@ -437,6 +426,93 @@ def _integer_support(D: FiniteSupport, vectors: Sequence[Vector] = ()) -> tuple:
     the draws are those of D."""
     L, mats, xs = scale_to_integers(D.matrices, vectors)
     return L, FiniteSupport(mats, D.probabilities, D.kernel), xs
+
+
+def _reach(steps: int) -> int:
+    """Every integer an exact driver forms within steps steps is at most
+    top * _reach(steps) in magnitude, top the largest of the scaled support
+    and initial conditions: a product's action on an initial condition,
+    differences of two such values, and sums of two differences."""
+    return 4 * (steps + 1)
+
+
+class _IntWalk:
+    """The scaled support and initial conditions of an exact driver as
+    integer arrays: float64 with -inf for eps while top * _reach(T) < 2**53
+    for the T steps formed so far, and from the first block past that
+    object arrays of Python ints, with the eps and clamp that arrays._guard
+    picks for the whole run. fit(T, *arrays) casts them, and the arrays, to
+    the dtype of the block that ends at step T; eps and clamp are those of
+    the current dtype. So a large horizon or budget alone keeps float64."""
+
+    def __init__(self, D: FiniteSupport, x0s: Sequence[Vector], steps: int):
+        self.L, self.dist, xs = _integer_support(D, x0s)
+        xtop = max([0] + [abs(v) for x in xs for v in x.entries if v is not EPS])
+        self.support, self._eps, self._clamp = _int_stack(self.dist.matrices, _reach(steps), xtop)
+        self.top = max(xtop, _top(self.support, self.support != self._eps))
+        x0 = [[self._eps if v is EPS else v for v in x.entries] for x in xs]
+        self.x0 = np.array(x0, self.support.dtype).reshape(len(xs), D.k)
+        self.dtype, self.eps, self.clamp = float, -math.inf, _no_clamp
+        self.fit(0)
+
+    def _cast(self, a):
+        if a is None or a.dtype == self.dtype:
+            return a
+        if self.dtype == object:
+            return _as_object(a, a != -math.inf, self._eps)
+        return np.where(a != self._eps, a, -math.inf).astype(float)
+
+    def fit(self, steps: int, *arrays) -> list:
+        if self.dtype == float and self.top * _reach(steps) >= _FLOAT_EXACT:
+            self.dtype, self.eps, self.clamp = object, self._eps, self._clamp
+        self.support, self.x0 = self._cast(self.support), self._cast(self.x0)
+        return [self._cast(a) for a in arrays]
+
+    def stream(self, rng: np.random.Generator, backward: bool = False) -> _FloatStream:
+        return _FloatStream(self.dist, rng, None, backward, self.support)
+
+    def scan(self, A: np.ndarray, P, t: int, right: bool = False) -> np.ndarray:
+        """The running products of the block A that follows the product P of
+        the first t steps (arrays._scan)."""
+        A, P = self.fit(t + A.shape[-3], A, P)
+        return _scan(A, P, self.clamp, right)
+
+    def act(self, C: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """C x for a stack of products C and states x (..., m, k)."""
+        S = _stack_mul(C, x.swapaxes(-1, -2))
+        self.clamp(S)
+        return S.swapaxes(-1, -2)
+
+
+def _normal(C: np.ndarray, clamp) -> np.ndarray:
+    """The projective normal forms of a stack: each matrix minus its largest
+    entry."""
+    Q = C - C.max((-2, -1), keepdims=True)
+    clamp(Q)
+    return Q
+
+
+def _pair_dists(X: np.ndarray) -> np.ndarray:
+    """The largest projective distance between the m eps-free states of each
+    (m, k) element of the stack X: M[i, j] + M[j, i] for M[i, j] =
+    max(x_i - x_j), maximised over the pairs."""
+    M = (X[..., :, None, :] - X[..., None, :, :]).max(-1)
+    return (M + M.swapaxes(-1, -2)).max((-2, -1))
+
+
+def _diameters(P: np.ndarray, eps) -> list:
+    """proj_diameter of each matrix of the stack P, as a list: inf unless
+    every entry is finite, else the largest distance between its columns."""
+    finite = (P != eps).all((1, 2))
+    out = [math.inf] * len(P)
+    for i, d in zip(np.flatnonzero(finite).tolist(), _pair_dists(P[finite].swapaxes(1, 2)).tolist()):
+        out[i] = max(0.0, d)
+    return out
+
+
+def _first(flags: list) -> Optional[int]:
+    """The index of the first true flag, None if there is none."""
+    return flags.index(True) if True in flags else None
 
 
 def _condition_i_offender(D: FiniteSupport) -> Optional[tuple]:
@@ -462,8 +538,7 @@ def sample_sequence(D: MatrixDistribution, seed: int, n: int, replication: int =
     """The matrices A(0), ..., A(n-1) that any same-seeded run will see."""
     rng = _stream(seed, replication, 0)
     if isinstance(D, FiniteSupport):
-        stream = _MatrixStream(D, rng)
-        return [stream.next() for _ in range(n)]
+        return [D.matrices[i] for i in _Letters(D, rng).draw(n).tolist()]
     return [_matrix_of(A) for block in _FloatStream(D, rng, None).blocks(n) for A in block]
 
 
@@ -506,10 +581,40 @@ def simulate(
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
     times = [0] + [n for n in range(1, horizon + 1) if n % thin == 0 or n == horizon]
+    rng = _stream(seed, replication, 0)
     if x0.backing == FLOAT:
-        states, projective, increments = _simulate_float(D, x0, horizon, seed, replication, times)
+        # the projective track steps from the canonical representative, which keeps
+        # its rounding error independent of the state's growing magnitude
+        stream, first = _FloatStream(D, rng, "simulate"), _CHUNK
+        track = np.empty((horizon + 1, 2, D.k))  # track[n] = (x(n), projective state)
+        track[0] = (x0.entries, canonicalize(x0).entries)
+        stream.signed = _negative_zero(track[0])
     else:
-        states, projective, increments = _simulate_exact(D, x0, horizon, seed, replication, times)
+        walk = _IntWalk(D, (x0,), horizon)
+        stream, first, blocks = walk.stream(rng), _FIRST_CHUNK, [walk.x0]  # L x(n)
+    t, P = 0, None
+    for A in stream.blocks(horizon, first):
+        if x0.backing == FLOAT:
+            for n, An in enumerate(A, t + 1):
+                y = _max_last(An + track[n - 1][:, None, :], stream.signed)
+                y[1] -= _max_last(y[1], stream.signed)
+                track[n] = y
+        else:
+            C = walk.scan(A, P, t)
+            P = C[-1]
+            blocks.append(walk.act(C, walk.x0)[:, 0])
+        t += len(A)
+    if x0.backing == EXACT:
+        # in exact arithmetic the projective state is x(n) minus its maximum
+        X = np.concatenate([b if b.dtype == object else b.astype(np.int64) for b in blocks])
+        track = np.stack([X, X - X.max(1, keepdims=True)], 1)
+    kept = track[times]
+    parts = [kept[:, 0].tolist(), kept[:, 1].tolist(), np.diff(track[:, 0], axis=0).tolist()]
+    if x0.backing == EXACT:
+        fracs = {v: Fraction(v, walk.L) for v in set().union(*parts[0], *parts[1], *parts[2])}
+        parts = [[tuple(map(fracs.__getitem__, row)) for row in part] for part in parts]
+    else:
+        parts = [list(map(tuple, part)) for part in parts]
     return TrajectoryRecord(
         seed=seed,
         replication=replication,
@@ -517,58 +622,10 @@ def simulate(
         thin=thin,
         x0=x0,
         sample_times=tuple(times),
-        states=states,
-        projective=projective,
-        increments=increments,
+        states=tuple(Vector(x, x0.backing) for x in parts[0]),
+        projective=tuple(ProjVector(p, x0.backing) for p in parts[1]),
+        increments=tuple(parts[2]),
     )
-
-
-# The projective track advances from the canonical representative, not from
-# the absolute state: identical for exact backing (the action commutes with
-# adding constants), and for float backing it keeps rounding error
-# independent of the state's growing magnitude.
-
-
-def _simulate_exact(D, x0, horizon, seed, replication, times):
-    stream = _MatrixStream(D, _stream(seed, replication, 0))
-    recorded = set(times)
-    proj = canonicalize(x0)
-    states = [x0]
-    projective = [proj]
-    increments = []
-    x = x0
-    for n in range(1, horizon + 1):
-        A = stream.next()
-        nxt = mat_vec(A, x)
-        increments.append(tuple(b - a for a, b in zip(x.entries, nxt.entries)))
-        x = nxt
-        proj = canonicalize(mat_vec(A, proj.as_vector()))
-        if n in recorded:
-            states.append(x)
-            projective.append(proj)
-    return tuple(states), tuple(projective), tuple(increments)
-
-
-def _simulate_float(D, x0, horizon, seed, replication, times):
-    stream = _FloatStream(D, _stream(seed, replication, 0), "simulate")
-    track = np.empty((horizon + 1, 2, D.k))  # track[n] = (x(n), projective state)
-    track[0] = (x0.entries, canonicalize(x0).entries)
-    stream.signed = _negative_zero(track[0])
-    for n, A in enumerate(stream.matrices(horizon), 1):
-        y = _max_last(A + track[n - 1][:, None, :], stream.signed)
-        y[1] -= _max_last(y[1], stream.signed)
-        track[n] = y
-    kept = track[times].tolist()
-    states = tuple(Vector(tuple(x), FLOAT) for x, _ in kept)
-    projective = tuple(ProjVector(tuple(p), FLOAT) for _, p in kept)
-    increments = tuple(map(tuple, np.diff(track[:, 0], axis=0).tolist()))
-    return states, projective, increments
-
-
-def _map_replications(fn, replications: int) -> list:
-    if replications < 1:
-        raise ContractViolation("replications must be >= 1")
-    return [fn(r) for r in range(replications)]
 
 
 @dataclass(frozen=True)
@@ -606,8 +663,8 @@ def lyapunov_estimate(
 
     The confidence interval is the 95% normal approximation across
     replications. Estimates are invariant to the finite initial condition
-    up to O(1/horizon); that is tested, not assumed. Float models step all
-    replications at once; threads is accepted and has no effect.
+    up to O(1/horizon); that is tested, not assumed. Replications step as
+    one stack (_growth); threads is accepted and has no effect.
     """
     if horizon < 1:
         raise ContractViolation("lyapunov_estimate: horizon must be >= 1")
@@ -624,20 +681,7 @@ def lyapunov_estimate(
         raise ContractViolation("lyapunov_estimate: x0 backing does not match the distribution")
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
-    if backing == FLOAT:
-        values = _lyapunov_float(D, x0, horizon, replications, seed, channel)
-    else:
-
-        def one(rep: int):
-            stream = _MatrixStream(D, _stream(seed, rep, channel))
-            x = x0
-            for _ in range(horizon):
-                x = mat_vec(stream.next(), x)
-            if not x.is_finite():
-                raise ContractViolation(_EPS_AT_HORIZON)
-            return max(x.entries) / horizon
-
-        values = _map_replications(one, replications)
+    values = _growth(D, x0, horizon, replications, seed, channel)
     if backing == EXACT:
         point = sum(values, Fraction(0)) / len(values)
     else:
@@ -663,32 +707,57 @@ def lyapunov_estimate(
 _EPS_AT_HORIZON = "lyapunov_estimate: the state at the horizon has eps coordinates"
 
 
-def _lyapunov_float(D, x0, horizon, replications, seed, channel) -> list:
-    """max_i x_i(horizon) / horizon per replication, every replication
-    stepped at once: (R, k, k) + (R, 1, k), max over the last axis."""
-    streams = [
-        _FloatStream(D, _stream(seed, rep, channel), "lyapunov_estimate")
-        for rep in range(replications)
-    ]
-    x = np.tile(np.array([-math.inf if v is EPS else v for v in x0.entries]), (replications, 1))
-    signed = _negative_zero(x)
-    done = 0
-    while done < horizon:
-        n = min(_CHUNK, horizon - done)
-        blocks = [s.take(n) for s in streams]
-        if any(len(b) < n for b in blocks):
-            # some replication meets an all-eps row before the horizon; raise
-            # for the first one that does, as running them in order would
-            for s in streams:
-                for _ in s.blocks(horizon - s.position):
-                    pass
-        signed = signed or any(s.signed for s in streams)
-        for A in np.stack(blocks, axis=1):
-            x = _max_last(A + x[:, None, :], signed)
-        done += n
-    if np.isneginf(x).any():
-        raise ContractViolation(_EPS_AT_HORIZON)
-    return (_max_last(x, signed) / horizon).tolist()
+def _group(replications: int, total: int) -> list:
+    """Replication ranges stepped as one integer stack: at most _CHUNK
+    matrices per block of a group, so a temporary of the scan or of the
+    states holds O(_CHUNK m k^2) entries however many replications run."""
+    largest = max(itertools.islice(_block_sizes(total, _FIRST_CHUNK), 8), default=1)
+    size = max(1, _CHUNK // largest)
+    return [range(lo, min(lo + size, replications)) for lo in range(0, replications, size)]
+
+
+def _growth(D, x0, horizon, replications, seed, channel) -> list:
+    """max_i x_i(horizon) / horizon per replication, the replications of a
+    group stepped as one stack. Exact: groups of _group, and x = C x for the
+    product C of each block, the last of its scan. Float: one group, each
+    state from the one before: (R, k, k) + (R, 1, k), max over the last
+    axis."""
+    exact = D.backing == EXACT
+    if exact:
+        walk = _IntWalk(D, (x0,), horizon)
+        groups, first, start, new = _group(replications, horizon), _FIRST_CHUNK, walk.x0[0], walk.stream
+    else:
+        groups, first = [range(replications)], _CHUNK
+        start = np.array([-math.inf if v is EPS else v for v in x0.entries])
+        new = functools.partial(_FloatStream, D, when="lyapunov_estimate")
+    values = []
+    for reps in groups:
+        streams = [new(_stream(seed, rep, channel)) for rep in reps]
+        x = np.tile(start, (len(reps), 1))
+        signed, t = _negative_zero(x), 0
+        for n in _block_sizes(horizon, first):
+            blocks = [s.take(n) for s in streams]
+            if any(len(b) < n for b in blocks):
+                # some replication meets an all-eps row before the horizon;
+                # raise for the first one that does, as running them in order would
+                for s in streams:
+                    for _ in s.blocks(horizon - s.position):
+                        pass
+            if exact:
+                A, x = walk.fit(t + n, np.stack(blocks), x)
+                x = walk.act(_scan(A, None, walk.clamp)[:, -1], x[:, None])[:, 0]
+            else:
+                signed = signed or any(s.signed for s in streams)
+                for A in np.stack(blocks, axis=1):
+                    x = _max_last(A + x[:, None, :], signed)
+            t += n
+        if (x == (walk.eps if exact else -math.inf)).any():
+            raise ContractViolation(_EPS_AT_HORIZON)
+        if exact:
+            values += [Fraction(int(v), walk.L * horizon) for v in x.max(-1).tolist()]
+        else:
+            values += (_max_last(x, signed) / horizon).tolist()
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -751,83 +820,20 @@ class CouplingReport:
         return hits / len(self.samples)
 
 
-def _couple_one(D, x0s, horizon, eta, seed, rep):
-    """Strong and eta coupling of one replication of an integer support."""
-    stream = _MatrixStream(D, _stream(seed, rep, 0))
-    xs = list(x0s)
-    merge_time = None
-    eta_time = None
-    window = (None, None)
-
-    def merged() -> bool:
-        first = canonicalize(xs[0]).entries
-        return all(canonicalize(x).entries == first for x in xs[1:])
-
-    def eta_close() -> bool:
-        for i in range(len(xs)):
-            for j in range(i + 1, len(xs)):
-                if proj_dist(xs[i], xs[j]) > eta:
-                    return False
-        return True
-
-    if merged():
-        merge_time = 0
-    if eta_close():
-        eta_time = 0
-    matrices = []
-    prefix = None
-    for n in range(1, horizon + 1):
-        if merge_time is not None and window[0] is not None and eta_time is not None:
-            break
-        A = stream.next()
-        xs = [mat_vec(A, x) for x in xs]
-        if window[0] is None:
-            matrices.append(A)
-            prefix = A if prefix is None else mat_mul(A, prefix)
-            if is_rank_one(prefix):
-                # shortest window ending here: walk the start backwards;
-                # prod accumulates A(n-1) ... A(p) and p = 0 always hits
-                prod = None
-                for p in range(n - 1, -1, -1):
-                    prod = matrices[p] if prod is None else mat_mul(prod, matrices[p])
-                    if is_rank_one(prod):
-                        window = (p, n - p)
-                        break
-                matrices = []
-        if merge_time is None and merged():
-            merge_time = n
-        if eta_time is None and eta_close():
-            eta_time = n
-    return CouplingSample(
-        replication=rep,
-        merge_time=merge_time,
-        eta_time=eta_time,
-        window_start=window[0],
-        window_length=window[1],
-    )
-
-
-def _couple_float(D, x0s, horizon, eta, seed, rep):
-    """Eta coupling of one replication of a float model: the states of all
-    initial conditions step as one (m, k) array. proj_dist(x_i, x_j) is
-    M[i, j] + M[j, i] for M[i, j] = max(x_i - x_j)."""
-    stream = _FloatStream(D, _stream(seed, rep, 0), "forward_coupling")
-    x = np.array([v.entries for v in x0s])
-
-    def eta_close() -> bool:
-        M = (x[:, None, :] - x[None, :, :]).max(-1)
-        return float((M + M.T).max()) <= eta
-
-    eta_time = 0 if eta_close() else None
-    if eta_time is None:
-        for n, A in enumerate(stream.matrices(horizon, _FIRST_CHUNK), 1):
-            x = (A + x[:, None, :]).max(-1)
-            if eta_close():
-                eta_time = n
-                break
-    return CouplingSample(
-        replication=rep, merge_time=None, eta_time=eta_time, window_start=None, window_length=None
-    )
+def _window(walk: _IntWalk, letters: np.ndarray) -> tuple:
+    """(p, n - p) for the largest p whose product A(n-1) ... A(p) of the n
+    letters is rank-one: the first rank-one product of the right scan over
+    the letters in reverse. The caller knows p = 0 qualifies."""
+    n = len(letters)
+    back = letters[::-1]
+    P, lo = None, 0
+    for size in _block_sizes(n, _FIRST_CHUNK):
+        S = _scan(walk.support[back[lo : lo + size]], P, walk.clamp, right=True)
+        j = _first(_rank_one_flags(_normal(S, walk.clamp), walk.clamp))
+        if j is not None:
+            return n - 1 - (lo + j), lo + j + 1
+        P, lo = S[-1], lo + size
+    raise AssertionError("the whole word is rank-one")
 
 
 def forward_coupling(
@@ -842,8 +848,15 @@ def forward_coupling(
     """Drive all initial conditions with the same matrix sequence and watch
     them meet. Exact backing reports strong (exact projective merge) and
     eta coupling plus a rank-one window certificate; float backing reports
-    eta coupling only. Replications run in order; threads is accepted and
-    has no effect."""
+    eta coupling only. Replications are independent and reported in order;
+    threads is accepted and has no effect.
+
+    Every step of a block is tested at once: the largest pairwise distance
+    of the states against eta (and 0, the merge), and the rank-one test of
+    the running product for the window. Exact: a block's running products
+    C[t] = A(t) ... A(0) come from one scan, the states are C[t] x0, and the
+    replications of a _group step as one stack. Float: one replication at
+    a time, each state from the one before, eta only."""
     x0s = tuple(initial_conditions)
     if len(x0s) < 2:
         raise ContractViolation("forward_coupling: need at least two initial conditions")
@@ -857,26 +870,77 @@ def forward_coupling(
         _check_condition_i(D)
     if eta is None or not eta >= 0:
         raise ContractViolation("forward_coupling: eta must be >= 0")
-    if backing == FLOAT:
-
-        def one(rep):
-            return _couple_float(D, x0s, horizon, eta, seed, rep)
-
+    if horizon < 0:
+        raise ContractViolation("forward_coupling: horizon must be >= 0")
+    if replications < 1:
+        raise ContractViolation("replications must be >= 1")
+    exact = backing == EXACT
+    if exact:
+        walk = _IntWalk(D, x0s, horizon)
+        cap = walk.top * _reach(horizon)  # above every distance
+        bound = cap if eta == math.inf else min(math.floor(Fraction(eta) * walk.L), cap)
+        x0, groups, new = walk.x0, _group(replications, horizon), walk.stream
     else:
-        L, Dw, xw = _integer_support(D, x0s)
-        bound = eta if eta == math.inf else Fraction(eta) * L
+        x0, bound = np.array([v.entries for v in x0s]), eta
+        groups = [[rep] for rep in range(replications)]
+        new = functools.partial(_FloatStream, D, when="forward_coupling")
 
-        def one(rep):
-            return _couple_one(Dw, xw, horizon, bound, seed, rep)
+    def near(d):
+        # d <= eta; float64 holds the integer distances below 2**53
+        return (d <= (min(bound, _FLOAT_EXACT) if exact and d.dtype == float else bound)).tolist()
 
-    return CouplingReport(
-        eta=eta,
-        horizon=horizon,
-        replications=replications,
-        modes=("eta",) if backing == FLOAT else ("strong", "eta"),
-        initial_conditions=x0s,
-        samples=tuple(_map_replications(one, replications)),
-    )
+    d0 = _pair_dists(x0[None])
+    samples = []
+    for reps in groups:
+        streams = {rep: new(_stream(seed, rep, 0)) for rep in reps}
+        # merge time, eta time, window; and the letters drawn before the window
+        found = {rep: [0 if exact and d0[0] == 0 else None, 0 if near(d0)[0] else None, None]
+                 for rep in reps}
+        seen = {rep: [] for rep in reps}
+
+        def pending(rep):
+            merge, close, window = found[rep]
+            return close is None or exact and (merge is None or window is None)
+
+        live = [rep for rep in reps if pending(rep)]
+        x, P, t, rank_one = np.array([x0] * len(live)), None, 0, {}
+        for n in _block_sizes(horizon, _FIRST_CHUNK):
+            if not live:
+                break
+            A = np.stack([streams[rep].take(n) for rep in live])
+            if exact:
+                open_ = [i for i, rep in enumerate(live) if found[rep][2] is None]
+                for i in open_:
+                    seen[live[i]].append(streams[live[i]].letters)
+                C = walk.scan(A, P, t)
+                P, S = C[:, -1], walk.act(C, walk.x0)
+                if open_:
+                    Q = _normal(C[open_], walk.clamp).reshape(-1, D.k, D.k)
+                    flags = _rank_one_flags(Q, walk.clamp)
+                    rank_one = {i: flags[a * n : (a + 1) * n] for a, i in enumerate(open_)}
+            else:
+                S = np.empty(A.shape[:2] + x.shape[1:])
+                for j in range(A.shape[1]):
+                    x = S[:, j] = (A[:, j, None] + x[:, :, None, :]).max(-1)
+            d = _pair_dists(S)
+            merged, close = (d == 0).tolist(), near(d)
+            for i, rep in enumerate(live):
+                hits = (_first(merged[i]) if exact else None, _first(close[i]),
+                        _first(rank_one[i]) if i in rank_one else None)
+                for slot, j in enumerate(hits):
+                    if found[rep][slot] is None and j is not None:
+                        found[rep][slot] = t + j + 1 if slot < 2 else _window(
+                            walk, np.concatenate(seen[rep])[: t + j + 1])
+            t, rank_one = t + A.shape[1], {}
+            keep = [i for i, rep in enumerate(live) if pending(rep)]
+            if A.shape[1] < n:  # a generator met an all-eps row: the next draw raises
+                for i in keep:
+                    streams[live[i]].take(0)
+            live, x, P = [live[i] for i in keep], x[keep], None if P is None else P[keep]
+        samples += [CouplingSample(rep, merge, close, *(window or (None, None)))
+                    for rep, (merge, close, window) in found.items()]
+    modes = ("strong", "eta") if exact else ("eta",)
+    return CouplingReport(eta, horizon, replications, modes, x0s, tuple(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -918,14 +982,6 @@ class LoynesResult:
         }
 
 
-def _first_finite_column_class(P: Matrix) -> ProjVector:
-    for j in range(P.k):
-        col = P.col(j)
-        if all(v is not EPS for v in col):
-            return canonicalize(Vector(col, P.backing))
-    raise ContractViolation("backward product has no finite column")
-
-
 def backward_loynes(
     D: MatrixDistribution,
     tolerance=0,
@@ -938,7 +994,11 @@ def backward_loynes(
     projective image is tolerance-thin. tolerance=0 demands an exactly
     rank-one product and needs the exact backing; float models must pass
     a positive tolerance. A budget exhaustion returns a partial result
-    with converged=False rather than raising."""
+    with converged=False rather than raising.
+
+    The products P(1..n) of a block are tested at once. Exact: they come
+    from one right scan of the block, and tolerance 0 is the rank-one test
+    of their normal forms. Float: each from the one before."""
     backing = dist_backing(D)
     tol = as_scalar(tolerance, backing) if tolerance != 0 else 0
     if tol is EPS:
@@ -949,113 +1009,60 @@ def backward_loynes(
         raise ContractViolation(
             "backward_loynes: exact convergence (tolerance 0) needs the exact backing"
         )
+    if budget < 0 or trace_every < 0:
+        raise ContractViolation("backward_loynes: budget and trace_every must be >= 0")
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
+    rng = _stream(seed, replication, 1)
     if backing == FLOAT:
-        return _loynes_float(D, tol, budget, seed, replication, trace_every)
-    L, D, _ = _integer_support(D)
-    bound = tol * L
+        stream = _FloatStream(D, rng, "backward_loynes", backward=True)
+        bound, unscaled, ratio, eps = tol, float, float, -math.inf
+    else:
+        walk = _IntWalk(D, (), budget)
+        stream, bound = walk.stream(rng, backward=True), tol * walk.L
 
-    def unscaled(d):
-        # what proj_diameter gives on the unscaled product: 0 and inf as they are
-        return d if d == 0 or d == math.inf else Fraction(d, L)
+        def unscaled(d):
+            # what proj_diameter gives on the unscaled product: 0 and inf as they are
+            return d if d == math.inf else Fraction(int(d), walk.L) if d else 0
 
-    stream = _MatrixStream(D, _stream(seed, replication, 1), backward=True)
-    P = None
-    trace = []
-    last_diam = math.inf
-    for n in range(1, budget + 1):
-        A = stream.next()
-        P = A if P is None else mat_mul(P, A)
-        if tolerance == 0:
-            done = is_rank_one(P)
-            diam = 0 if done else None
-            if done:
-                last_diam = 0
-            if trace_every and (n % trace_every == 0 or done):
-                if not done:
-                    diam = proj_diameter(P)
-                    last_diam = diam
-                trace.append((n, float(unscaled(diam))))
+        def ratio(d):
+            # float(unscaled(d)), as int / int rounds correctly
+            return d if d == math.inf else int(d) / walk.L
+
+    P, t, trace, last = None, 0, [], math.inf
+    for A in stream.blocks(budget, _FIRST_CHUNK):
+        if backing == FLOAT:
+            Ps = np.empty_like(A)
+            for j, An in enumerate(A):
+                P = Ps[j] = An if P is None else _max_last(P[:, None, :] + An.T, stream.signed)
         else:
-            diam = proj_diameter(P)
-            last_diam = diam
-            done = diam <= bound
-            if trace_every and (n % trace_every == 0 or done):
-                trace.append((n, float(unscaled(diam))))
-        if done:
-            limit = _first_finite_column_class(P)
-            return LoynesResult(
-                converged=True,
-                steps=n,
-                limit_class=ProjVector(tuple(Fraction(v, L) for v in limit.entries), EXACT),
-                achieved_diameter=unscaled(last_diam),
-                tolerance=tol,
-                trace=tuple(trace),
-                seed=seed,
-                replication=replication,
-            )
-    if last_diam == math.inf and P is not None and tolerance == 0:
-        last_diam = proj_diameter(P)
-    return LoynesResult(
-        converged=False,
-        steps=budget,
-        limit_class=None,
-        achieved_diameter=unscaled(last_diam),
-        tolerance=tol,
-        trace=tuple(trace),
-        seed=seed,
-        replication=replication,
-    )
-
-
-def _loynes_float(D, tol, budget, seed, replication, trace_every) -> LoynesResult:
-    """The backward scheme of a float model on arrays: P(n) = P(n-1) A(-n)
-    takes the max over l of P[i, l] + A[l, j]."""
-    stream = _FloatStream(D, _stream(seed, replication, 1), "backward_loynes", backward=True)
-    P = None
-    trace = []
-    diam = math.inf
-    for n, A in enumerate(stream.matrices(budget, _FIRST_CHUNK), 1):
-        P = A if P is None else _max_last(P[:, None, :] + A.T, stream.signed)
-        diam = _diameter(P)
-        done = diam <= tol
-        if trace_every and (n % trace_every == 0 or done):
-            trace.append((n, diam))
-        if done:
-            # a finite diameter means every entry is finite: column 0 is the
-            # first finite column
-            top = _max_last(P[:, 0], stream.signed)
-            return LoynesResult(
-                converged=True,
-                steps=n,
-                limit_class=ProjVector(tuple((P[:, 0] - top).tolist()), FLOAT),
-                achieved_diameter=diam,
-                tolerance=tol,
-                trace=tuple(trace),
-                seed=seed,
-                replication=replication,
-            )
-    return LoynesResult(
-        converged=False,
-        steps=budget,
-        limit_class=None,
-        achieved_diameter=diam,
-        tolerance=tol,
-        trace=tuple(trace),
-        seed=seed,
-        replication=replication,
-    )
-
-
-def _diameter(P: np.ndarray) -> float:
-    """proj_diameter of a float product: inf unless every entry is finite,
-    else the max over column pairs of proj_dist, which is M[i, j] + M[j, i]
-    for M[i, j] = max over rows of P[:, i] - P[:, j]."""
-    if np.isneginf(P).any():
-        return math.inf
-    M = (P[:, :, None] - P[:, None, :]).max(0)
-    return max(0.0, float((M + M.T).max()))
+            Ps, eps = walk.scan(A, P, t, right=True), walk.eps
+        diams = _diameters(Ps, eps) if tolerance != 0 or trace_every else None
+        if tolerance == 0:
+            end = _first(_rank_one_flags(_normal(Ps, walk.clamp), walk.clamp))
+        else:
+            end = _first([d <= bound for d in diams])
+        for j in range(len(Ps) if end is None else end + 1):
+            n, done = t + j + 1, j == end
+            traced = trace_every and (n % trace_every == 0 or done)
+            if done or traced or tolerance != 0:
+                last = 0 if done and tolerance == 0 else diams[j]
+            if traced:
+                trace.append((n, ratio(last)))
+        if end is not None:
+            Z = Ps[end]
+            col = Z[:, int((Z != eps).all(0).argmax())]  # the first finite column
+            if backing == FLOAT:
+                limit = ProjVector(tuple((col - _max_last(col, stream.signed)).tolist()), FLOAT)
+            else:
+                limit = ProjVector(
+                    tuple(Fraction(int(v), walk.L) for v in (col - col.max()).tolist()), EXACT)
+            return LoynesResult(True, t + end + 1, limit, unscaled(last), tol, tuple(trace),
+                                seed, replication)
+        P, t = Ps[-1] if len(Ps) else P, t + len(Ps)
+    if last == math.inf and P is not None and tolerance == 0:
+        last = _diameters(P[None], eps)[0]
+    return LoynesResult(False, budget, None, unscaled(last), tol, tuple(trace), seed, replication)
 
 
 # ---------------------------------------------------------------------------
@@ -1221,9 +1228,7 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
     np.fill_diagonal(identity, 0)
 
     def expand(level, parents, letters):
-        Q = _stack_mul(support[letters], level[0][parents])
-        Q -= Q.max((1, 2))[:, None, None]
-        clamp(Q)
+        Q = _normal(_stack_mul(support[letters], level[0][parents]), clamp)
         return (Q, _rank_one_flags(Q, clamp)), _stack_keys(Q)
 
     def on_state(word, level, i):
@@ -1431,7 +1436,9 @@ def _mc_backward_evidence(D: MatrixDistribution, options: StabilityOptions) -> d
             trace_every=0,
         )
 
-    results = _map_replications(one, options.mc_seeds)
+    if options.mc_seeds < 1:
+        raise ContractViolation("replications must be >= 1")
+    results = [one(rep) for rep in range(options.mc_seeds)]
     return {
         "seeds": options.mc_seeds,
         "successes": sum(1 for r in results if r.converged),

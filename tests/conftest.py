@@ -6,6 +6,8 @@ independent computation.
 """
 
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import networkx as nx
@@ -66,3 +68,27 @@ def brute_max_cycle_mean(A: Matrix):
 @pytest.fixture(scope="session")
 def small_corpus():
     return irreducible_corpus(100, seed=7)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(module, *names) -> a Counter of the calls, by name, to the
+    named functions of module while the test runs. Every maxplus module that
+    binds the same function object counts too, so a call is counted however
+    the caller imported it."""
+
+    def install(module, *names):
+        counts = Counter()
+        for name in names:
+            fn = getattr(module, name)
+
+            def counting(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for key, mod in list(sys.modules.items()):
+                if key.split(".")[0] == "maxplus" and getattr(mod, name, None) is fn:
+                    monkeypatch.setattr(mod, name, counting)
+        return counts
+
+    return install

@@ -62,7 +62,6 @@ from maxplus.stochastic import (
     TrajectoryRecord,
     _check_condition_i,
     _cum_floats,
-    _first_finite_column_class,
     _initial_letters,
     _next_letters,
     _pick,
@@ -113,6 +112,14 @@ class _MatrixStream:
             idx = self._state
         self.position += 1
         return d.matrices[idx]
+
+
+def _first_finite_column_class(P: Matrix):
+    for j in range(P.k):
+        col = P.col(j)
+        if all(v is not EPS for v in col):
+            return canonicalize(Vector(col, P.backing))
+    raise ContractViolation("backward product has no finite column")
 
 
 def _require_row_finite(A: Matrix, when: str) -> None:

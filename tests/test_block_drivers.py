@@ -1,0 +1,254 @@
+"""The exact stochastic drivers as block recursions on the array kernel.
+
+``simulate``, ``lyapunov_estimate``, ``forward_coupling`` and
+``backward_loynes`` form a block's running products of the integer-scaled
+support with one prefix scan and test every step of the block at once.
+These tests hold them to the one-matrix-at-a-time ``Fraction`` routines of
+``reference_stochastic``, on report JSON text, on both sides of the
+float64/object guard, and check that no scalar kernel call runs inside.
+"""
+
+import dataclasses
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import reference_stochastic as reference
+from test_stochastic import M, V, rational_supports, rational_vectors
+
+from maxplus import arrays, projective, semiring, stochastic
+from maxplus.semiring import EPS, scalar_to_json
+from maxplus.stochastic import (
+    FiniteSupport,
+    backward_loynes,
+    forward_coupling,
+    lyapunov_estimate,
+    simulate,
+)
+
+
+def trajectory_text(tr) -> str:
+    def vec(x):
+        return [scalar_to_json(v) for v in x.entries]
+
+    return json.dumps([
+        tr.sample_times,
+        [vec(x) for x in tr.states],
+        [vec(p) for p in tr.projective],
+        [[scalar_to_json(v) for v in z] for z in tr.increments],
+    ])
+
+
+def samples_text(samples) -> str:
+    return json.dumps([dataclasses.asdict(s) for s in samples])
+
+
+def report_text(r) -> str:
+    return json.dumps(r.to_json(), sort_keys=True)
+
+
+def reference_samples(D, x0s, horizon, eta, seed, replications):
+    return [reference._couple_one(D, tuple(x0s), horizon, eta, seed, r, True)
+            for r in range(replications)]
+
+
+def same_runs(D, x0s, horizon, eta=Fraction(1, 3), tolerance=0, trace_every=1, seed=3):
+    """All four exact drivers agree with the reference on D."""
+    got = forward_coupling(D, x0s, horizon, eta, seed, replications=3)
+    assert samples_text(got.samples) == samples_text(
+        reference_samples(D, x0s, horizon, eta, seed, 3))
+    args = dict(tolerance=tolerance, budget=horizon, seed=seed, trace_every=trace_every)
+    assert report_text(backward_loynes(D, **args)) == report_text(
+        reference.backward_loynes(D, **args))
+    assert trajectory_text(simulate(D, x0s[0], horizon, seed, 1, 3)) == trajectory_text(
+        reference.simulate(D, x0s[0], horizon, seed, 1, 3))
+    args = dict(replications=3, seed=seed, x0=x0s[1])
+    assert report_text(lyapunov_estimate(D, max(horizon, 1), **args)) == report_text(
+        reference.lyapunov_estimate(D, max(horizon, 1), **args))
+
+
+ETAS = st.sampled_from([0, Fraction(1, 3), 1 / 3, math.inf])
+TOLERANCES = st.one_of(
+    st.just(0), st.builds(Fraction, st.integers(0, 12), st.integers(1, 6))
+)
+
+
+class TestAgainstReference:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rational_supports().flatmap(lambda D: st.tuples(st.just(D), rational_vectors(D.k, 3))),
+        ETAS,
+        st.integers(0, 40),
+        st.integers(1, 6),
+        st.integers(0, 10**6),
+    )
+    def test_forward_coupling(self, model, eta, horizon, replications, seed):
+        D, x0s = model
+        got = forward_coupling(D, x0s, horizon, eta, seed, replications)
+        assert samples_text(got.samples) == samples_text(
+            reference_samples(D, x0s, horizon, eta, seed, replications))
+
+    @settings(max_examples=50, deadline=None)
+    @given(rational_supports(), TOLERANCES, st.integers(0, 60), st.sampled_from([0, 1, 3]),
+           st.integers(0, 10**6))
+    def test_backward_loynes(self, D, tolerance, budget, trace_every, seed):
+        args = dict(tolerance=tolerance, budget=budget, seed=seed, replication=1,
+                    trace_every=trace_every)
+        assert report_text(backward_loynes(D, **args)) == report_text(
+            reference.backward_loynes(D, **args))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rational_supports().flatmap(lambda D: st.tuples(st.just(D), rational_vectors(D.k, 1))),
+        st.integers(0, 60),
+        st.integers(1, 4),
+        st.integers(0, 10**6),
+    )
+    def test_simulate(self, model, horizon, thin, seed):
+        D, (x0,) = model
+        assert trajectory_text(simulate(D, x0, horizon, seed, 2, thin)) == trajectory_text(
+            reference.simulate(D, x0, horizon, seed, 2, thin))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rational_supports().flatmap(
+            lambda D: st.tuples(st.just(D), st.one_of(st.none(), rational_vectors(D.k, 1)))),
+        st.integers(1, 60),
+        st.integers(1, 5),
+        st.integers(0, 10**6),
+        st.integers(0, 3),
+    )
+    def test_lyapunov_estimate(self, model, horizon, replications, seed, channel):
+        D, x0s = model
+        args = dict(replications=replications, seed=seed,
+                    x0=None if x0s is None else x0s[0], channel=channel)
+        assert report_text(lyapunov_estimate(D, horizon, **args)) == report_text(
+            reference.lyapunov_estimate(D, horizon, **args))
+
+
+# ---------------------------------------------------------------------------
+# Both sides of the float64/object guard
+
+
+def spy_scans(monkeypatch):
+    """The dtype and length of every block the drivers scan."""
+    seen = []
+
+    def recording(X, *args, **kwargs):
+        seen.append((X.dtype, X.shape[-3]))
+        return scan(X, *args, **kwargs)
+
+    scan = stochastic._scan
+    monkeypatch.setattr(stochastic, "_scan", recording)
+    return seen
+
+
+def symmetric_pair(top):
+    """Two letters whose products never turn rank-one and stay finite: the
+    diameter of every product is 2 top."""
+    return FiniteSupport.make(
+        [M([[top, 0], [0, top]]), M([[0, top], [top, 0]])], ["1/3", "2/3"]
+    )
+
+
+def test_large_lcm_runs_on_object_arrays(monkeypatch):
+    """Denominators 3**25 and 5**17 scale the support by L near 2**79, past
+    float64 from the first block; the reports are the reference's."""
+    a, b = Fraction(1, 3**25), Fraction(2, 5**17)
+    D = FiniteSupport.make(
+        [M([[a, 1], [0, b]]), M([[b, EPS], [a, 2]]), M([[1, a], [b, 0]])],
+        ["1/2", "1/4", "1/4"],
+    )
+    seen = spy_scans(monkeypatch)
+    x0s = [V([0, a]), V([b, 3]), V([1, 0])]
+    same_runs(D, x0s, 40)
+    same_runs(D, x0s, 40, eta=0, tolerance=Fraction(1, 7), trace_every=3)
+    assert seen and {dtype for dtype, _ in seen} == {np.dtype(object)}
+    markov = FiniteSupport.make(D.matrices, D.probabilities,
+                                [["1/2", "1/2", 0], [0, "1/3", "2/3"], [1, 0, 0]])
+    same_runs(markov, x0s, 40, eta=1 / 3)
+
+
+@pytest.mark.parametrize("steps", [48, 100])
+def test_guard_switches_at_the_block_that_needs_it(monkeypatch, steps):
+    """Blocks of 16, 32 and 52 steps cover 100. With top * _reach(steps) at
+    2**53 the walk leaves float64 at the block that ends at steps, one less
+    keeps it there; a block is object exactly when top * _reach(its end)
+    reaches 2**53, and the reports are the reference's on both sides."""
+    top = -(-arrays._FLOAT_EXACT // stochastic._reach(steps))
+    seen = spy_scans(monkeypatch)
+    for t in (top - 1, top):
+        seen.clear()
+        D = symmetric_pair(t)
+        simulate(D, V([0, 1]), 100, 5)
+        lyapunov_estimate(D, 100, 1, 5)
+        backward_loynes(D, 0, 100, 5)
+        want = [(np.dtype(object if t * stochastic._reach(end) >= arrays._FLOAT_EXACT
+                          else float), n) for end, n in ((16, 16), (48, 32), (100, 52))]
+        assert seen == want * 3
+        assert (want[(16, 48, 100).index(steps)][0] == object) == (t == top)
+        same_runs(D, [V([0, 1]), V([t, 0]), V([3, 3])], 100, tolerance=Fraction(1, 2))
+
+
+def test_a_huge_budget_alone_stays_on_float64(monkeypatch):
+    D = FiniteSupport.make([M([[2, EPS, 2], [1, 1, EPS], [EPS, 1, 1]]),
+                            M([[1, EPS, 1], [1, 1, EPS], [EPS, 1, 1]])], ["1/2", "1/2"])
+    seen = spy_scans(monkeypatch)
+    for budget in (10**6, 10**18):
+        args = dict(tolerance=0, budget=budget, seed=3)
+        got = backward_loynes(D, **args)
+        assert got.converged and report_text(got) == report_text(
+            reference.backward_loynes(D, **args))
+        got = forward_coupling(D, [V([0, 0, 0]), V([0, 5, 2])], budget, 1e-6, 3, 2)
+        assert got.certified_fraction() == 1
+    assert {dtype for dtype, _ in seen} == {np.dtype(float)}
+
+
+# ---------------------------------------------------------------------------
+# Letters, and the cost of the drivers
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_supports(), st.lists(st.integers(0, 40), min_size=1, max_size=6),
+       st.booleans(), st.integers(0, 10**6))
+def test_letters_do_not_depend_on_the_block_split(D, sizes, backward, seed):
+    whole = stochastic._Letters(D, np.random.default_rng(seed), backward).draw(sum(sizes))
+    letters = stochastic._Letters(D, np.random.default_rng(seed), backward)
+    assert np.concatenate([letters.draw(n) for n in sizes]).tolist() == whole.tolist()
+
+
+def test_exact_drivers_make_no_scalar_call(count_calls):
+    """The exact drivers multiply, test and measure on arrays: no scalar
+    product, rank-one test, distance or diameter runs inside them."""
+    products = count_calls(semiring, "mat_mul", "mat_vec")
+    tests = count_calls(projective, "is_rank_one", "proj_dist", "proj_diameter")
+    D = FiniteSupport.make(
+        [M([[2, EPS, "1/2"], [1, 1, EPS], [EPS, 1, "3/2"]]),
+         M([[1, EPS, 1], [1, "1/3", EPS], [EPS, 1, 1]])], ["1/2", "1/2"])
+    x0s = [V([0, 0, 0]), V([0, 5, "2/3"])]
+    assert forward_coupling(D, x0s, 100, Fraction(1, 3), 1, 4).certified_fraction() == 1
+    assert backward_loynes(D, 0, 500, 1).converged
+    backward_loynes(D, Fraction(1, 10**9), 50, 1, trace_every=3)
+    simulate(D, x0s[1], 300, 1)
+    lyapunov_estimate(D, 300, 4, 1)
+    assert sum(products.values()) + sum(tests.values()) == 0
+    stochastic.word_product(D, (0, 1))
+    assert products["mat_mul"] == 1  # the counter sees the calls of other modules
+
+
+def test_scan_forms_the_running_products():
+    rng = np.random.default_rng(0)
+    X = rng.integers(-9, 9, (2, 7, 3, 3)).astype(float)
+    X[X < -6] = -math.inf
+    carry = rng.integers(-9, 9, (2, 3, 3)).astype(float)
+    for right in (False, True):
+        got = arrays._scan(X.copy(), carry, arrays._no_clamp, right)
+        for g in range(2):
+            P = carry[g]
+            for j in range(7):
+                P = arrays._stack_mul(P, X[g, j]) if right else arrays._stack_mul(X[g, j], P)
+                assert (got[g, j] == P).all()

@@ -358,6 +358,45 @@ class TestStochasticCommands:
         assert result["two_block"] == "differences diverge"
 
 
+class TestNegativeCounts:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--x0", "a", "--horizon", "3", "--replication", "-1"],
+            ["loynes", "--replication", "-1"],
+            ["couple", "--x0", "a", "--x0", "b", "--horizon", "-5"],
+            ["loynes", "--budget", "-3"],
+            ["loynes", "--trace-every", "-2"],
+        ],
+    )
+    def test_negative_count_is_contract_violation(self, ring_dist, x0_files, capsys, argv):
+        from maxplus import cli
+
+        files = dict(zip("ab", x0_files))
+        argv = [files.get(a, a) for a in argv] + ["--dist", ring_dist, "--seed", "1"]
+        assert cli.main(argv) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "contract"
+
+    def test_zero_horizon_and_budget_report_no_step(self, ring_dist, x0_files, capsys):
+        from maxplus import cli
+
+        a, b = x0_files
+        argv = ["couple", "--dist", ring_dist, "--x0", a, "--x0", b, "--horizon", "0",
+                "--seed", "1", "--replications", "2"]
+        assert cli.main(argv) == 0
+        samples = json.loads(capsys.readouterr().out)["result"]["samples"]
+        assert samples == [
+            {"replication": r, "merge_time": None, "eta_time": None, "window_start": None,
+             "window_length": None}
+            for r in range(2)
+        ]
+        assert cli.main(["loynes", "--dist", ring_dist, "--budget", "0", "--seed", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"] == {
+            "achieved_diameter": "inf", "converged": False, "limit_class": None,
+            "replication": 0, "seed": 1, "steps": 0, "tolerance": 0.0, "trace": [],
+        }
+
+
 class TestModelPipeline:
     def test_emitted_distribution_feeds_other_commands(self, tmp_path):
         spec = write(

@@ -611,7 +611,9 @@ class TestIntegerScaledRoutines:
 
 def test_exact_routines_multiply_integers(monkeypatch):
     """No Fraction reaches mat_mul or is_rank_one inside the exact routines;
-    only the report matrices of pattern_search multiply the rational support."""
+    only the report matrices of pattern_search multiply the rational support.
+    (The exact drivers make neither call at all, see
+    test_block_drivers.py::test_exact_drivers_make_no_scalar_call.)"""
     D = FiniteSupport.make(
         [cjn_matrix(["5/2", "1/3", "1/2"]), cjn_matrix(["1/2", "1/3", "1/2"])], ["1/3", "2/3"]
     )
@@ -634,13 +636,13 @@ def test_exact_routines_multiply_integers(monkeypatch):
             reporting.pop()
 
     monkeypatch.setattr(stochastic, "mat_mul", recording(stochastic.mat_mul))
-    monkeypatch.setattr(stochastic, "is_rank_one", recording(stochastic.is_rank_one))
+    monkeypatch.setattr(projective, "is_rank_one", recording(projective.is_rank_one))
     monkeypatch.setattr(stochastic, "word_product", report_product)
     assert pattern_search(D, max_len=8).found
     x0s = [V(["1/5", 0, 2]), V([0, "3/4", 1])]
     assert forward_coupling(D, x0s, horizon=60, seed=1, replications=2).certified_fraction() == 1
     assert backward_loynes(D, tolerance=0, budget=200, seed=1).converged
-    assert seen == {int}
+    assert Fraction not in seen
 
 
 # ---------------------------------------------------------------------------
@@ -944,8 +946,10 @@ def test_float_routines_use_no_scalar_kernel(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("scalar kernel called")
 
-    for name in ("mat_vec", "mat_mul", "proj_diameter", "proj_dist"):
-        monkeypatch.setattr(stochastic, name, forbidden)
+    for module in (semiring, projective, stochastic):
+        for name in ("mat_vec", "mat_mul", "proj_diameter", "proj_dist"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
     D = shared_uniform_diagonal(4, 0.1, 1.2)
     x0s = [V([0.0, 1.0, 2.0, 0.5], FLOAT), V([1.0, 0.0, 0.0, 3.0], FLOAT)]
     tr = simulate(D, x0s[0], 40, 1)
