@@ -16,9 +16,10 @@ Its callers:
   behind the transient and the cyclicity, on the normalized matrix;
 - the exact word search of ``stochastic.pattern_search``, on the
   integer-scaled support: it expands a whole breadth-first level as one
-  stack of products (``_stack_mul``), takes their projective normal forms
-  and tests them all for rank one at once (``_rank_one_flags``), and hands
-  each new normal form to the spectral record as it is.
+  stack of products (``_stack_mul``), takes their projective normal forms,
+  tests the new ones for rank one at once (``_rank_one_flags``), and,
+  until a weak pattern is found, hands them in batches of levels to the
+  batched spectral record (``spectral._scs1cyc1_flags``).
 
 The exact callers hold their integers on the dtype ``_guard`` picks for
 the largest value they form: float64 while every such value stays below
@@ -197,5 +198,4 @@ def _stack_keys(Q: np.ndarray) -> list:
     n = len(Q)
     if Q.dtype == object:
         return [tuple(row) for row in Q.reshape(n, -1).tolist()]
-    data, size = Q.tobytes(), Q[0].nbytes
-    return [data[i * size : (i + 1) * size] for i in range(n)]
+    return np.ascontiguousarray(Q).reshape(n, -1).view(f"V{Q[0].nbytes}")[:, 0].tolist()

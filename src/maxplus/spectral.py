@@ -25,8 +25,14 @@ those integers are below 2**53, where float64 holds them exactly, and an
 object array of Python ints with an integer eps past that
 (``arrays._guard``), with the same code. A float matrix enters the same
 record as the exact dyadic rationals its entries denote and is rounded
-once on output, so no check fails through rounding. The word search hands
-its integer states to the record directly (``_int_scs1cyc1``).
+once on output, so no check fails through rounding.
+
+The steps of the record run on a whole stack of matrices at once
+(``_records``); a spectral reader passes a single matrix. The word search
+tests a batch of new states, one or more levels, for the weak pattern
+(irreducible, one critical SCC, cyclicity 1) on one such stack
+(``_scs1cyc1_flags``), and reads "one SCC of cyclicity 1" from boolean
+powers of the critical adjacency rather than an SCC decomposition.
 
 The power loop behind the transient M and cyclicity d walks Abar, Abar^2,
 ... on the same kernel. An entry of Abar^n is a sum of n entries of Abar,
@@ -117,24 +123,104 @@ class _Spectrum:
 
 def _reach(k: int) -> int:
     """A bound, in units of max|B|, on every integer the record of a k x k
-    integer matrix B forms (see _int_spectrum)."""
+    integer matrix B forms (see _records)."""
     return 6 * k * k
+
+
+def _irreducible(finite):
+    """Whether every node reaches every other, for a (..., k, k) stack of
+    finite-entry patterns. The pattern with the identity is squared until
+    paths of k - 1 arcs are covered."""
+    import numpy as np
+
+    k = finite.shape[-1]
+    reach = finite | np.eye(k, dtype=bool)
+    for _ in range((k - 1).bit_length()):
+        reach = reach @ reach
+    return reach.all((-2, -1))
+
+
+def _records(B, eps, clamp) -> tuple:
+    """The record arrays of each matrix of B, a (..., k, k) stack of
+    irreducible integer matrices on the dtype that arrays._guard picked for
+    reach ``_reach(k)``, with eps entries eps and that guard's clamp; a
+    single (k, k) matrix is the stack with no leading axis. Returns (p, q,
+    abar, plus, nodes, arcs): lambda = p / q in lowest terms, each of the
+    leading shape; abar = q B - p and its closure abar+, each (..., k, k);
+    the critical nodes, a (..., k) mask; and the critical arcs, a
+    (..., k, k) mask whose entry (i, j) is the arc i -> j.
+
+    Every step is one array operation on the whole stack. With t = max|B|,
+    the integers formed are: the Karp walks of up to k arcs (at most k t),
+    the cross products that compare their means (at most 2 k^2 t),
+    Abar = q B - p (at most a = 2 k t, as q <= k and |p| <= k t), the
+    closure, whose entries are best path weights (at most k a) and whose
+    candidate sums are at most 2 k a, the fixpoint and critical sums (at
+    most 2 k a), and the eigenvector check of ``_eigenbasis`` (at most
+    3 k a = 6 k^2 t), all within the reach.
+    """
+    import numpy as np
+
+    k = B.shape[-1]
+    # Karp: walks of 0..k arcs from node 0, one array mat-vec step each;
+    # W[j] holds the walks of j arcs
+    x = np.full(B.shape[:-1], eps, B.dtype)
+    x[..., 0] = 0
+    walks = [x]
+    for _ in range(k):
+        x = (B + x[..., None, :]).max(-1)
+        clamp(x)
+        walks.append(x)
+    W = np.array(walks)
+    live = x != eps
+    if not live.any(-1).all():
+        raise ContractViolation("eigenvalue: graph has no circuit")
+    # lambda = max over live v of min over j of D[j, v] / E[j], with
+    # D = W[k] - W[j] and E = k - j, comparing a / b with c / d as a d with
+    # c b. A node reached in k arcs is reached in fewer too, so every min
+    # over a live v is finite; an eps W[j, v] gives +inf, or on an object
+    # array an integer above every finite D, and never attains the min. The
+    # nodes that are not live take W[k, v] = 0, and then the mean eps, below
+    # every other, for the max. The N matrices of the stack lie on one axis.
+    D = (np.where(live, x, 0) - W[:k]).reshape(k, -1, k)  # (j, N, v)
+    E = np.arange(k, 0, -1).astype(B.dtype)
+    least = (D[:, None] * E[None, :, None, None] <= D[None] * E[:, None, None, None])
+    least = least.all(1).argmax(0)  # (N, v)
+    rows = np.arange(len(least))
+    num = np.where(live.reshape(-1, k), D[least, rows[:, None], np.arange(k)], eps)
+    den = E[least]
+    best = (num[:, :, None] * den[:, None] >= num[:, None] * den[:, :, None]).all(-1).argmax(-1)
+    num, den = num[rows, best], den[rows, best]
+    g = np.gcd(num, den) if B.dtype == object else np.gcd(num.astype(int), den.astype(int))
+    p, q = (num // g).reshape(x.shape[:-1]), (den // g).reshape(x.shape[:-1])
+
+    abar = B * q[..., None, None] - p[..., None, None]
+    clamp(abar)
+    # abar+ by k Floyd-Warshall relaxations: entry (i, j) is the best
+    # weight of a path from j to i of length >= 1, as no circuit of abar
+    # has positive weight
+    plus = abar.copy()
+    for m in range(k):
+        np.maximum(plus, plus[..., :, m, None] + plus[..., None, m, :], out=plus)
+        clamp(plus)
+    arcs = abar.swapaxes(-1, -2)
+    closed = (plus[..., :, None, :] + arcs[..., None, :, :]).max(-1)  # abar+ abar
+    clamp(closed)
+    if (closed > plus).any():
+        raise ContractViolation("a_plus: fixpoint A+ oplus A^(k+1) = A+ failed")
+    # node i is critical iff abar+_(ii) = 0, the arc i -> j iff
+    # abar_(ji) + abar+_(ij) = 0 (such an arc closes a circuit of weight 0,
+    # so both its ends are critical)
+    nodes = plus.diagonal(0, -2, -1) == 0
+    return p, q, abar, plus, nodes, arcs + plus == 0
 
 
 def _int_spectrum(B, eps, backing: str = EXACT, scale: int = 1) -> Optional[_Spectrum]:
     """The record of A = B / scale, for B a (k, k) integer array of the
     array kernel whose eps entries equal eps; None when B is reducible.
-
-    Every step runs on arrays. With t = max|B|, the integers formed are:
-    the Karp walks of up to k arcs (at most k t), the cross products that
-    compare their means (at most 2 k^2 t), Abar = q B - p (at most
-    a = 2 k t, as q <= k and |p| <= k t), the closure, whose entries are
-    best path weights (at most k a) and whose candidate sums are at most
-    2 k a, the fixpoint and critical sums (at most 2 k a), and the
-    eigenvector check (at most 3 k a = 6 k^2 t). So B is recast under the
-    guard with reach ``_reach(k)`` = 6 k^2: float64 when all of these are
-    exact there.
-    """
+    The one-matrix case of ``_records``: B is recast under the guard with
+    reach ``_reach(k)``, float64 when every integer the record forms is
+    exact there."""
     # numpy and the kernel load on first use, in the functions that use
     # them, and not with this module: the package imports spectral before
     # stochastic, and without a bytecode cache numpy loaded ahead of
@@ -142,80 +228,68 @@ def _int_spectrum(B, eps, backing: str = EXACT, scale: int = 1) -> Optional[_Spe
     # about 1.7 MB.
     import numpy as np
 
-    from .arrays import _max_last, _recast
+    from .arrays import _recast
 
     k = len(B)
     finite = B != eps
-    # irreducible iff every node reaches every other: square the pattern
-    # with the identity until paths of k - 1 arcs are covered
-    reach = finite | np.eye(k, dtype=bool)
-    for _ in range((k - 1).bit_length()):
-        reach = reach @ reach
-    if not reach.all():
+    if not _irreducible(finite):
         return None
     B, eps, clamp = _recast(B, finite, _reach(k))
-
-    # Karp: walks of 0..k arcs from node 0, one array mat-vec step each
-    x = np.full(k, eps, B.dtype)
-    x[0] = 0
-    walks = [x]
-    for _ in range(k):
-        x = _max_last(B + x, False)
-        clamp(x)
-        walks.append(x)
-    W = np.array(walks)
-    live = W[k] != eps
-    if not live.any():
-        raise ContractViolation("eigenvalue: graph has no circuit")
-    # lambda = max over v of min over j of D[j, v] / E[j], with
-    # D = W[k] - W[j] and E = k - j, comparing a / b with c / d as a d with
-    # c b. A node reached in k arcs is reached in fewer too, so every min
-    # is finite; an eps W[j, v] gives +inf, or on an object array an integer
-    # above every finite D, and never attains the min.
-    D = W[k, live] - W[:k, live]
-    E = np.arange(k, 0, -1, dtype=B.dtype)[:, None]
-    least = (D[:, None] * E[None] <= D[None] * E[:, None]).all(1).argmax(0)
-    num, den = D[least, np.arange(len(least))], E[least, 0]
-    best = (num[:, None] * den[None] >= num[None] * den[:, None]).all(1).argmax()
-    lam = Fraction(int(num[best]), int(den[best]))
-    q, p = lam.denominator, lam.numerator
-
-    abar = B * q - p
-    clamp(abar)
-    # abar+ by k Floyd-Warshall relaxations: entry (i, j) is the best
-    # weight of a path from j to i of length >= 1, as no circuit of abar
-    # has positive weight
-    plus = abar.copy()
-    for m in range(k):
-        np.maximum(plus, plus[:, m, None] + plus[m], out=plus)
-        clamp(plus)
-    closed = _max_last(plus[:, None, :] + abar.T[None], False)  # abar+ abar
-    clamp(closed)
-    if (closed > plus).any():
-        raise ContractViolation("a_plus: fixpoint A+ oplus A^(k+1) = A+ failed")
-    # node i is critical iff abar+_(ii) = 0, the arc i -> j iff
-    # abar_(ji) + abar+_(ij) = 0 (such an arc closes a circuit of weight 0,
-    # so both its ends are critical)
-    nodes = tuple(np.flatnonzero(plus.diagonal() == 0).tolist())
-    arcs = tuple(map(tuple, np.argwhere(abar.T + plus == 0).tolist()))
+    p, q, abar, plus, nodes, arcs = _records(B, eps, clamp)
+    nodes = tuple(np.flatnonzero(nodes).tolist())
+    arcs = tuple(map(tuple, np.argwhere(arcs).tolist()))
     critical = CriticalGraph(nodes, arcs, scc_from_arcs(k, arcs, nodes=nodes))
-    return _Spectrum(backing, q * scale, p, abar, plus, eps, critical)
+    return _Spectrum(backing, int(q) * scale, int(p), abar, plus, eps, critical)
 
 
-def _integers(A: Matrix) -> tuple:
-    """(B, eps, L): A scaled by the lcm L of its entry denominators, as an
-    integer array of the array kernel with eps entries eps."""
+# The matrices of a stack are tested in slices of at most this many entries
+# of an (n, k, k, k) temporary, so the predicate's memory does not grow
+# with the level.
+_SLICE = 2**18
+
+
+def _scs1cyc1_flags(Q, eps) -> list:
+    """Irreducible and scs1cyc1, for each matrix of the integer stack Q
+    (n, k, k) of the array kernel whose eps entries equal eps, as a list of
+    bools; a reducible matrix reads as False.
+
+    The stack's irreducible matrices are recast once, for the largest
+    magnitude among them, and their records built a slice at a time. A
+    critical graph is one SCC of cyclicity 1 iff its adjacency C,
+    restricted to the critical nodes, is primitive, and by Wielandt's bound
+    a primitive m x m pattern has C^t all true for every t > (m - 1)^2,
+    while no power of an imprimitive or not strongly connected one is. So
+    C squared s times, with 2^s > (k - 1)^2 >= (m - 1)^2, decides both at
+    once, with no SCC decomposition.
+    """
+    import numpy as np
+
+    from .arrays import _recast
+
+    n, k, _ = Q.shape
+    finite = Q != eps
+    flags = _irreducible(finite)
+    which = np.flatnonzero(flags)
+    B, eps, clamp = _recast(Q[which], finite[which], _reach(k))
+    step = max(1, _SLICE // k**3)
+    for lo in range(0, len(which), step):
+        *_, nodes, C = _records(B[lo : lo + step], eps, clamp)
+        for _ in range(((k - 1) ** 2).bit_length()):
+            C = C @ C
+        outside = ~(nodes[:, :, None] & nodes[:, None])
+        flags[which[lo : lo + step]] = (C | outside).all((1, 2))
+    return flags.tolist()
+
+
+def _spectrum(A: Matrix) -> _Spectrum:
+    """The one exact record behind every spectral reader of A: A scaled by
+    the lcm L of its entry denominators, as an integer array of the array
+    kernel."""
     from .arrays import _int_stack
 
     lcm, (B,), _ = scale_to_integers((A,))
     stack, eps, _ = _int_stack([B], 1)
-    return stack[0], eps, lcm
-
-
-def _spectrum(A: Matrix) -> _Spectrum:
-    """The one exact record behind every spectral reader of A."""
-    B, eps, lcm = _integers(A)
-    rec = _int_spectrum(B, eps, A.backing, lcm)
+    rec = _int_spectrum(stack[0], eps, A.backing, lcm)
     if rec is None:
         raise ContractViolation("eigenvalue: matrix is not irreducible")
     return rec
@@ -396,18 +470,6 @@ def _scs1cyc1(rec: _Spectrum) -> bool:
 def is_scs1cyc1(A: Matrix) -> bool:
     """Single critical SCC and cyclicity 1: the powers converge projectively."""
     return _scs1cyc1(_spectrum(A))
-
-
-def _int_scs1cyc1(B, eps) -> bool:
-    """Irreducible and scs1cyc1, for the integer array B of the array
-    kernel whose eps entries equal eps; reducible B reads as False."""
-    rec = _int_spectrum(B, eps)
-    return rec is not None and _scs1cyc1(rec)
-
-
-def _irreducible_scs1cyc1(A: Matrix) -> bool:
-    """is_irreducible(A) and is_scs1cyc1(A), from one record."""
-    return _int_scs1cyc1(*_integers(A)[:2])
 
 
 def classify(A: Matrix, with_transient: bool = False, max_power: Optional[int] = None) -> SpectralSummary:

@@ -87,7 +87,7 @@ from .semiring import (
     scale_to_integers,
     zero,
 )
-from .spectral import _int_scs1cyc1, _irreducible_scs1cyc1
+from .spectral import _scs1cyc1_flags
 
 DEFAULT_ETA = 1e-6
 _Z95 = 1.959963984540054
@@ -707,27 +707,36 @@ def lyapunov_estimate(
 _EPS_AT_HORIZON = "lyapunov_estimate: the state at the horizon has eps coordinates"
 
 
-def _group(replications: int, total: int) -> list:
-    """Replication ranges stepped as one integer stack: at most _CHUNK
-    matrices per block of a group, so a temporary of the scan or of the
-    states holds O(_CHUNK m k^2) entries however many replications run."""
-    largest = max(itertools.islice(_block_sizes(total, _FIRST_CHUNK), 8), default=1)
-    size = max(1, _CHUNK // largest)
+def _group(replications: int, total: int, first: int = _FIRST_CHUNK, cap: int = _CHUNK) -> list:
+    """Replication ranges stepped as one stack: at most cap matrices per
+    block of a group, for blocks of _block_sizes(total, first), so a
+    temporary of the scan or of the states holds O(cap m k^2) entries
+    however many replications run."""
+    largest = max(itertools.islice(_block_sizes(total, first), 8), default=1)
+    size = max(1, cap // largest)
     return [range(lo, min(lo + size, replications)) for lo in range(0, replications, size)]
+
+
+# A float Lyapunov group holds at most this many matrix entries per block
+# (16 MB of float64): estimate_float's jobs, 4 replications of at most
+# 1024 matrices of k <= 8, stay one group.
+_FLOAT_GROUP = 2**21
 
 
 def _growth(D, x0, horizon, replications, seed, channel) -> list:
     """max_i x_i(horizon) / horizon per replication, the replications of a
     group stepped as one stack. Exact: groups of _group, and x = C x for the
-    product C of each block, the last of its scan. Float: one group, each
-    state from the one before: (R, k, k) + (R, 1, k), max over the last
-    axis."""
+    product C of each block, the last of its scan. Float: groups of at most
+    _FLOAT_GROUP entries a block, each state from the one before:
+    (R, k, k) + (R, 1, k), max over the last axis. A replication's steps do
+    not depend on the others of its group, so neither do its values."""
     exact = D.backing == EXACT
     if exact:
         walk = _IntWalk(D, (x0,), horizon)
         groups, first, start, new = _group(replications, horizon), _FIRST_CHUNK, walk.x0[0], walk.stream
     else:
-        groups, first = [range(replications)], _CHUNK
+        first = _CHUNK
+        groups = _group(replications, horizon, first, _FLOAT_GROUP // (D.k * D.k))
         start = np.array([-math.inf if v is EPS else v for v in x0.entries])
         new = functools.partial(_FloatStream, D, when="lyapunov_estimate")
     values = []
@@ -1094,44 +1103,63 @@ def _word_bfs(D: FiniteSupport, root, expand, visit, max_len: int, budget: int):
     major and letter minor, and takes them in that order, which is the
     order of a first-in first-out queue. Under a Markov kernel the key also
     holds the last letter, which decides the letters that may follow.
-    visit(word, children, i) sees each new key once and may return a result
-    to stop with. At most budget words are expanded (the empty word aside),
-    and words stop growing at max_len. Returns (result, saturated, states):
-    saturated means every state reachable below max_len was visited; states
-    counts the distinct keys seen."""
+    visit(children, new, word) sees the new keys of a level at once: new
+    indexes the first child of each into children, in that order, and
+    word(i) is the word of child i, also after the walk has moved on; it
+    returns the position in new of the state to stop at, whose word is the
+    result, or None. At most budget words are expanded (the empty word
+    aside), and words stop growing at max_len. Returns (result, saturated,
+    states): saturated means every state reachable below max_len was
+    visited; states counts the distinct keys seen, up to the one stopped
+    at."""
     markov = D.kernel is not None
-    follows = [_next_letters(D, letter) for letter in range(D.size)]
+    # the letters that may follow each letter, and last those that may
+    # start a word: the root's last letter reads as -1
+    follows = [_next_letters(D, letter) for letter in range(D.size)] + [_initial_letters(D)]
     seen = set()
-    level, parents, words = root, [0], [()]
+    level, parents, lasts = root, [0], [-1]
+    # per level, the parent and the letter of each child: a word is read
+    # back from these only when it is reported
+    trail = []
     expanded = 0
     cut = False
+
+    def reader(depth):
+        def word(i):
+            letters = []
+            for at, last in reversed(trail[:depth]):
+                letters.append(last[i])
+                i = at[i]
+            return tuple(reversed(letters))
+
+        return word
+
     while parents:
-        if words[0]:  # the empty word is not counted
-            if len(words[0]) >= max_len or expanded >= budget:
+        if trail:  # the empty word is not counted
+            if len(trail) >= max_len or expanded >= budget:
                 return None, False, len(seen)
             cut = len(parents) > budget - expanded
-            del parents[budget - expanded :], words[budget - expanded :]
+            del parents[budget - expanded :]
             expanded += len(parents)
-        at, letters, stems = [], [], []
-        for p, word in zip(parents, words):
-            nxt = follows[word[-1]] if word else _initial_letters(D)
+        at, letters = [], []
+        for p in parents:
+            nxt = follows[lasts[p]]
             at += [p] * len(nxt)
             letters += nxt
-            stems += [word] * len(nxt)
         children, keys = expand(level, at, letters)
-        level, parents, words = children, [], []
-        for i, (key, letter, stem) in enumerate(zip(keys, letters, stems)):
-            if markov:
-                key = (key, letter)
-            if key in seen:
-                continue
-            seen.add(key)
-            word = stem + (letter,)
-            res = visit(word, children, i)
-            if res is not None:
-                return res, False, len(seen)
-            parents.append(i)
-            words.append(word)
+        trail.append((at, letters))
+        if markov:
+            keys = list(zip(keys, letters))
+        new = []
+        for i, key in enumerate(keys):
+            if key not in seen:
+                seen.add(key)
+                new.append(i)
+        word = reader(len(trail))
+        stop = visit(children, new, word)
+        if stop is not None:
+            return word(new[stop]), False, len(seen) - len(new) + stop + 1
+        level, parents, lasts = children, new, letters
         if cut:
             return None, False, len(seen)
     return None, True, len(seen)
@@ -1197,6 +1225,12 @@ class PatternReport:
         }
 
 
+# pattern_search reads the weak-pattern predicate once this many new states
+# wait for it: one call covers the few states of the first levels, and
+# little is read past the first flagged state.
+_WEAK_BATCH = 8
+
+
 def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) -> PatternReport:
     """Search admissible words for one whose matrix product is rank-one
     (BFS, so a hit has minimal length). Also records the first word whose
@@ -1214,45 +1248,89 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
     if max_len < 1:
         raise ContractViolation("pattern_search: max_len must be >= 1")
     _check_condition_i(D)
-    weak = {}
-    # states are the projective normal forms of the integer-scaled products:
-    # scaling every matrix by one positive factor visits the same words. A
-    # word has at most W = min(max_len, budget + 1) letters, so a normal
-    # form has entries in [-2 W top, 0] and the outer sums of the rank-one
-    # test in [-4 W top, 0] (see _rank_one_flags).
-    _, Dint, _ = _integer_support(D)
+    # states are the projective normal forms Q of the integer-scaled
+    # products P, with the shift s of each, so that P = Q + s: scaling
+    # every matrix by one positive factor visits the same words. A word has
+    # at most W = min(max_len, budget + 1) letters, so a normal form has
+    # entries in [-2 W top, 0], a shift is at most W top, and the outer
+    # sums of the rank-one test are in [-4 W top, 0] (see _rank_one_flags).
+    L, Dint, _ = _integer_support(D)
     length = min(max_len, max(budget, 0) + 1)
     support, eps, clamp = _int_stack(Dint.matrices, 2 * (length + 1))
-    # a level is (normal forms, rank-one flags); the root holds the identity
     identity = np.full((D.k, D.k), eps, support.dtype)
     np.fill_diagonal(identity, 0)
+    found = {}
+    # the new states the predicate has not read yet, in visit order: per
+    # level, the word reader, the indices, the normal forms and the shifts
+    pending = []
 
     def expand(level, parents, letters):
-        Q = _normal(_stack_mul(support[letters], level[0][parents]), clamp)
-        return (Q, _rank_one_flags(Q, clamp)), _stack_keys(Q)
+        Q, shift = level
+        C = _stack_mul(support[letters], Q[parents])
+        top = C.max((-2, -1))
+        Q = C - top[:, None, None]
+        clamp(Q)
+        return (Q, shift[parents] + top), _stack_keys(Q)
 
-    def on_state(word, level, i):
-        Q, rank_one = level
-        if rank_one[i]:
-            return word
-        if not weak and _int_scs1cyc1(Q[i], eps):
-            weak["word"] = word
-        return None
+    def read(hit=None):
+        """One predicate call on the pending states, and on the normal form
+        hit when given. Records the first flagged pending state as the weak
+        word; returns the flag of hit."""
+        Qs = np.concatenate([Q for *_, Q, _ in pending] + ([hit[None]] if hit is not None else []))
+        flags = _scs1cyc1_flags(Qs, eps)
+        mine = flags.pop() if hit is not None else None
+        weak = _first(flags)
+        if weak is not None:
+            word, i = [(word, i) for word, ahead, *_ in pending for i in ahead][weak]
+            found["weak"] = word(i), Qs[weak], np.concatenate([s for *_, s in pending])[weak]
+        pending.clear()
+        return mine
 
-    hit, saturated, explored = _word_bfs(D, (identity[None],), expand, on_state, max_len, budget)
-    scs_word = weak.get("word")
-    scs_mat = word_product(D, scs_word) if scs_word is not None else None
-    scs_prob = word_probability(D, scs_word) if scs_word is not None else None
-    if hit is not None:
-        P = word_product(D, hit)
-        cls = "rank-one+scs1cyc1" if _irreducible_scs1cyc1(P) else "rank-one"
+    def visit(level, new, word):
+        # while no weak word is known, the new states ahead of the first
+        # rank-one one wait for the predicate, as a state at a time in
+        # visit order would read them; it reads them once _WEAK_BATCH
+        # states wait, at the hit, whose class it gives, or at the end
+        Q, shift = level
+        hit = _first(_rank_one_flags(Q[new], clamp))
+        ahead = new[:hit]
+        if ahead and "weak" not in found:
+            pending.append((word, ahead, Q[ahead], shift[ahead]))
+        if hit is not None:
+            i = new[hit]
+            found["hit"] = word(i), Q[i], shift[i]
+            found["class"] = "rank-one+scs1cyc1" if read(Q[i]) else "rank-one"
+        elif sum(len(waiting) for _, waiting, *_ in pending) >= _WEAK_BATCH:
+            read()
+        return hit
+
+    _, saturated, explored = _word_bfs(
+        D, (identity[None], np.zeros(1, support.dtype)), expand, visit, max_len, budget
+    )
+    if pending:
+        read()
+
+    def certificate(key):
+        """(word, its product, its probability), or Nones."""
+        if key not in found:
+            return None, None, None
+        word, Q, s = found[key]
+        s = int(s)
+        rows = tuple(
+            tuple(EPS if v == eps else Fraction(int(v) + s, L) for v in row) for row in Q.tolist()
+        )
+        return word, Matrix(rows, EXACT), word_probability(D, word)
+
+    scs_word, scs_mat, scs_prob = certificate("weak")
+    if "hit" in found:
+        hit, P, prob = certificate("hit")
         return PatternReport(
             found=True,
             word=hit,
             matrix=P,
             length=len(hit),
-            classification=cls,
-            probability=word_probability(D, hit),
+            classification=found["class"],
+            probability=prob,
             status="found",
             states_explored=explored,
             max_len=max_len,
@@ -1353,13 +1431,11 @@ def structural_conditions(D: FiniteSupport, max_len: int = 64, budget: int = 500
         children = [_mask_mul(masks[letter], level[p], k) for p, letter in zip(parents, letters)]
         return children, children
 
+    def visit(level, new, word):
+        return next((pos for pos, i in enumerate(new) if level[i] == full_rows), None)
+
     witness, saturated, states = _word_bfs(
-        D,
-        [tuple(1 << i for i in range(k))],
-        expand,
-        lambda word, level, i: word if level[i] == full_rows else None,
-        max_len,
-        budget,
+        D, [tuple(1 << i for i in range(k))], expand, visit, max_len, budget
     )
     if witness is not None:
         cond_ii, status = True, "found"

@@ -13,7 +13,8 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from maxplus.semiring import EPS, EXACT, Matrix
+from maxplus import arrays, spectral
+from maxplus.semiring import EPS, EXACT, Matrix, scale_to_integers
 from maxplus.graphs import is_irreducible
 
 
@@ -63,6 +64,15 @@ def brute_max_cycle_mean(A: Matrix):
         if best is None or mean > best:
             best = mean
     return best
+
+
+def level_flags(mats, reach=1):
+    """spectral._scs1cyc1_flags of the exact matrices mats, scaled to
+    integers and stacked as one level of a walk whose values stay within
+    reach times their largest magnitude; returns (flags, stack dtype)."""
+    _, ints, _ = scale_to_integers(mats)
+    stack, eps, _ = arrays._int_stack(ints, reach)
+    return spectral._scs1cyc1_flags(stack, eps), stack.dtype
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,15 @@
 """The exact spectral record on the array kernel.
 
-``spectral._int_spectrum`` decides irreducibility, runs Karp's algorithm,
-builds Abar, its closure and fixpoint check, the critical graph and the
-eigenvectors on arrays: float64 while every integer it forms stays below
-2**53, object arrays of Python ints past that. These tests hold every
-reader to the product-based reference in ``reference_spectral`` and to a
-brute-force enumeration of circuits, on both sides of that guard, and hold
-the word search, which hands its integer states to the record as they
-are, to ``reference_stochastic``.
+``spectral._records`` decides irreducibility, runs Karp's algorithm,
+builds Abar, its closure and fixpoint check and the critical graph for a
+stack of matrices on arrays: float64 while every integer it forms stays
+below 2**53, object arrays of Python ints past that. These tests hold
+every reader, the one-matrix stack, to the product-based reference in
+``reference_spectral`` and to a brute-force enumeration of circuits, on
+both sides of that guard; hold the word search's level predicate
+(``spectral._scs1cyc1_flags``) to the one-matrix readers on mixed stacks;
+and hold the word search, which hands each level's new states to that
+predicate as they are, to ``reference_stochastic``.
 """
 
 import json
@@ -18,17 +20,19 @@ from hypothesis import given, settings, strategies as st
 
 import reference_spectral as reference
 import reference_stochastic
-from conftest import brute_max_cycle_mean
+from conftest import brute_max_cycle_mean, level_flags
 
 from maxplus import semiring, spectral, stochastic
+from maxplus.graphs import is_irreducible
 from maxplus.models import cjn_matrix
-from maxplus.semiring import EPS, EXACT, BudgetExceeded, Matrix
+from maxplus.semiring import EPS, EXACT, BudgetExceeded, Matrix, scale_to_integers
 from maxplus.spectral import (
     a_plus,
     classify,
     critical_graph,
     eigenbasis,
     eigenvalue,
+    is_scs1cyc1,
     normalize,
 )
 from maxplus.stochastic import FiniteSupport, pattern_search
@@ -203,22 +207,25 @@ def test_pattern_search_matches_reference_at_every_budget(D):
 def tie_support():
     """Two ring draws that tie their maxima at the same two queues: the
     search saturates without a rank-one word, and every state it meets
-    gets a spectral record."""
+    goes through the level predicate."""
     return FiniteSupport.make([cjn_matrix([2, 2, 1]), cjn_matrix([3, 3, 1])], ["1/2", "1/2"])
 
 
 def spy_visits(monkeypatch):
-    """Wrap the visit of every word walk; returns (records, built): the
-    dtype of each record built while a visit runs (None for a reducible
-    state) and the Matrix objects made then."""
-    records, built, inside = [], [], []
-    record = spectral._int_spectrum
+    """Wrap the visit of every word walk; returns (tested, records, built):
+    the number of states handed to the weak-pattern predicate, the dtype of
+    each stack of records built, and the Matrix objects made while a visit
+    runs."""
+    tested, records, built, inside = [], [], [], []
+    flags, record = stochastic._scs1cyc1_flags, spectral._records
 
-    def recording(B, eps, *args):
-        rec = record(B, eps, *args)
-        if inside:
-            records.append(None if rec is None else rec.abar.dtype)
-        return rec
+    def testing(Q, eps):
+        tested.append(len(Q))
+        return flags(Q, eps)
+
+    def recording(B, *args):
+        records.append(B.dtype)
+        return record(B, *args)
 
     init = Matrix.__init__
 
@@ -239,32 +246,179 @@ def spy_visits(monkeypatch):
 
         return walk(D, root, expand, visiting, max_len, budget)
 
-    monkeypatch.setattr(spectral, "_int_spectrum", recording)
+    monkeypatch.setattr(stochastic, "_scs1cyc1_flags", testing)
+    monkeypatch.setattr(spectral, "_records", recording)
     monkeypatch.setattr(Matrix, "__init__", counting)
     monkeypatch.setattr(stochastic, "_word_bfs", walking)
-    return records, built
+    return tested, records, built
 
 
 def test_pattern_visit_builds_no_matrix(monkeypatch):
-    records, built = spy_visits(monkeypatch)
+    tested, records, built = spy_visits(monkeypatch)
     got = pattern_search(tie_support(), max_len=16)
     assert got.status == "saturated" and got.scs1cyc1_word is None
-    assert len(records) == got.states_explored
-    assert built == []
+    assert sum(tested) == got.states_explored
+    assert records and built == []
     assert same_json(got, reference_stochastic.pattern_search(tie_support(), 16, 200000))
 
 
 def test_search_records_leave_float64_when_they_must(monkeypatch):
     # words of <= 4 letters keep the walk on float64 while 2 (4 + 1) max|Aint|
-    # < 2**53, but the record forms integers up to _reach(3) = 90 times the
+    # < 2**53, but the records form integers up to _reach(3) = 54 times the
     # largest magnitude of a state, past 2**53
     D = tie_support()
     big = FiniteSupport.make(
         [M([[EPS if v is EPS else v * 2**48 for v in row] for row in A.rows]) for A in D.matrices],
         D.probabilities,
     )
-    records, _ = spy_visits(monkeypatch)
+    _, records, _ = spy_visits(monkeypatch)
     got = pattern_search(big, max_len=4)
-    assert set(records) - {None} == {np.dtype(object)}
+    assert set(records) == {np.dtype(object)}
     assert same_json(got, reference_stochastic.pattern_search(big, 4, 200000))
     assert got.states_explored == pattern_search(D, max_len=4).states_explored
+
+
+# ---------------------------------------------------------------------------
+# The level predicate of the word search
+
+
+@st.composite
+def level_matrices(draw, k, c):
+    """A k x k exact matrix with a finite entry in every row, entries times
+    c, of one of these kinds: "random" patterns (often reducible);
+    "reducible" ones with no arc from the last nodes to the first;
+    "periodic" ones, whose critical graph has d in {1, 2, 3} node classes
+    and 0-weight arcs only from a class to the next, so its cyclicity is a
+    multiple of d; and "components", with two critical loops."""
+    kinds = ["random", "periodic"] + (["reducible", "components"] if k > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    small = st.integers(-3, 3)
+    rows = [[draw(st.one_of(st.none(), small)) for _ in range(k)] for _ in range(k)]
+    if kind == "reducible":
+        m = draw(st.integers(1, k - 1))
+        for i in range(m):
+            for j in range(m, k):
+                rows[i][j] = None
+    elif kind in ("periodic", "components"):
+        # every arc weighs -1 or less, with a Hamiltonian circuit of -1 arcs
+        # for irreducibility, then the critical circuits weigh 0
+        rows = [[None if v is None else -1 - abs(v) for v in row] for row in rows]
+        perm = draw(st.permutations(range(k)))
+        for a in range(k):
+            rows[perm[(a + 1) % k]][perm[a]] = -1
+        if kind == "components":
+            rows[perm[0]][perm[0]] = rows[perm[1]][perm[1]] = 0
+        else:
+            d = draw(st.sampled_from([v for v in (1, 2, 3) if v <= k]))
+            crit = perm[: d * draw(st.integers(1, k // d))]
+            for a, node in enumerate(crit):
+                rows[crit[(a + 1) % len(crit)]][node] = 0
+                for b, other in enumerate(crit):
+                    if b % d == (a + 1) % d and draw(st.booleans()):
+                        rows[other][node] = 0
+    for row in rows:
+        if all(v is None for v in row):
+            row[draw(st.integers(0, k - 1))] = draw(small)
+    shift = draw(st.integers(-2, 2))
+    q = draw(st.sampled_from([1, 2]))
+    return M([[EPS if v is None else Fraction(c * (v + shift), q) for v in row] for row in rows])
+
+
+@st.composite
+def predicate_levels(draw):
+    """(mats, reach): a level of 1-6 matrices sharing k = 1..8. reach 1
+    with small entries keeps everything on float64; entries near 2**51
+    keep the stack on float64 while the records need object arrays; reach
+    2**60 puts the stack itself on object arrays."""
+    k = draw(st.integers(1, 8))
+    c, reach = draw(st.sampled_from([(1, 1), (2**51, 1), (1, 2**60)]))
+    return [draw(level_matrices(k, c)) for _ in range(draw(st.integers(1, 6)))], reach
+
+
+@settings(max_examples=100, deadline=None)
+@given(predicate_levels())
+def test_level_predicate_matches_the_one_matrix_readers(case):
+    mats, reach = case
+    dtypes = []
+    record = spectral._records
+
+    def recording(B, *args):
+        dtypes.append(B.dtype)
+        return record(B, *args)
+
+    spectral._records = recording
+    try:
+        flags, stack_dtype = level_flags(mats, reach)
+    finally:
+        spectral._records = record
+    # slices of one matrix each give the same flags
+    k, size = mats[0].k, spectral._SLICE
+    spectral._SLICE = k**3
+    try:
+        assert level_flags(mats, reach)[0] == flags
+    finally:
+        spectral._SLICE = size
+    want = []
+    for A in mats:
+        irreducible = is_irreducible(A)
+        want.append(irreducible and is_scs1cyc1(A))
+        if irreducible:
+            assert want[-1] == reference.classify(A).scs1cyc1
+    assert flags == want
+
+    # the stack and its records sit on the dtype their reach requires: the
+    # records are recast once, for the largest irreducible matrix
+    def dtype(mats, reach):
+        top = max([0] + [abs(v) for A in mats for row in A.rows for v in row if v is not EPS])
+        return np.dtype(object if top * reach >= 2**53 else float)
+
+    ints = scale_to_integers(mats)[1]
+    assert stack_dtype == dtype(ints, reach)
+    assert set(dtypes) <= {dtype([A for A in ints if is_irreducible(A)], spectral._reach(k))}
+
+
+# Two iid supports whose first rank-one state and first scs1cyc1 state fall
+# in the same level, before any scs1cyc1 state: the rank-one word (0, 0, 0)
+# comes first in the first, so the search stops without a weak word; the
+# scs1cyc1 word (0, 1) comes first in the second, ahead of the hit (1, 1).
+ORDERED_LEVELS = {
+    "rank-one first": (
+        [[[EPS, -1, 1], [EPS, -1, -2], [EPS, -2, EPS]], [[-2, 0, EPS], [EPS, EPS, 1], [0, 1, -1]]],
+        (0, 0, 0),
+        None,
+    ),
+    "scs1cyc1 first": (
+        [[[EPS, -1, EPS], [-2, 1, EPS], [0, -2, 0]], [[0, EPS, 1], [-1, EPS, -1], [-1, EPS, -1]]],
+        (1, 1),
+        (0, 1),
+    ),
+}
+
+
+def test_pattern_search_orders_a_level_as_the_reference(monkeypatch):
+    # the predicate reads the waiting states a level at a time, a few levels
+    # at a time, or all at the end of the walk
+    for batch in (1, stochastic._WEAK_BATCH, 10**6):
+        monkeypatch.setattr(stochastic, "_WEAK_BATCH", batch)
+        for mats, hit, weak in ORDERED_LEVELS.values():
+            D = FiniteSupport.make([M(rows) for rows in mats], ["1/2", "1/2"])
+            got = pattern_search(D, max_len=8)
+            assert (got.word, got.scs1cyc1_word) == (hit, weak)
+            for budget in range(1, got.states_explored + 2):
+                for max_len in (1, 2, 3, 8):
+                    want = reference_stochastic.pattern_search(D, max_len, budget)
+                    assert same_json(pattern_search(D, max_len=max_len, budget=budget), want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(search_supports(), st.sampled_from([1, 3, 10**6]))
+def test_weak_word_does_not_depend_on_the_batch(D, batch):
+    default, runs = stochastic._WEAK_BATCH, []
+    try:
+        for size in (default, batch):
+            stochastic._WEAK_BATCH = size
+            runs.append([json.dumps(pattern_search(D, max_len=64, budget=b).to_json())
+                         for b in (1, 3, 10, 40)])
+    finally:
+        stochastic._WEAK_BATCH = default
+    assert runs[0] == runs[1]

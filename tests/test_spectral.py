@@ -36,7 +36,7 @@ from maxplus.spectral import (
 from maxplus.models import cjn_matrix
 
 import reference_spectral as reference
-from conftest import brute_max_cycle_mean, irreducible_corpus, random_irreducible
+from conftest import brute_max_cycle_mean, irreducible_corpus, level_flags, random_irreducible
 
 
 def M(rows):
@@ -274,15 +274,16 @@ def test_classify_cost_is_one_record_plus_the_powers(monkeypatch):
 
 
 def test_search_helper_reads_reducible_as_not_scs1cyc1(monkeypatch):
-    # the record decides irreducibility on its array pattern, with no SCC
-    # decomposition of the whole graph; the public reader still rejects
-    # reducible input
+    # the word search's level predicate decides irreducibility on its array
+    # pattern and scs1cyc1 by boolean powers, with no SCC decomposition; the
+    # public reader still rejects reducible input
     reducible = M([[0, EPS], [0, 0]])
     calls = []
     monkeypatch.setattr(graphs, "scc_decompose", lambda G: calls.append(G))
-    assert spectral._irreducible_scs1cyc1(reducible) is False
-    assert spectral._irreducible_scs1cyc1(M([[0, -1], [-1, 0]])) is False
-    assert spectral._irreducible_scs1cyc1(M([[0, 0], [0, -1]])) is True
+    monkeypatch.setattr(spectral, "scc_from_arcs", lambda *args, **kw: calls.append(args))
+    assert level_flags([reducible])[0] == [False]
+    assert level_flags([M([[0, -1], [-1, 0]])])[0] == [False]
+    assert level_flags([M([[0, 0], [0, -1]])])[0] == [True]
     assert calls == []
     with pytest.raises(ContractViolation):
         is_scs1cyc1(reducible)

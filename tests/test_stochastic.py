@@ -22,7 +22,7 @@ from maxplus.semiring import (
 )
 from maxplus.projective import canonicalize, is_rank_one, proj_dist
 from maxplus.spectral import eigenbasis
-from maxplus import projective, semiring, spectral, stochastic
+from maxplus import arrays, graphs, projective, semiring, stochastic
 from maxplus.stochastic import (
     CouplingSample,
     FiniteSupport,
@@ -908,6 +908,53 @@ class TestCustomGenerators:
             messages.append(str(err.value))
         assert messages[0] == messages[1]
 
+    def test_lyapunov_values_do_not_depend_on_the_groups(self, monkeypatch):
+        """Float replications step in groups of at most _FLOAT_GROUP entries a
+        block; groups of 3 replications give the bits of one group, also
+        when letters hold -0.0, and the error of the same replication when
+        some meet an all-eps row."""
+        signed = FiniteSupport.make(
+            [M([[-0.0, 1.5], [0.0, -0.0]], FLOAT), M([[0.25, -0.0], [2.0, -1.0]], FLOAT)],
+            ["1/2", "1/2"],
+        )
+
+        def dies(rng, n):
+            u = float(rng.uniform(0.0, 1.0))
+            rows = [[u if i == j else 0.0 for j in range(3)] for i in range(3)]
+            if u < 1 / 300:
+                rows[int(u * 900)] = [EPS] * 3
+            return M(rows, FLOAT)
+
+        def runs():
+            out = [
+                [v.hex() for v in lyapunov_estimate(D, 300, 10, seed=4).per_replication]
+                for D in (independent_uniform_diagonal(4, 0.1, 1.2), signed)
+            ]
+            with pytest.raises(ContractViolation) as err:
+                lyapunov_estimate(GeneratorDistribution(k=3, sample_fn=dies), 900, 10, 2)
+            return out + [str(err.value)]
+
+        one = runs()
+        monkeypatch.setattr(stochastic, "_FLOAT_GROUP", 3 * 300 * 16)
+        assert len(stochastic._group(10, 300, stochastic._CHUNK, 3 * 300)) == 4
+        assert runs() == one
+
+    def test_lyapunov_memory_does_not_grow_with_replications(self, monkeypatch):
+        """With groups of 4 replications, 64 replications peak at about the
+        memory of 8; one stack of them all would take 8 times as much."""
+        import tracemalloc
+
+        monkeypatch.setattr(stochastic, "_FLOAT_GROUP", 4 * 256 * 16)
+        D = independent_uniform_diagonal(4, 0.1, 1.2)
+        lyapunov_estimate(D, 256, 1, seed=1)  # first-call allocations
+        peaks = []
+        for replications in (8, 64):
+            tracemalloc.start()
+            lyapunov_estimate(D, 256, replications, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0]
+
     def test_all_eps_row_message(self):
         with pytest.raises(ContractViolation, match=r"^lyapunov_estimate: matrix row 1 is all eps"):
             lyapunov_estimate(_custom(bad_at=3), 10, 2, 0)
@@ -1102,41 +1149,39 @@ def test_large_lcm_takes_the_object_pattern_path(monkeypatch):
     assert got.word == (1,)
 
 
-def test_pattern_walk_makes_no_matrix_product(monkeypatch):
-    """The walk multiplies, normalizes and tests whole levels on arrays: no
-    mat_mul, matrix_proj_normal or is_rank_one runs in it, except in the
-    report's word_product and the spectral records of
-    _irreducible_scs1cyc1."""
-    outside = []
-    inside = []
+def test_pattern_walk_makes_no_matrix_product(monkeypatch, count_calls):
+    """The walk multiplies, normalizes and tests whole levels on arrays, the
+    weak-pattern predicate reads its critical graphs by boolean powers, and
+    the certificates come from the integer products: no mat_mul,
+    matrix_proj_normal, is_rank_one or scc_from_arcs runs in pattern_search,
+    whether it finds a word, saturates or is truncated, and no Fraction
+    enters an array product."""
+    counters = [
+        count_calls(semiring, "mat_mul"),
+        count_calls(projective, "matrix_proj_normal", "is_rank_one"),
+        count_calls(graphs, "scc_from_arcs"),
+    ]
+    operands = []
 
-    def guarded(fn):
+    def watching(fn):
         def wrapped(*args):
-            if not inside:
-                outside.append(fn.__name__)
+            operands.extend(a for a in args if isinstance(a, np.ndarray) and a.dtype == object)
             return fn(*args)
 
         return wrapped
 
-    def allowed(fn):
-        def wrapped(*args):
-            inside.append(fn)
-            try:
-                return fn(*args)
-            finally:
-                inside.pop()
-
-        return wrapped
-
-    for module in (semiring, projective, spectral, stochastic):
-        for name in ("mat_mul", "matrix_proj_normal", "is_rank_one"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, guarded(getattr(module, name)))
-    for name in ("word_product", "_irreducible_scs1cyc1"):
-        monkeypatch.setattr(stochastic, name, allowed(getattr(stochastic, name)))
+    monkeypatch.setattr(stochastic, "_stack_mul", watching(stochastic._stack_mul))
+    monkeypatch.setattr(arrays, "_max_last", watching(arrays._max_last))
     got = pattern_search(unit_support(1, (3, 1)), max_len=8)
     assert (got.word, got.states_explored) == ((0, 0, 0, 0, 1, 0, 0), 60)
-    assert outside == []
+    assert got.classification is not None and got.scs1cyc1_word is not None
+    tie = FiniteSupport.make([cjn_matrix([2, 2, 1]), cjn_matrix([3, 3, 1])], ["1/2", "1/2"])
+    assert pattern_search(tie, max_len=16).status == "saturated"
+    assert pattern_search(unit_support(1, (3, 1)), max_len=8, budget=5).status == "truncated"
+    got = pattern_search(unit_support(2**20, (2**40 + 15, 2**40 + 21)), max_len=8)
+    assert got.found and operands
+    assert not any(isinstance(v, Fraction) for a in operands for v in a.flat)
+    assert [dict(c) for c in counters] == [{}, {}, {}]
 
 
 def test_both_searches_run_through_one_word_walk(monkeypatch, good_cjn):
