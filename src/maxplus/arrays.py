@@ -18,8 +18,8 @@ Its callers:
   integer-scaled support: it expands a whole breadth-first level as one
   stack of products (``_stack_mul``), takes their projective normal forms,
   tests the new ones for rank one at once (``_rank_one_flags``), and,
-  until a weak pattern is found, hands them in batches of levels to the
-  batched spectral record (``spectral._scs1cyc1_flags``).
+  until a weak pattern is found, hands each level's new states to the
+  batched spectral record at once (``spectral._scs1cyc1_flags``).
 
 The exact callers hold their integers on the dtype ``_guard`` picks for
 the largest value they form: float64 while every such value stays below

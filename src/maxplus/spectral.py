@@ -29,10 +29,10 @@ once on output, so no check fails through rounding.
 
 The steps of the record run on a whole stack of matrices at once
 (``_records``); a spectral reader passes a single matrix. The word search
-tests a batch of new states, one or more levels, for the weak pattern
-(irreducible, one critical SCC, cyclicity 1) on one such stack
-(``_scs1cyc1_flags``), and reads "one SCC of cyclicity 1" from boolean
-powers of the critical adjacency rather than an SCC decomposition.
+tests the new states of a level for the weak pattern (irreducible, one
+critical SCC, cyclicity 1) on one such stack (``_scs1cyc1_flags``), and
+reads "one SCC of cyclicity 1" from boolean powers of the critical
+adjacency rather than an SCC decomposition.
 
 The power loop behind the transient M and cyclicity d walks Abar, Abar^2,
 ... on the same kernel. An entry of Abar^n is a sum of n entries of Abar,

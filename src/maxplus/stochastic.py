@@ -484,12 +484,13 @@ class _IntWalk:
         return S.swapaxes(-1, -2)
 
 
-def _normal(C: np.ndarray, clamp) -> np.ndarray:
-    """The projective normal forms of a stack: each matrix minus its largest
-    entry."""
-    Q = C - C.max((-2, -1), keepdims=True)
+def _normal(C: np.ndarray, clamp) -> tuple:
+    """(Q, top): the projective normal forms Q of a stack, each matrix
+    minus its largest entry, and those largest entries top."""
+    top = C.max((-2, -1))
+    Q = C - top[..., None, None]
     clamp(Q)
-    return Q
+    return Q, top
 
 
 def _pair_dists(X: np.ndarray) -> np.ndarray:
@@ -838,7 +839,7 @@ def _window(walk: _IntWalk, letters: np.ndarray) -> tuple:
     P, lo = None, 0
     for size in _block_sizes(n, _FIRST_CHUNK):
         S = _scan(walk.support[back[lo : lo + size]], P, walk.clamp, right=True)
-        j = _first(_rank_one_flags(_normal(S, walk.clamp), walk.clamp))
+        j = _first(_rank_one_flags(_normal(S, walk.clamp)[0], walk.clamp))
         if j is not None:
             return n - 1 - (lo + j), lo + j + 1
         P, lo = S[-1], lo + size
@@ -924,7 +925,7 @@ def forward_coupling(
                 C = walk.scan(A, P, t)
                 P, S = C[:, -1], walk.act(C, walk.x0)
                 if open_:
-                    Q = _normal(C[open_], walk.clamp).reshape(-1, D.k, D.k)
+                    Q = _normal(C[open_], walk.clamp)[0].reshape(-1, D.k, D.k)
                     flags = _rank_one_flags(Q, walk.clamp)
                     rank_one = {i: flags[a * n : (a + 1) * n] for a, i in enumerate(open_)}
             else:
@@ -1048,7 +1049,7 @@ def backward_loynes(
             Ps, eps = walk.scan(A, P, t, right=True), walk.eps
         diams = _diameters(Ps, eps) if tolerance != 0 or trace_every else None
         if tolerance == 0:
-            end = _first(_rank_one_flags(_normal(Ps, walk.clamp), walk.clamp))
+            end = _first(_rank_one_flags(_normal(Ps, walk.clamp)[0], walk.clamp))
         else:
             end = _first([d <= bound for d in diams])
         for j in range(len(Ps) if end is None else end + 1):
@@ -1225,12 +1226,6 @@ class PatternReport:
         }
 
 
-# pattern_search reads the weak-pattern predicate once this many new states
-# wait for it: one call covers the few states of the first levels, and
-# little is read past the first flagged state.
-_WEAK_BATCH = 8
-
-
 def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) -> PatternReport:
     """Search admissible words for one whose matrix product is rank-one
     (BFS, so a hit has minimal length). Also records the first word whose
@@ -1260,55 +1255,36 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
     identity = np.full((D.k, D.k), eps, support.dtype)
     np.fill_diagonal(identity, 0)
     found = {}
-    # the new states the predicate has not read yet, in visit order: per
-    # level, the word reader, the indices, the normal forms and the shifts
-    pending = []
 
     def expand(level, parents, letters):
         Q, shift = level
-        C = _stack_mul(support[letters], Q[parents])
-        top = C.max((-2, -1))
-        Q = C - top[:, None, None]
-        clamp(Q)
+        Q, top = _normal(_stack_mul(support[letters], Q[parents]), clamp)
         return (Q, shift[parents] + top), _stack_keys(Q)
 
-    def read(hit=None):
-        """One predicate call on the pending states, and on the normal form
-        hit when given. Records the first flagged pending state as the weak
-        word; returns the flag of hit."""
-        Qs = np.concatenate([Q for *_, Q, _ in pending] + ([hit[None]] if hit is not None else []))
-        flags = _scs1cyc1_flags(Qs, eps)
-        mine = flags.pop() if hit is not None else None
-        weak = _first(flags)
-        if weak is not None:
-            word, i = [(word, i) for word, ahead, *_ in pending for i in ahead][weak]
-            found["weak"] = word(i), Qs[weak], np.concatenate([s for *_, s in pending])[weak]
-        pending.clear()
-        return mine
-
     def visit(level, new, word):
-        # while no weak word is known, the new states ahead of the first
-        # rank-one one wait for the predicate, as a state at a time in
-        # visit order would read them; it reads them once _WEAK_BATCH
-        # states wait, at the hit, whose class it gives, or at the end
+        # one predicate call per level, on the new states ahead of the
+        # first rank-one one while no weak word is known, and on the hit,
+        # whose class it gives
         Q, shift = level
         hit = _first(_rank_one_flags(Q[new], clamp))
-        ahead = new[:hit]
-        if ahead and "weak" not in found:
-            pending.append((word, ahead, Q[ahead], shift[ahead]))
+        ahead = [] if "weak" in found else new[:hit]
+        tested = ahead + ([] if hit is None else [new[hit]])
+        if not tested:
+            return hit
+        flags = _scs1cyc1_flags(Q[tested], eps)
+        weak = _first(flags[: len(ahead)])
+        if weak is not None:
+            i = ahead[weak]
+            found["weak"] = word(i), Q[i], shift[i]
         if hit is not None:
             i = new[hit]
             found["hit"] = word(i), Q[i], shift[i]
-            found["class"] = "rank-one+scs1cyc1" if read(Q[i]) else "rank-one"
-        elif sum(len(waiting) for _, waiting, *_ in pending) >= _WEAK_BATCH:
-            read()
+            found["class"] = "rank-one+scs1cyc1" if flags[-1] else "rank-one"
         return hit
 
     _, saturated, explored = _word_bfs(
         D, (identity[None], np.zeros(1, support.dtype)), expand, visit, max_len, budget
     )
-    if pending:
-        read()
 
     def certificate(key):
         """(word, its product, its probability), or Nones."""

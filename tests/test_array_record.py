@@ -212,10 +212,10 @@ def tie_support():
 
 
 def spy_visits(monkeypatch):
-    """Wrap the visit of every word walk; returns (tested, records, built):
-    the number of states handed to the weak-pattern predicate, the dtype of
-    each stack of records built, and the Matrix objects made while a visit
-    runs."""
+    """Wrap every word walk; returns (tested, records, built): the number
+    of states handed to the weak-pattern predicate, the dtype of each stack
+    of records built, and the Matrix objects made while a walk runs, its
+    expansions and visits included."""
     tested, records, built, inside = [], [], [], []
     flags, record = stochastic._scs1cyc1_flags, spectral._records
 
@@ -236,15 +236,12 @@ def spy_visits(monkeypatch):
 
     walk = stochastic._word_bfs
 
-    def walking(D, root, expand, visit, max_len, budget):
-        def visiting(*args):
-            inside.append(1)
-            try:
-                return visit(*args)
-            finally:
-                inside.pop()
-
-        return walk(D, root, expand, visiting, max_len, budget)
+    def walking(*args):
+        inside.append(1)
+        try:
+            return walk(*args)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(stochastic, "_scs1cyc1_flags", testing)
     monkeypatch.setattr(spectral, "_records", recording)
@@ -395,30 +392,12 @@ ORDERED_LEVELS = {
 }
 
 
-def test_pattern_search_orders_a_level_as_the_reference(monkeypatch):
-    # the predicate reads the waiting states a level at a time, a few levels
-    # at a time, or all at the end of the walk
-    for batch in (1, stochastic._WEAK_BATCH, 10**6):
-        monkeypatch.setattr(stochastic, "_WEAK_BATCH", batch)
-        for mats, hit, weak in ORDERED_LEVELS.values():
-            D = FiniteSupport.make([M(rows) for rows in mats], ["1/2", "1/2"])
-            got = pattern_search(D, max_len=8)
-            assert (got.word, got.scs1cyc1_word) == (hit, weak)
-            for budget in range(1, got.states_explored + 2):
-                for max_len in (1, 2, 3, 8):
-                    want = reference_stochastic.pattern_search(D, max_len, budget)
-                    assert same_json(pattern_search(D, max_len=max_len, budget=budget), want)
-
-
-@settings(max_examples=25, deadline=None)
-@given(search_supports(), st.sampled_from([1, 3, 10**6]))
-def test_weak_word_does_not_depend_on_the_batch(D, batch):
-    default, runs = stochastic._WEAK_BATCH, []
-    try:
-        for size in (default, batch):
-            stochastic._WEAK_BATCH = size
-            runs.append([json.dumps(pattern_search(D, max_len=64, budget=b).to_json())
-                         for b in (1, 3, 10, 40)])
-    finally:
-        stochastic._WEAK_BATCH = default
-    assert runs[0] == runs[1]
+def test_pattern_search_orders_a_level_as_the_reference():
+    for mats, hit, weak in ORDERED_LEVELS.values():
+        D = FiniteSupport.make([M(rows) for rows in mats], ["1/2", "1/2"])
+        got = pattern_search(D, max_len=8)
+        assert (got.word, got.scs1cyc1_word) == (hit, weak)
+        for budget in range(1, got.states_explored + 2):
+            for max_len in (1, 2, 3, 8):
+                want = reference_stochastic.pattern_search(D, max_len, budget)
+                assert same_json(pattern_search(D, max_len=max_len, budget=budget), want)
