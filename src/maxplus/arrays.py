@@ -16,10 +16,12 @@ Its callers:
   behind the transient and the cyclicity, on the normalized matrix;
 - the exact word search of ``stochastic.pattern_search``, on the
   integer-scaled support: it expands a whole breadth-first level as one
-  stack of products (``_stack_mul``), takes their projective normal forms,
-  tests the new ones for rank one at once (``_rank_one_flags``), and,
-  until a weak pattern is found, hands each level's new states to the
-  batched spectral record at once (``spectral._scs1cyc1_flags``).
+  stack of products (``_stack_mul``), takes their projective normal forms
+  (``_normal``), tests the new ones for rank one at once
+  (``_rank_one_flags``), and, until a weak pattern is found, hands each
+  level's new states to the batched spectral record at once
+  (``spectral._scs1cyc1_flags``); ``spectral.first_rank_one_power`` tests
+  the powers of its power loop the same way.
 
 The exact callers hold their integers on the dtype ``_guard`` picks for
 the largest value they form: float64 while every such value stays below
@@ -27,10 +29,7 @@ the largest value they form: float64 while every such value stays below
 arrays of Python ints with the same code, where eps is a large negative
 integer that each step clamps back. ``_int_stack`` stacks exact matrices
 that way, and ``_recast`` moves an integer array to the dtype a larger
-reach needs. Only ``spectral.first_rank_one_power`` multiplies Python
-ints: its matrices are 2 x 2 and come one at a time, where an unbatched
-numpy product with its normal form and rank-one test costs more than the
-Python-int one.
+reach needs.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import math
 
 import numpy as np
 
-from .semiring import EPS, EXACT, FLOAT, Matrix
+from .semiring import EPS, FLOAT, Matrix
 
 # float64 holds every integer of magnitude below this exactly
 _FLOAT_EXACT = 2**53
@@ -56,13 +55,6 @@ def _as_array(matrices) -> np.ndarray:
 def _matrix_of(a: np.ndarray) -> Matrix:
     return Matrix(
         tuple(tuple(EPS if v == -math.inf else v for v in row) for row in a.tolist()), FLOAT
-    )
-
-
-def _int_matrix(a: np.ndarray, eps) -> Matrix:
-    """The exact Matrix of a (k, k) integer array whose eps entries are eps."""
-    return Matrix(
-        tuple(tuple(EPS if v == eps else int(v) for v in row) for row in a.tolist()), EXACT
     )
 
 
@@ -171,6 +163,15 @@ def _scan(X: np.ndarray, carry, clamp, right: bool = False) -> np.ndarray:
         X[..., d:, :, :] = Y
         d *= 2
     return X
+
+
+def _normal(C: np.ndarray, clamp) -> tuple:
+    """(Q, top): the projective normal forms Q of a stack, each matrix
+    minus its largest entry, and those largest entries top."""
+    top = C.max((-2, -1))
+    Q = C - top[..., None, None]
+    clamp(Q)
+    return Q, top
 
 
 def _rank_one_flags(Q: np.ndarray, clamp) -> list:

@@ -35,14 +35,14 @@ reads "one SCC of cyclicity 1" from boolean powers of the critical
 adjacency rather than an SCC decomposition.
 
 The power loop behind the transient M and cyclicity d walks Abar, Abar^2,
-... on the same kernel. An entry of Abar^n is a sum of n entries of Abar,
-so at most n max|Abar| in magnitude. While that bound stays below 2**53
-the walk runs on float64: no -0.0 or NaN arises, and equal powers have
-equal ``tobytes()``. From the first power past it the walk runs on object
-arrays of Python ints, keyed by tuples, and the powers seen so far are
-re-keyed once. ``first_rank_one_power`` multiplies Python ints: its one
-caller, the rank-one script, passes 2 x 2 matrices, where an unbatched
-numpy step costs more than the Python-int product.
+... on the same kernel up to the first repeated power (``_walk``). An
+entry of Abar^n is a sum of n entries of Abar, so at most n max|Abar| in
+magnitude. While that bound stays below 2**53 the walk runs on float64: no
+-0.0 or NaN arises, and equal powers have equal keys. From the first power
+past it the walk runs on object arrays of Python ints, and the powers seen
+so far are re-keyed once. ``first_rank_one_power`` reads the same walk and
+stops at the first power whose normal form passes the kernel's rank-one
+test.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 from .graphs import SccDecomposition, scc_from_arcs
-from .projective import ProjVector, is_rank_one, matrix_proj_normal
+from .projective import ProjVector
 from .semiring import (
     EPS,
     EXACT,
@@ -61,7 +61,6 @@ from .semiring import (
     ContractViolation,
     Matrix,
     Vector,
-    mat_mul,
     otimes,
     scalar_to_json,
     scale_to_integers,
@@ -215,33 +214,6 @@ def _records(B, eps, clamp) -> tuple:
     return p, q, abar, plus, nodes, arcs + plus == 0
 
 
-def _int_spectrum(B, eps, backing: str = EXACT, scale: int = 1) -> Optional[_Spectrum]:
-    """The record of A = B / scale, for B a (k, k) integer array of the
-    array kernel whose eps entries equal eps; None when B is reducible.
-    The one-matrix case of ``_records``: B is recast under the guard with
-    reach ``_reach(k)``, float64 when every integer the record forms is
-    exact there."""
-    # numpy and the kernel load on first use, in the functions that use
-    # them, and not with this module: the package imports spectral before
-    # stochastic, and without a bytecode cache numpy loaded ahead of
-    # compiling stochastic.py raises the peak memory of every process by
-    # about 1.7 MB.
-    import numpy as np
-
-    from .arrays import _recast
-
-    k = len(B)
-    finite = B != eps
-    if not _irreducible(finite):
-        return None
-    B, eps, clamp = _recast(B, finite, _reach(k))
-    p, q, abar, plus, nodes, arcs = _records(B, eps, clamp)
-    nodes = tuple(np.flatnonzero(nodes).tolist())
-    arcs = tuple(map(tuple, np.argwhere(arcs).tolist()))
-    critical = CriticalGraph(nodes, arcs, scc_from_arcs(k, arcs, nodes=nodes))
-    return _Spectrum(backing, int(q) * scale, int(p), abar, plus, eps, critical)
-
-
 # The matrices of a stack are tested in slices of at most this many entries
 # of an (n, k, k, k) temporary, so the predicate's memory does not grow
 # with the level.
@@ -282,17 +254,27 @@ def _scs1cyc1_flags(Q, eps) -> list:
 
 
 def _spectrum(A: Matrix) -> _Spectrum:
-    """The one exact record behind every spectral reader of A: A scaled by
-    the lcm L of its entry denominators, as an integer array of the array
-    kernel."""
+    """The one exact record behind every spectral reader of A, the one-matrix
+    case of ``_records``: A scaled by the lcm L of its entry denominators,
+    stacked on the array kernel for reach ``_reach(k)``."""
+    # numpy and the kernel load on first use, in the functions that use
+    # them, and not with this module: the package imports spectral before
+    # stochastic, and without a bytecode cache numpy loaded ahead of
+    # compiling stochastic.py raises the peak memory of every process by
+    # about 1.7 MB.
+    import numpy as np
+
     from .arrays import _int_stack
 
     lcm, (B,), _ = scale_to_integers((A,))
-    stack, eps, _ = _int_stack([B], 1)
-    rec = _int_spectrum(stack[0], eps, A.backing, lcm)
-    if rec is None:
+    (B,), eps, clamp = _int_stack([B], _reach(A.k))
+    if not _irreducible(B != eps):
         raise ContractViolation("eigenvalue: matrix is not irreducible")
-    return rec
+    p, q, abar, plus, nodes, arcs = _records(B, eps, clamp)
+    nodes = tuple(np.flatnonzero(nodes).tolist())
+    arcs = tuple(map(tuple, np.argwhere(arcs).tolist()))
+    critical = CriticalGraph(nodes, arcs, scc_from_arcs(A.k, arcs, nodes=nodes))
+    return _Spectrum(A.backing, int(q) * lcm, int(p), abar, plus, eps, critical)
 
 
 def _cyclicity(crit: CriticalGraph) -> int:
@@ -309,73 +291,74 @@ def _require_exact(A: Matrix, what: str) -> None:
         raise ContractViolation(f"{what}: exact backing required")
 
 
-def _powers(rec: _Spectrum, max_power: int, rekey=None):
-    """(n, Abar^n) for n = 1..max_power, each power the one before times Abar.
+def _powers(rec: _Spectrum, max_power: int):
+    """(n, Abar^n, eps) for n = 1..max_power, each power the one before
+    times Abar, with the value of its eps entries.
 
     An entry of Abar^n, and every sum that forms it, is at most n max|Abar|
     in magnitude. The walk runs on float64 with -inf for eps while that
     bound is below 2**53, where those integers are exact, and from the
     first power past it on object arrays of Python ints, with the eps that
-    arrays._guard picks for max_power. At that switch rekey, when given, is
-    called once with the function that takes a float64 power to its object
-    form, so that a caller holding earlier powers can convert them.
+    arrays._guard picks for max_power.
     """
     from .arrays import _FLOAT_EXACT, _as_object, _guard, _max_last, _recast, _top
 
     finite = rec.abar != rec.eps
     top = _top(rec.abar, finite)
-    eps, _, object_clamp = _guard(top, max_power)
-
-    def to_object(F):
-        return _as_object(F, F != -math.inf, eps)
-
+    object_eps, _, object_clamp = _guard(top, max_power)
     if top < _FLOAT_EXACT:
-        A, _, clamp = _recast(rec.abar, finite, 1)  # float64, no clamp
+        A, eps, clamp = _recast(rec.abar, finite, 1)  # float64, no clamp
     else:
-        A, clamp = _as_object(rec.abar, finite, eps), object_clamp
+        A, eps, clamp = _as_object(rec.abar, finite, object_eps), object_eps, object_clamp
     P = None
     for n in range(1, max_power + 1):
         if A.dtype == float and n * top >= _FLOAT_EXACT:
-            A, clamp = to_object(A), object_clamp
-            P = to_object(P)
-            if rekey is not None:
-                rekey(to_object)
+            A, P = (_as_object(X, X != eps, object_eps) for X in (A, P))
+            eps, clamp = object_eps, object_clamp
         P = A if P is None else _max_last(P[:, None, :] + A.T[None], False)
         clamp(P)
-        yield n, P
+        yield n, P, eps
 
 
-def _key(P):
-    """Hashable and equal exactly for equal powers."""
-    return P.tobytes() if P.dtype == float else tuple(P.flat)
-
-
-def _period_and_transient(rec: _Spectrum, max_power: Optional[int]) -> Tuple[int, int]:
+def _walk(rec: _Spectrum, max_power: Optional[int], what: str, hit=None) -> tuple:
+    """(first, n) for the first power Abar^n of ``_powers`` equal to an
+    earlier one, Abar^first; (None, n) for the first power before that
+    which hit(P, eps), when given, accepts. Raises BudgetExceeded, with
+    what, when neither comes within max_power powers (by default
+    ``default_power_budget(k)``). The powers are keyed by
+    ``arrays._stack_keys``: at the switch to object arrays the float64 keys
+    seen so far are converted once."""
     import numpy as np
+
+    from .arrays import _as_object, _stack_keys
 
     k = len(rec.abar)
     if max_power is None:
         max_power = default_power_budget(k)
     seen: dict = {}
-
-    def rekey(to_object):
-        old = list(seen.items())
-        seen.clear()
-        seen.update((_key(to_object(np.frombuffer(b).reshape(k, k))), n) for b, n in old)
-
-    for n, P in _powers(rec, max_power, rekey):
-        first = seen.setdefault(_key(P), n)
+    dtype = None
+    for n, P, eps in _powers(rec, max_power):
+        if hit is not None and hit(P, eps):
+            return None, n
+        if seen and P.dtype != dtype:
+            F = np.frombuffer(b"".join(seen)).reshape(-1, k, k)
+            seen = dict(zip(_stack_keys(_as_object(F, F != -math.inf, eps)), seen.values()))
+        dtype = P.dtype
+        first = seen.setdefault(_stack_keys(P[None])[0], n)
         if first != n:
-            d = n - first
-            crit_d = _cyclicity(rec.critical)
-            if d != crit_d:
-                raise ContractViolation(
-                    f"cyclicity_and_transient: power period {d} != critical cyclicity {crit_d}"
-                )
-            return d, first
-    raise BudgetExceeded(
-        f"cyclicity_and_transient: no repetition within {max_power} powers"
-    )
+            return first, n
+    raise BudgetExceeded(f"{what} within {max_power} powers")
+
+
+def _period_and_transient(rec: _Spectrum, max_power: Optional[int]) -> Tuple[int, int]:
+    first, n = _walk(rec, max_power, "cyclicity_and_transient: no repetition")
+    d = n - first
+    crit_d = _cyclicity(rec.critical)
+    if d != crit_d:
+        raise ContractViolation(
+            f"cyclicity_and_transient: power period {d} != critical cyclicity {crit_d}"
+        )
+    return d, first
 
 
 def _eigenbasis(rec: _Spectrum) -> tuple:
@@ -554,30 +537,25 @@ def weak_rank(A: Matrix) -> int:
     return len(kept)
 
 
+def _rank_one(P, eps) -> bool:
+    """Whether the integer power P, with eps entries eps, is rank-one:
+    ``arrays._rank_one_flags`` on its projective normal form, recast for
+    reach 4 of max|P|, which holds the normal form's entries (at most
+    2 max|P| in magnitude) and the sums of the test (at most 4 max|P|)."""
+    from .arrays import _normal, _rank_one_flags, _recast
+
+    P, _, clamp = _recast(P, P != eps, 4)
+    return _rank_one_flags(_normal(P[None], clamp)[0], clamp)[0]
+
+
 def first_rank_one_power(A: Matrix, max_power: Optional[int] = None) -> Optional[int]:
     """Least n with A^n rank-one, or None when the power sequence provably
     cycles without ever reaching a rank-one matrix. Exact backing only.
-    The powers are Python-int products of the record's Abar, not array
-    ones: the matrices this is called on are small, and there numpy costs
-    more per step."""
-    from .arrays import _int_matrix
-
+    The powers are those of the record's Abar, on the walk behind
+    ``cyclicity_and_transient``."""
     _require_exact(A, "first_rank_one_power")
-    if max_power is None:
-        max_power = default_power_budget(A.k)
-    rec = _spectrum(A)
-    abar = _int_matrix(rec.abar, rec.eps)
-    seen = set()
-    power = None
-    for n in range(1, max_power + 1):
-        power = abar if power is None else mat_mul(power, abar)
-        if is_rank_one(power):
-            return n
-        key = matrix_proj_normal(power).rows
-        if key in seen:
-            return None
-        seen.add(key)
-    raise BudgetExceeded(f"first_rank_one_power: undecided within {max_power} powers")
+    first, n = _walk(_spectrum(A), max_power, "first_rank_one_power: undecided", _rank_one)
+    return n if first is None else None
 
 
 def summary_to_json(s: SpectralSummary) -> dict:

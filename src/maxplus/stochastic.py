@@ -63,6 +63,7 @@ from .arrays import (
     _max_last,
     _negative_zero,
     _no_clamp,
+    _normal,
     _rank_one_flags,
     _scan,
     _stack_keys,
@@ -482,15 +483,6 @@ class _IntWalk:
         S = _stack_mul(C, x.swapaxes(-1, -2))
         self.clamp(S)
         return S.swapaxes(-1, -2)
-
-
-def _normal(C: np.ndarray, clamp) -> tuple:
-    """(Q, top): the projective normal forms Q of a stack, each matrix
-    minus its largest entry, and those largest entries top."""
-    top = C.max((-2, -1))
-    Q = C - top[..., None, None]
-    clamp(Q)
-    return Q, top
 
 
 def _pair_dists(X: np.ndarray) -> np.ndarray:
@@ -1240,8 +1232,8 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
         raise ContractViolation("pattern_search: needs a finite-support distribution")
     if D.backing != EXACT:
         raise ContractViolation("pattern_search: needs the exact backing")
-    if max_len < 1:
-        raise ContractViolation("pattern_search: max_len must be >= 1")
+    if max_len < 1 or budget < 0:
+        raise ContractViolation("pattern_search: max_len must be >= 1 and budget >= 0")
     _check_condition_i(D)
     # states are the projective normal forms Q of the integer-scaled
     # products P, with the shift s of each, so that P = Q + s: scaling
@@ -1250,7 +1242,7 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
     # entries in [-2 W top, 0], a shift is at most W top, and the outer
     # sums of the rank-one test are in [-4 W top, 0] (see _rank_one_flags).
     L, Dint, _ = _integer_support(D)
-    length = min(max_len, max(budget, 0) + 1)
+    length = min(max_len, budget + 1)
     support, eps, clamp = _int_stack(Dint.matrices, 2 * (length + 1))
     identity = np.full((D.k, D.k), eps, support.dtype)
     np.fill_diagonal(identity, 0)
@@ -1359,59 +1351,32 @@ class ConditionsReport:
         }
 
 
-def _mask_rows(M: Matrix) -> tuple:
-    rows = []
-    for row in M.rows:
-        bits = 0
-        for j, v in enumerate(row):
-            if v is not EPS:
-                bits |= 1 << j
-        rows.append(bits)
-    return tuple(rows)
-
-
-def _mask_mul(B: tuple, A: tuple, k: int) -> tuple:
-    # boolean product: (B A)[i][j] = OR_l B[i][l] & A[l][j], rows as bitmasks
-    out = []
-    for i in range(k):
-        acc = 0
-        bi = B[i]
-        for l in range(k):
-            if bi >> l & 1:
-                acc |= A[l]
-        out.append(acc)
-    return tuple(out)
-
-
 def structural_conditions(D: FiniteSupport, max_len: int = 64, budget: int = 500000) -> ConditionsReport:
     """Decide the two structural preconditions on the support patterns.
 
     Condition II walks the admissible words (_word_bfs) on ε patterns
-    only: a word's state is its product's pattern as one bitmask of finite
-    entries per row (_mask_rows), extended by the boolean product
-    (_mask_mul), and the walk stops at the first word whose rows are all
-    full. Pattern products form a finite semigroup, so the walk either
-    finds one or saturates, unless the budget cuts it short. The states
-    stay bitmasks rather than 0/ε max-plus matrices: a support that fails
-    condition I can have an all-ε product, which has no projective normal
-    form but must still be reported, and a bitmask step is cheaper than a
-    max-plus product."""
+    only: a level is an (n, k, k) boolean stack of the finite entries of
+    its products, the root the identity pattern, a level's children the
+    boolean products of the support patterns with their parents, and the
+    walk stops at the first word whose pattern is all true. Pattern
+    products form a finite semigroup, so the walk either finds one or
+    saturates, unless the budget cuts it short."""
     if not isinstance(D, FiniteSupport):
         raise ContractViolation("structural_conditions: needs a finite-support distribution")
+    if max_len < 1 or budget < 0:
+        raise ContractViolation("structural_conditions: max_len must be >= 1 and budget >= 0")
     offending = _condition_i_offender(D)
-    k = D.k
-    full_rows = ((1 << k) - 1,) * k
-    masks = [_mask_rows(M) for M in D.matrices]
+    finite = np.array([[[v is not EPS for v in row] for row in M.rows] for M in D.matrices])
 
     def expand(level, parents, letters):
-        children = [_mask_mul(masks[letter], level[p], k) for p, letter in zip(parents, letters)]
-        return children, children
+        children = finite.take(letters, 0) @ level.take(parents, 0)
+        return children, _stack_keys(children)
 
     def visit(level, new, word):
-        return next((pos for pos, i in enumerate(new) if level[i] == full_rows), None)
+        return _first(level[new].all((1, 2)).tolist())
 
     witness, saturated, states = _word_bfs(
-        D, [tuple(1 << i for i in range(k))], expand, visit, max_len, budget
+        D, np.eye(D.k, dtype=bool)[None], expand, visit, max_len, budget
     )
     if witness is not None:
         cond_ii, status = True, "found"
@@ -1504,6 +1469,16 @@ def _mc_backward_evidence(D: MatrixDistribution, options: StabilityOptions) -> d
     }
 
 
+def _word_certificate(word: tuple, probability, matrix: Matrix, classification: str) -> dict:
+    return {
+        "word": list(word),
+        "length": len(word),
+        "probability": scalar_to_json(probability),
+        "matrix": matrix_to_json(matrix),
+        "classification": classification,
+    }
+
+
 def stability_verdict(D: MatrixDistribution, options: Optional[StabilityOptions] = None) -> StabilityVerdict:
     """Classify the model on the strong/weak/unstable/inconclusive ladder.
 
@@ -1541,22 +1516,17 @@ def stability_verdict(D: MatrixDistribution, options: Optional[StabilityOptions]
                     if D.is_iid()
                     else "stationary-rank-one-pattern"
                 )
-                cert = {
-                    "word": list(pattern.word),
-                    "length": pattern.length,
-                    "probability": scalar_to_json(pattern.probability),
-                    "matrix": matrix_to_json(pattern.matrix),
-                    "classification": pattern.classification,
-                }
+                cert = _word_certificate(
+                    pattern.word, pattern.probability, pattern.matrix, pattern.classification
+                )
                 return StabilityVerdict("StableStrong", basis, cert, conditions, pattern, tuple(notes))
             if D.is_iid() and pattern.scs1cyc1_word is not None:
-                cert = {
-                    "word": list(pattern.scs1cyc1_word),
-                    "length": len(pattern.scs1cyc1_word),
-                    "probability": scalar_to_json(pattern.scs1cyc1_probability),
-                    "matrix": matrix_to_json(pattern.scs1cyc1_matrix),
-                    "classification": "scs1cyc1",
-                }
+                cert = _word_certificate(
+                    pattern.scs1cyc1_word,
+                    pattern.scs1cyc1_probability,
+                    pattern.scs1cyc1_matrix,
+                    "scs1cyc1",
+                )
                 notes.append(
                     "no rank-one pattern below the length bound; the certificate is an "
                     "irreducible product with a single critical component of cyclicity one"

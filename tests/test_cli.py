@@ -367,6 +367,7 @@ class TestNegativeCounts:
             ["couple", "--x0", "a", "--x0", "b", "--horizon", "-5"],
             ["loynes", "--budget", "-3"],
             ["loynes", "--trace-every", "-2"],
+            ["stability", "--search-budget", "-4"],
         ],
     )
     def test_negative_count_is_contract_violation(self, ring_dist, x0_files, capsys, argv):
@@ -375,6 +376,21 @@ class TestNegativeCounts:
         files = dict(zip("ab", x0_files))
         argv = [files.get(a, a) for a in argv] + ["--dist", ring_dist, "--seed", "1"]
         assert cli.main(argv) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "contract"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["conditions", "--max-len", "0"],
+            ["conditions", "--budget", "-4"],
+            ["patterns", "--max-len", "0"],
+            ["patterns", "--budget", "-4"],
+        ],
+    )
+    def test_negative_search_limit_is_contract_violation(self, ring_dist, capsys, argv):
+        from maxplus import cli
+
+        assert cli.main(argv + ["--dist", ring_dist]) == 3
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "contract"
 
     def test_zero_horizon_and_budget_report_no_step(self, ring_dist, x0_files, capsys):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from maxplus import arrays, semiring, spectral
+from maxplus import arrays, projective, semiring, spectral
 from maxplus.arrays import _max_last
 from maxplus.semiring import EPS, EXACT, BudgetExceeded, Matrix
 from maxplus.spectral import classify, cyclicity_and_transient, first_rank_one_power
@@ -48,7 +48,7 @@ def agree_with_reference(A, max_power):
 
 def walk_dtype(A, max_power):
     """dtype of the arrays the power walk of A runs on at power max_power."""
-    for _, P in spectral._powers(spectral._spectrum(A), max_power):
+    for _, P, _ in spectral._powers(spectral._spectrum(A), max_power):
         pass
     return P.dtype
 
@@ -95,7 +95,7 @@ def test_large_budget_stays_on_float64():
     # max|Abar| = 1: only the budget passes 2**53, and the walk stops at the
     # first repetition, long before a power could leave float64
     walk = spectral._powers(spectral._spectrum(M(CYCLIC)), 10**18)
-    assert {P.dtype for _, (_, P) in zip(range(50), walk)} == {np.dtype(float)}
+    assert {P.dtype for _, (_, P, _) in zip(range(50), walk)} == {np.dtype(float)}
     agree_with_reference(M(CYCLIC), 10**18)
     assert cyclicity_and_transient(M(CYCLIC), 10**18) == cyclicity_and_transient(M(CYCLIC))
 
@@ -119,7 +119,7 @@ def test_walk_switches_to_object_at_the_power_it_reaches():
         # the two powers that repeat, whose keys are then converted
         c = -(-(2**51) // n0)
         A = scaled(LATE, c)
-        dtypes = [P.dtype for _, P in spectral._powers(spectral._spectrum(A), 12)]
+        dtypes = [P.dtype for _, P, _ in spectral._powers(spectral._spectrum(A), 12)]
         assert dtypes == [np.dtype(float)] * (n0 - 1) + [np.dtype(object)] * (13 - n0)
         agree_with_reference(A, 40)
         assert cyclicity_and_transient(A, 40) == (3, 7)
@@ -133,10 +133,10 @@ def test_object_walk_matches_float_walk(A):
     # object walk is the same walk with the float64 range of exact integers
     # taken as empty.
     rec = spectral._spectrum(A)
-    floats = [F for _, F in spectral._powers(rec, 40)]
+    floats = [F for _, F, _ in spectral._powers(rec, 40)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(arrays, "_FLOAT_EXACT", 1)
-        objects = [O for _, O in spectral._powers(rec, 40)]
+        objects = [O for _, O, _ in spectral._powers(rec, 40)]
     for F, O in zip(floats, objects):
         live = F > -np.inf
         assert O[live].tolist() == F[live].tolist()
@@ -173,11 +173,20 @@ def test_transient_loop_makes_no_matrix_product(count_calls):
     assert calls["mat_mul"] == 0
 
 
+def test_rank_one_powers_make_no_matrix_product(count_calls):
+    products = count_calls(semiring, "mat_mul")
+    tests = count_calls(projective, "is_rank_one", "matrix_proj_normal")
+    assert first_rank_one_power(M([[Fraction(3, 4), 0], [0, 1]])) == 8
+    assert first_rank_one_power(M(CYCLIC)) is None
+    assert first_rank_one_power(scaled(LATE, 2**48), 40) is None
+    assert not products and not tests
+
+
 @settings(max_examples=60, deadline=None)
 @given(large_irreducible_matrices(), st.integers(1, 6), st.integers(1, 6))
 def test_equal_powers_have_equal_keys(A, a, b):
-    powers = [P for _, P in spectral._powers(spectral._spectrum(A), a + b)]
+    powers = [P for _, P, _ in spectral._powers(spectral._spectrum(A), a + b)]
     Pa, Pb, P = powers[a - 1], powers[b - 1], powers[a + b - 1]
     other = _max_last(Pa[:, None, :] + Pb.T[None], False)  # A^a A^b, not A^(a+b-1) A
-    assert spectral._key(other) == spectral._key(P)
+    assert arrays._stack_keys(other[None]) == arrays._stack_keys(P[None])
     assert not np.signbit(P[P == 0]).any()

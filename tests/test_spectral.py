@@ -18,7 +18,7 @@ from maxplus.semiring import (
     scale_matrix,
 )
 from maxplus.projective import is_rank_one, proj_equal
-from maxplus import graphs, spectral
+from maxplus import graphs, semiring, spectral
 from maxplus.spectral import (
     a_plus,
     classify,
@@ -257,20 +257,14 @@ def test_float_matrix_is_its_dyadic_rationals_rounded_once(A):
     ]
 
 
-def test_classify_cost_is_one_record_plus_the_powers(monkeypatch):
+def test_classify_cost_is_one_record_plus_the_powers(count_calls):
     # One fixpoint check of the closure, then the powers Abar^2 .. Abar^(M+d):
     # a k-product closure or a second record per reader would exceed this.
     A = random_irreducible(random.Random(10), 12)
-    calls = []
-
-    def counting_mat_mul(X, Y):
-        calls.append(1)
-        return mat_mul(X, Y)
-
-    monkeypatch.setattr(spectral, "mat_mul", counting_mat_mul)
+    calls = count_calls(semiring, "mat_mul")
     s = classify(A, with_transient=True)
     assert (s.transient, s.cyclicity) == (18, 2)
-    assert len(calls) <= s.transient + s.cyclicity + 1
+    assert calls["mat_mul"] <= s.transient + s.cyclicity + 1
 
 
 def test_search_helper_reads_reducible_as_not_scs1cyc1(monkeypatch):
