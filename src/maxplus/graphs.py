@@ -5,6 +5,17 @@ when A[j][i] is finite, carrying that entry as its valuation. Note the
 transpose convention: the arc follows the flow of influence x_i -> x_j in
 x(n+1) = A x(n), while the matrix entry is indexed (target, source). Keeping
 this in one place is the point of the module.
+
+Every question of who reaches whom goes through one routine, ``_closure``:
+Warshall's boolean reachability matrix, formed by squaring the adjacency
+with the identity ceil(log2 k) times, at O(k^3 log k) for k nodes (the
+spectral record of the same matrix already pays O(k^3) for Karp and the
+Floyd-Warshall closure). A graph is irreducible when its closure is all
+true, the SCCs are the classes of mutual reach, and their topological
+order repeatedly takes the least-node component that no remaining one
+reaches. The same closure gives the recurrent letters of a Markov kernel
+and the upstream components of an open system (``stochastic``). numpy
+loads inside the functions that use it, for the reason ``spectral`` gives.
 """
 
 from __future__ import annotations
@@ -52,58 +63,23 @@ def graph_of(A: Matrix) -> PrecedenceGraph:
     return PrecedenceGraph(A.k, tuple(arcs))
 
 
-def _tarjan(k: int, adj: Sequence[Sequence[int]]) -> list:
-    """Iterative Tarjan; returns components in reverse topological order."""
-    index = [-1] * k
-    low = [0] * k
-    on_stack = [False] * k
-    stack: list = []
-    comps: list = []
-    counter = 0
-    for root in range(k):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, ptr = work[-1]
-            if ptr == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for nxt_i in range(ptr, len(adj[node])):
-                nxt = adj[node][nxt_i]
-                if index[nxt] == -1:
-                    work[-1] = (node, nxt_i + 1)
-                    work.append((nxt, 0))
-                    advanced = True
-                    break
-                if on_stack[nxt] and index[nxt] < low[node]:
-                    low[node] = index[nxt]
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                if low[node] < low[parent]:
-                    low[parent] = low[node]
-    return comps
+def _closure(adj):
+    """Reachability of a (..., k, k) boolean adjacency whose entry (i, j) is
+    the arc i -> j: entry (i, j) of the result is whether j is reached from
+    i by a path of length >= 0. The adjacency with the identity is squared
+    until paths of k - 1 arcs are covered."""
+    import numpy as np
+
+    k = adj.shape[-1]
+    reach = adj | np.eye(k, dtype=bool)
+    for _ in range((k - 1).bit_length()):
+        reach = reach @ reach
+    return reach
 
 
 def _component_cyclicity(members: tuple, arc_set: set) -> Optional[int]:
     """gcd of circuit lengths inside one SCC, via BFS level differences."""
     inside = [(u, v) for (u, v) in arc_set if u in members and v in members]
-    member_set = set(members)
     if not inside:
         return None
     succ = {u: [] for u in members}
@@ -134,63 +110,43 @@ def scc_from_arcs(
     When nodes is given, the graph is restricted to that subset (arcs with
     an endpoint outside it are dropped and other nodes do not appear).
     """
-    arc_set = {(u, v) for (u, v) in arcs}
+    import numpy as np
+
+    arc_set = set(arcs)
     if nodes is None:
-        node_list = list(range(k))
+        nodes = range(k)
         for u, v in arc_set:
             if not (0 <= u < k and 0 <= v < k):
                 raise ContractViolation(f"scc_from_arcs: arc ({u}, {v}) outside 0..{k - 1}")
-    else:
-        node_list = sorted(set(nodes))
-        arc_set = {(u, v) for (u, v) in arc_set if u in node_list and v in node_list}
-    remap = {n: i for i, n in enumerate(node_list)}
-    adj = [[] for _ in node_list]
-    for u, v in sorted(arc_set):
-        adj[remap[u]].append(remap[v])
-    comps_local = _tarjan(len(node_list), adj)
-    comps = [tuple(node_list[i] for i in comp) for comp in comps_local]
-
-    # Deterministic topological order over the condensation, min node id first.
-    comp_of_local = {}
-    for ci, comp in enumerate(comps):
-        for n in comp:
-            comp_of_local[n] = ci
-    cond_arcs = set()
-    indeg = [0] * len(comps)
-    for u, v in arc_set:
-        cu, cv = comp_of_local[u], comp_of_local[v]
-        if cu != cv and (cu, cv) not in cond_arcs:
-            cond_arcs.add((cu, cv))
-            indeg[cv] += 1
-    import heapq
-
-    ready = [(comps[ci][0], ci) for ci in range(len(comps)) if indeg[ci] == 0]
-    heapq.heapify(ready)
-    order = []
-    succs = {ci: [] for ci in range(len(comps))}
-    for cu, cv in cond_arcs:
-        succs[cu].append(cv)
-    while ready:
-        _key, ci = heapq.heappop(ready)
-        order.append(ci)
-        for cv in succs[ci]:
-            indeg[cv] -= 1
-            if indeg[cv] == 0:
-                heapq.heappush(ready, (comps[cv][0], cv))
-    new_index = {old: new for new, old in enumerate(order)}
-    components = tuple(comps[old] for old in order)
-    component_of_map = {}
-    for new_ci, comp in enumerate(components):
-        for n in comp:
-            component_of_map[n] = new_ci
-    component_of = tuple(component_of_map.get(n, -1) for n in range(k))
-    condensation = tuple(
-        sorted((new_index[cu], new_index[cv]) for cu, cv in cond_arcs)
-    )
-    cyclicities = tuple(
-        _component_cyclicity(comp, arc_set) for comp in components
-    )
-    return SccDecomposition(components, component_of, condensation, cyclicities)
+    node_list = sorted(set(nodes))
+    for n in node_list:
+        if not 0 <= n < k:
+            raise ContractViolation(f"scc_from_arcs: node {n} outside 0..{k - 1}")
+    local = {n: i for i, n in enumerate(node_list)}
+    inside = [(local[u], local[v]) for u, v in arc_set if u in local and v in local]
+    adj = np.zeros((len(node_list), len(node_list)), bool)
+    adj[[u for u, _ in inside], [v for _, v in inside]] = True
+    reach = _closure(adj).tolist()
+    # a component is a class of mutual reach, named by its least member
+    head = [next(j for j in range(i + 1) if row[j] and reach[j][i]) for i, row in enumerate(reach)]
+    heads = [i for i, h in enumerate(head) if h == i]
+    # topological order, least node first among the components that no
+    # remaining component reaches: pending counts the remaining components
+    # that reach each one, itself included
+    pending = [sum(reach[g][h] for g in heads) for h in heads]
+    order = {}
+    for _ in heads:
+        c = heads[pending.index(1)]
+        order[c] = len(order)
+        pending = [n - reach[c][h] for n, h in zip(pending, heads)]
+    cid = [order[h] for h in head]
+    components = tuple(tuple(n for n, h in zip(node_list, head) if h == c) for c in order)
+    component_of = [-1] * k
+    for n, c in zip(node_list, cid):
+        component_of[n] = c
+    condensation = tuple(sorted({(cid[u], cid[v]) for u, v in inside if cid[u] != cid[v]}))
+    cyclicities = tuple(_component_cyclicity(comp, arc_set) for comp in components)
+    return SccDecomposition(components, tuple(component_of), condensation, cyclicities)
 
 
 def scc_decompose(G: PrecedenceGraph) -> SccDecomposition:
@@ -199,7 +155,11 @@ def scc_decompose(G: PrecedenceGraph) -> SccDecomposition:
 
 def is_irreducible(A: Matrix) -> bool:
     """True iff the precedence graph is strongly connected."""
-    return scc_decompose(graph_of(A)).count == 1
+    import numpy as np
+
+    # the finite pattern is the transposed adjacency, which is strongly
+    # connected exactly when the graph is
+    return bool(_closure(np.array(A.eps_pattern())).all())
 
 
 def graph_cyclicity(G: PrecedenceGraph) -> int:

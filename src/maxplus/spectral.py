@@ -12,14 +12,16 @@ Every reader builds one exact record per matrix (``_spectrum``): A is
 scaled by the lcm L of its entry denominators, Karp's algorithm gives
 lambda = p / (q L), and the normalized matrix is held as the integer matrix
 Abar = q L A - p (otimes is positively homogeneous). The record is built on
-the array kernel of ``arrays``: irreducibility by boolean reachability on
-the finite pattern, Karp by k array mat-vec steps with the minimum over
-walk lengths and the maximum over nodes found by comparing the means as
-integer cross products, the closure Abar+ by k vectorised Floyd-Warshall
-relaxations, its fixpoint check by one array product, and the critical
-graph and the eigenvectors by array comparisons. Only the SCC
-decomposition of the critical graph runs in Python, and ``Fraction``
-appears only on output. The record bounds every integer it forms by
+the array kernel of ``arrays``: irreducibility by the boolean
+reachability closure of ``graphs`` on the finite pattern, Karp by k array
+mat-vec steps with the minimum over walk lengths and the maximum over
+nodes found by comparing the means as integer cross products, the closure
+Abar+ by k vectorised Floyd-Warshall relaxations, its fixpoint check by
+one array product, and the critical graph and the eigenvectors by array
+comparisons. The SCC decomposition of the critical graph reads the same
+boolean closure of its arcs; only its component order, the per-component
+cyclicity and the output tuples run in Python, and ``Fraction`` appears
+only on output. The record bounds every integer it forms by
 6 k^2 max|B| (``_reach``); the array is float64 with -inf for eps while
 those integers are below 2**53, where float64 holds them exactly, and an
 object array of Python ints with an integer eps past that
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .graphs import SccDecomposition, scc_from_arcs
+from .graphs import SccDecomposition, _closure, scc_from_arcs
 from .projective import ProjVector
 from .semiring import (
     EPS,
@@ -124,19 +126,6 @@ def _reach(k: int) -> int:
     """A bound, in units of max|B|, on every integer the record of a k x k
     integer matrix B forms (see _records)."""
     return 6 * k * k
-
-
-def _irreducible(finite):
-    """Whether every node reaches every other, for a (..., k, k) stack of
-    finite-entry patterns. The pattern with the identity is squared until
-    paths of k - 1 arcs are covered."""
-    import numpy as np
-
-    k = finite.shape[-1]
-    reach = finite | np.eye(k, dtype=bool)
-    for _ in range((k - 1).bit_length()):
-        reach = reach @ reach
-    return reach.all((-2, -1))
 
 
 def _records(B, eps, clamp) -> tuple:
@@ -240,7 +229,7 @@ def _scs1cyc1_flags(Q, eps) -> list:
 
     n, k, _ = Q.shape
     finite = Q != eps
-    flags = _irreducible(finite)
+    flags = _closure(finite).all((1, 2))
     which = np.flatnonzero(flags)
     B, eps, clamp = _recast(Q[which], finite[which], _reach(k))
     step = max(1, _SLICE // k**3)
@@ -268,7 +257,7 @@ def _spectrum(A: Matrix) -> _Spectrum:
 
     lcm, (B,), _ = scale_to_integers((A,))
     (B,), eps, clamp = _int_stack([B], _reach(A.k))
-    if not _irreducible(B != eps):
+    if not _closure(B != eps).all():
         raise ContractViolation("eigenvalue: matrix is not irreducible")
     p, q, abar, plus, nodes, arcs = _records(B, eps, clamp)
     nodes = tuple(np.flatnonzero(nodes).tolist())

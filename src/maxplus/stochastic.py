@@ -70,7 +70,7 @@ from .arrays import (
     _stack_mul,
     _top,
 )
-from .graphs import graph_of, scc_decompose, scc_from_arcs
+from .graphs import _closure, graph_of, scc_decompose
 from .projective import ProjVector, canonicalize
 from .semiring import (
     EPS,
@@ -268,15 +268,10 @@ def stationary_distribution(kernel) -> tuple:
 
 def _recurrent_letters(kernel) -> tuple:
     """Indices with positive stationary mass: members of sink components of
-    the positive-transition graph."""
-    m = len(kernel)
-    arcs = [(i, j) for i in range(m) for j in range(m) if kernel[i][j] > 0]
-    dec = scc_from_arcs(m, arcs)
-    out = []
-    for ci, comp in enumerate(dec.components):
-        if all(src != ci for src, _dst in dec.condensation_arcs):
-            out.extend(comp)
-    return tuple(sorted(out))
+    the positive-transition graph, the letters i that every letter they
+    reach reaches back."""
+    reach = _closure(np.array([[x > 0 for x in row] for row in kernel], bool))
+    return tuple(np.flatnonzero((reach <= reach.T).all(1)).tolist())
 
 
 def _reverse_kernel_cum(kernel, pi) -> list:
@@ -774,12 +769,6 @@ class CouplingSample:
     window_start: Optional[int]
     window_length: Optional[int]
 
-    @property
-    def certified_time(self) -> Optional[int]:
-        if self.window_start is None:
-            return None
-        return self.window_start + self.window_length
-
 
 @dataclass(frozen=True)
 class CouplingReport:
@@ -803,22 +792,8 @@ class CouplingReport:
     def merge_times(self) -> list:
         return [s.merge_time for s in self.samples]
 
-    def strong_fraction(self) -> float:
-        hits = sum(1 for s in self.samples if s.merge_time is not None)
-        return hits / len(self.samples)
-
     def certified_fraction(self) -> float:
         hits = sum(1 for s in self.samples if s.window_start is not None)
-        return hits / len(self.samples)
-
-    def eta_fraction(self) -> float:
-        hits = sum(1 for s in self.samples if s.eta_time is not None)
-        return hits / len(self.samples)
-
-    def coupled_fraction_by(self, t: int) -> float:
-        hits = sum(
-            1 for s in self.samples if s.merge_time is not None and s.merge_time <= t
-        )
         return hits / len(self.samples)
 
 
@@ -1663,21 +1638,14 @@ def open_system_analysis(
                 threads=threads, channel=2 + ci,
             )
         )
-    # ancestor closure over the condensation (components in topological order)
+    # the components upstream of each component, itself included
     n_comp = len(dec.components)
-    ancestors = [set((i,)) for i in range(n_comp)]
-    changed = True
-    while changed:
-        changed = False
-        for src, dst in dec.condensation_arcs:
-            before = len(ancestors[dst])
-            ancestors[dst] |= ancestors[src]
-            if len(ancestors[dst]) != before:
-                changed = True
+    cond = np.zeros((n_comp, n_comp), bool)
+    cond[[a for a, _ in dec.condensation_arcs], [c for _, c in dec.condensation_arcs]] = True
+    upstream = [np.flatnonzero(col).tolist() for col in _closure(cond).T]
     node_limits = [None] * D.k
     for node in range(D.k):
-        ci = dec.component_of[node]
-        vals = [rates[a].point for a in ancestors[ci] if rates[a] is not None]
+        vals = [rates[a].point for a in upstream[dec.component_of[node]] if rates[a] is not None]
         if vals:
             node_limits[node] = max(vals)
         else:

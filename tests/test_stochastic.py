@@ -429,6 +429,23 @@ class TestOpenSystem:
         assert len(rep.components) == 1 and rep.two_block is None
         assert abs(float(rep.node_limits[0]) - 3) < 1e-9
 
+    def test_limit_from_a_component_further_upstream(self):
+        # arc i -> j iff A[j][i] is finite: the chain 0 -> 1 -> 2 with the
+        # circuit-free source 4 feeding 1 and the side branch 1 -> 3. Node 2
+        # inherits the rate of component (0,), which is not its parent.
+        D = FiniteSupport.make([M([
+            [3, EPS, EPS, EPS, EPS],
+            [0, 1, EPS, EPS, 0],
+            [EPS, 0, 2, EPS, EPS],
+            [EPS, 0, EPS, 5, EPS],
+            [EPS, EPS, EPS, EPS, EPS],
+        ])], [1])
+        rep = open_system_analysis(D, horizon=200, replications=2, seed=0)
+        assert rep.components == ((0,), (4,), (1,), (2,), (3,))
+        assert rep.node_limits == (3, 3, 3, 5, None)
+        assert rep.two_block is None
+        assert rep.notes == ("node 4 has no circuit-bearing component upstream; no growth rate",)
+
     def test_mixed_eps_patterns_rejected(self):
         D = FiniteSupport.make(
             [M([[0, EPS], [0, 0]]), M([[0, 0], [0, 0]])], ["1/2", "1/2"]
