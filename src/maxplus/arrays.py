@@ -2,14 +2,17 @@
 
 A k x k matrix is a (k, k) array with -inf for eps, and a stack of them an
 (n, k, k) array. The product P A takes, for each (i, j), the max over l of
-P[i, l] + A[l, j]: ``_max_last(P[:, None, :] + A.T[None], signed)``.
+P[i, l] + A[l, j]: ``_max_last(P[:, None, :] + A.T[None], signed)``. A
+float step of the stochastic drivers lays its stacks out with l first and
+takes the max over that leading axis instead (``_float_step``).
 
 Its callers:
 
 - the stochastic drivers of ``stochastic`` (simulation, Lyapunov estimates,
   coupling, the backward scheme): on float64 one step at a time for float
-  models, and on the integer-scaled support for exact ones, where a
-  block's running products come from one prefix scan (``_scan``);
+  models, every replication of a group in one stack (``_float_step``), and
+  on the integer-scaled support for exact ones, where a block's running
+  products come from one prefix scan (``_scan``);
 - the exact spectral record of ``spectral`` (irreducibility, Karp's
   algorithm, the closure, its fixpoint check, the critical graph and the
   eigenvectors), on the integer-scaled matrix, and its exact power loop
@@ -68,9 +71,26 @@ def _max_last(a: np.ndarray, signed: bool) -> np.ndarray:
     arises only from -0.0 inputs, so callers pass signed=True once one
     was seen, and the first maximal entry is taken."""
     if not signed:
-        return a.max(-1)
+        return np.maximum.reduce(a, -1)
     first = (a == a.max(-1, keepdims=True)).argmax(-1)
     return np.take_along_axis(a, first[..., None], -1)[..., 0]
+
+
+def _float_step(A: np.ndarray, X: np.ndarray, signed: bool) -> np.ndarray:
+    """The max over the leading axis l of A + X: one max-plus step on
+    float64 stacks laid out with the summed index first, A[l] the column l
+    of the matrices and X[l] the row l of the states or right factors,
+    broadcast against each other.
+
+    With both laid out in C order so is the sum, and the max is an
+    elementwise maximum of l contiguous slabs, which numpy takes faster
+    than a max over a short last axis. Of tied values the first maximal
+    one is kept once signed, as in _max_last."""
+    S = A + X
+    top = np.maximum.reduce(S, 0)
+    if not signed:
+        return top
+    return np.take_along_axis(S, (S == top).argmax(0)[None], 0)[0]
 
 
 def _no_clamp(X):
@@ -199,4 +219,6 @@ def _stack_keys(Q: np.ndarray) -> list:
     n = len(Q)
     if Q.dtype == object:
         return [tuple(row) for row in Q.reshape(n, -1).tolist()]
+    if n == 1:  # the bytes the view below gives, without it
+        return [Q.tobytes()]
     return np.ascontiguousarray(Q).reshape(n, -1).view(f"V{Q[0].nbytes}")[:, 0].tolist()

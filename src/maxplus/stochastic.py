@@ -19,8 +19,11 @@ stays O(_CHUNK k^2) on long horizons; drivers that stop early start from
 rows, and the driver fails at the step that would use such a matrix. Each
 driver (``simulate``, ``lyapunov_estimate``, ``forward_coupling``,
 ``backward_loynes``) is one loop over blocks that tests every step of a
-block at once; the backings differ in how a block's states or products are
-formed, on the array kernel of ``arrays``.
+block at once, and steps its independent replications as one stack; the
+backings differ in how a block's states or products are formed, on the
+array kernel of ``arrays``. A replication in a stack ends as it would
+alone, and a stack raises what running its replications one after another
+would (_carry_on).
 
 Exact: each call scales the support, and the initial conditions, once by
 L, the lcm of their entry denominators (``semiring.scale_to_integers``), and
@@ -35,11 +38,11 @@ search expands a breadth-first level at a time on the same kernel. Under a
 Markov kernel a letter may follow another when the exact transition
 probability is positive, however small.
 
-Float: float64 with -inf for eps, each state from the one before, with the
-IEEE additions and maxima of the scalar kernel; of tied signed zeros the
-first is kept, as Python's ``max`` does, so reports are bit for bit those of
-``semiring.mat_vec`` and ``projective.proj_dist``. Results leave the module
-as Python floats.
+Float: float64 with -inf for eps, each state from the one before
+(``arrays._float_step``), with the IEEE additions and maxima of the scalar
+kernel; of tied signed zeros the first is kept, as Python's ``max`` does, so
+reports are bit for bit those of ``semiring.mat_vec`` and
+``projective.proj_dist``. Results leave the module as Python floats.
 """
 
 from __future__ import annotations
@@ -58,6 +61,7 @@ from .arrays import (
     _FLOAT_EXACT,
     _as_array,
     _as_object,
+    _float_step,
     _int_stack,
     _matrix_of,
     _max_last,
@@ -349,11 +353,12 @@ class _FloatStream:
     kept as ``letters``; an exact driver passes its integer stack as
     support (see _IntWalk).
 
-    Generator blocks are checked for all-eps rows (when ``when`` names the
-    caller): take() stops just before such a matrix and the next take()
-    raises, so a driver fails at the step that would use it. signed turns
-    True once a block holds -0.0; drivers set it for their initial state
-    too (see _max_last).
+    A generator's matrices are checked for their shape, and its blocks for
+    all-eps rows (when ``when`` names the caller): take() stops just before
+    a bad matrix, sets error, and the next take() raises it, so a driver
+    fails at the step that would use the matrix. signed turns True once a
+    block holds -0.0; drivers set it for their initial state too (see
+    _max_last).
     """
 
     def __init__(self, dist: MatrixDistribution, rng: np.random.Generator,
@@ -363,7 +368,7 @@ class _FloatStream:
         self.when = when
         self.position = 0
         self.signed = False
-        self._error = None
+        self.error = None
         if isinstance(dist, FiniteSupport):
             self._support = _as_array(M.rows for M in dist.matrices) if support is None else support
             self._letters = _Letters(dist, rng, backward)
@@ -373,34 +378,34 @@ class _FloatStream:
         if isinstance(d, FiniteSupport):
             self.letters = self._letters.draw(n)
             return self._support[self.letters]
+        mats = []
         if d.sample_block is not None:
             block = np.asarray(d.sample_block(self.rng, n), dtype=float)
-            if block.shape != (n, d.k, d.k):
-                raise ContractViolation(
-                    f"generator {d.name!r} must produce float matrices of size {d.k}"
-                )
-            return block
-        mats = []
-        for position in range(self.position, self.position + n):
-            A = d.sample_fn(self.rng, position)
-            if not isinstance(A, Matrix) or A.k != d.k or A.backing != FLOAT:
-                raise ContractViolation(
-                    f"generator {d.name!r} must produce float matrices of size {d.k}"
-                )
-            mats.append(A.rows)
-        return _as_array(mats)
+            if block.shape == (n, d.k, d.k):
+                return block
+        else:
+            for position in range(self.position, self.position + n):
+                A = d.sample_fn(self.rng, position)
+                if not isinstance(A, Matrix) or A.k != d.k or A.backing != FLOAT:
+                    break
+                mats.append(A.rows)
+        if len(mats) < n:
+            self.error = ContractViolation(
+                f"generator {d.name!r} must produce float matrices of size {d.k}"
+            )
+        return _as_array(mats).reshape(len(mats), d.k, d.k)
 
     def take(self, n: int) -> np.ndarray:
-        """The next at most n matrices: fewer, maybe none, only before an
-        all-eps row."""
-        if self._error is not None:
-            raise self._error
+        """The next at most n matrices: fewer, maybe none, only before a bad
+        matrix."""
+        if self.error is not None:
+            raise self.error
         block = self._draw(n)
         if self.when is not None and isinstance(self.dist, GeneratorDistribution):
             dead = (block == -math.inf).all(-1)
             if dead.any():
                 t = int(dead.any(-1).argmax())
-                self._error = ContractViolation(
+                self.error = ContractViolation(
                     f"{self.when}: matrix row {int(dead[t].argmax())} is all eps "
                     "(every row needs a finite entry)"
                 )
@@ -413,8 +418,34 @@ class _FloatStream:
         """Blocks covering the next total matrices, of _block_sizes."""
         for n in _block_sizes(total, first):
             yield self.take(n)
-        if self._error is not None:
-            raise self._error
+        if self.error is not None:
+            raise self.error
+
+
+def _stack_blocks(streams: list, n: int) -> tuple:
+    """(A, lengths): the next block of n matrices of each stream as one
+    (R, n, k, k) stack, and each block's length. A block that stopped short
+    before a bad matrix is padded with zero matrices, whose steps the
+    caller ignores."""
+    blocks = [s.take(n) for s in streams]
+    A = np.zeros((len(blocks), n) + blocks[0].shape[1:], blocks[0].dtype)
+    for a, block in zip(A, blocks):
+        a[: len(block)] = block
+    return A, [len(block) for block in blocks]
+
+
+def _carry_on(live: list, open_: list, streams: dict, failed: dict) -> list:
+    """The indices into live of the replications a stacked driver steps on
+    after a block. open_[i] tells whether replication live[i] is still
+    undecided; one whose block stopped short has met its stream's error,
+    which failed records by replication. Each replication thus ends as it
+    would alone, and the driver raises the error of the lowest failed one
+    once every replication before it has ended: those after it stop."""
+    for i, rep in enumerate(live):
+        if open_[i] and streams[rep].error is not None:
+            failed[rep] = streams[rep].error
+    cut = min(failed, default=math.inf)
+    return [i for i, rep in enumerate(live) if open_[i] and rep < cut]
 
 
 def _integer_support(D: FiniteSupport, vectors: Sequence[Vector] = ()) -> tuple:
@@ -489,13 +520,15 @@ def _pair_dists(X: np.ndarray) -> np.ndarray:
 
 
 def _diameters(P: np.ndarray, eps) -> list:
-    """proj_diameter of each matrix of the stack P, as a list: inf unless
-    every entry is finite, else the largest distance between its columns."""
-    finite = (P != eps).all((1, 2))
-    out = [math.inf] * len(P)
-    for i, d in zip(np.flatnonzero(finite).tolist(), _pair_dists(P[finite].swapaxes(1, 2)).tolist()):
-        out[i] = max(0.0, d)
-    return out
+    """proj_diameter of each matrix of the stack P (..., k, k), as a nested
+    list: inf unless every entry is finite, else the largest distance
+    between its columns, and 0.0 for a distance of -0.0, as max(0.0, d)
+    gives."""
+    finite = (P != eps).all((-2, -1))
+    out = np.full(finite.shape, math.inf, P.dtype)
+    d = _pair_dists(P[finite].swapaxes(-1, -2))
+    out[finite] = np.where(d > 0, d, 0.0)
+    return out.tolist()
 
 
 def _first(flags: list) -> Optional[int]:
@@ -583,8 +616,8 @@ def simulate(
     t, P = 0, None
     for A in stream.blocks(horizon, first):
         if x0.backing == FLOAT:
-            for n, An in enumerate(A, t + 1):
-                y = _max_last(An + track[n - 1][:, None, :], stream.signed)
+            for n, An in enumerate(np.ascontiguousarray(A.swapaxes(1, 2))[..., None], t + 1):
+                y = _float_step(An, track[n - 1].T[:, None], stream.signed).T
                 y[1] -= _max_last(y[1], stream.signed)
                 track[n] = y
         else:
@@ -705,9 +738,11 @@ def _group(replications: int, total: int, first: int = _FIRST_CHUNK, cap: int = 
     return [range(lo, min(lo + size, replications)) for lo in range(0, replications, size)]
 
 
-# A float Lyapunov group holds at most this many matrix entries per block
-# (16 MB of float64): estimate_float's jobs, 4 replications of at most
-# 1024 matrices of k <= 8, stay one group.
+# A group of float replications holds at most this many entries (16 MB of
+# float64) per block in its largest array: the matrices for a Lyapunov
+# estimate, the pair distances of the states for coupling, those of the
+# columns of the products for the backward scheme. So a few replications
+# of blocks of 1024 matrices of k <= 8 stay one group.
 _FLOAT_GROUP = 2**21
 
 
@@ -715,9 +750,10 @@ def _growth(D, x0, horizon, replications, seed, channel) -> list:
     """max_i x_i(horizon) / horizon per replication, the replications of a
     group stepped as one stack. Exact: groups of _group, and x = C x for the
     product C of each block, the last of its scan. Float: groups of at most
-    _FLOAT_GROUP entries a block, each state from the one before:
-    (R, k, k) + (R, 1, k), max over the last axis. A replication's steps do
-    not depend on the others of its group, so neither do its values."""
+    _FLOAT_GROUP entries a block, each state from the one before
+    (arrays._float_step). A replication's steps do not depend on the others
+    of its group, so neither do its values, nor, by _carry_on, the error
+    raised when some meet a bad matrix."""
     exact = D.backing == EXACT
     if exact:
         walk = _IntWalk(D, (x0,), horizon)
@@ -729,25 +765,27 @@ def _growth(D, x0, horizon, replications, seed, channel) -> list:
         new = functools.partial(_FloatStream, D, when="lyapunov_estimate")
     values = []
     for reps in groups:
-        streams = [new(_stream(seed, rep, channel)) for rep in reps]
+        streams = {rep: new(_stream(seed, rep, channel)) for rep in reps}
+        live, failed = list(reps), {}
         x = np.tile(start, (len(reps), 1))
         signed, t = _negative_zero(x), 0
         for n in _block_sizes(horizon, first):
-            blocks = [s.take(n) for s in streams]
-            if any(len(b) < n for b in blocks):
-                # some replication meets an all-eps row before the horizon;
-                # raise for the first one that does, as running them in order would
-                for s in streams:
-                    for _ in s.blocks(horizon - s.position):
-                        pass
+            if not live:
+                break
+            A, _ = _stack_blocks([streams[rep] for rep in live], n)
             if exact:
-                A, x = walk.fit(t + n, np.stack(blocks), x)
+                A, x = walk.fit(t + n, A, x)
                 x = walk.act(_scan(A, None, walk.clamp)[:, -1], x[:, None])[:, 0]
             else:
-                signed = signed or any(s.signed for s in streams)
-                for A in np.stack(blocks, axis=1):
-                    x = _max_last(A + x[:, None, :], signed)
-            t += n
+                signed = signed or any(streams[rep].signed for rep in live)
+                At, xt = np.ascontiguousarray(A.transpose(1, 3, 2, 0)), x.T  # At[j, l, i, r] = A[r, j, i, l]
+                for j in range(n):
+                    xt = _float_step(At[j], xt[:, None], signed)
+                x = xt.T
+            keep = _carry_on(live, [True] * len(live), streams, failed)
+            live, x, t = [live[i] for i in keep], x[keep], t + n
+        if failed:
+            raise failed[min(failed)]
         if (x == (walk.eps if exact else -math.inf)).any():
             raise ContractViolation(_EPS_AT_HORIZON)
         if exact:
@@ -830,10 +868,12 @@ def forward_coupling(
 
     Every step of a block is tested at once: the largest pairwise distance
     of the states against eta (and 0, the merge), and the rank-one test of
-    the running product for the window. Exact: a block's running products
-    C[t] = A(t) ... A(0) come from one scan, the states are C[t] x0, and the
-    replications of a _group step as one stack. Float: one replication at
-    a time, each state from the one before, eta only."""
+    the running product for the window. The replications of a group step
+    as one stack. Exact: groups of _group, a block's running products
+    C[t] = A(t) ... A(0) come from one scan, and the states are C[t] x0.
+    Float: groups of at most _FLOAT_GROUP entries a block, each state from
+    the one before (arrays._float_step), eta only. A replication ends as it
+    would alone (_carry_on)."""
     x0s = tuple(initial_conditions)
     if len(x0s) < 2:
         raise ContractViolation("forward_coupling: need at least two initial conditions")
@@ -859,7 +899,9 @@ def forward_coupling(
         x0, groups, new = walk.x0, _group(replications, horizon), walk.stream
     else:
         x0, bound = np.array([v.entries for v in x0s]), eta
-        groups = [[rep] for rep in range(replications)]
+        # the matrices, k^2 entries a step, and the pair distances, m^2 k
+        per_step = D.k * max(D.k, len(x0s) ** 2)
+        groups = _group(replications, horizon, _FIRST_CHUNK, _FLOAT_GROUP // per_step)
         new = functools.partial(_FloatStream, D, when="forward_coupling")
 
     def near(d):
@@ -880,11 +922,12 @@ def forward_coupling(
             return close is None or exact and (merge is None or window is None)
 
         live = [rep for rep in reps if pending(rep)]
-        x, P, t, rank_one = np.array([x0] * len(live)), None, 0, {}
+        x, P, t, rank_one, failed = np.array([x0] * len(live)), None, 0, {}, {}
+        signed = not exact and _negative_zero(x0)
         for n in _block_sizes(horizon, _FIRST_CHUNK):
             if not live:
                 break
-            A = np.stack([streams[rep].take(n) for rep in live])
+            A, lengths = _stack_blocks([streams[rep] for rep in live], n)
             if exact:
                 open_ = [i for i, rep in enumerate(live) if found[rep][2] is None]
                 for i in open_:
@@ -896,24 +939,27 @@ def forward_coupling(
                     flags = _rank_one_flags(Q, walk.clamp)
                     rank_one = {i: flags[a * n : (a + 1) * n] for a, i in enumerate(open_)}
             else:
-                S = np.empty(A.shape[:2] + x.shape[1:])
-                for j in range(A.shape[1]):
-                    x = S[:, j] = (A[:, j, None] + x[:, :, None, :]).max(-1)
+                signed = signed or any(streams[rep].signed for rep in live)
+                At = np.ascontiguousarray(A.transpose(1, 3, 2, 0))  # At[j, l, i, r] = A[r, j, i, l]
+                St, xt = np.empty((n, D.k) + x.shape[:2]), x.transpose(2, 0, 1)
+                for j in range(n):
+                    xt = St[j] = _float_step(At[j][..., None], xt[:, None], signed)
+                S, x = np.ascontiguousarray(St.transpose(2, 0, 3, 1)), xt.transpose(1, 2, 0)
             d = _pair_dists(S)
             merged, close = (d == 0).tolist(), near(d)
             for i, rep in enumerate(live):
-                hits = (_first(merged[i]) if exact else None, _first(close[i]),
-                        _first(rank_one[i]) if i in rank_one else None)
+                b = lengths[i]
+                hits = (_first(merged[i][:b]) if exact else None, _first(close[i][:b]),
+                        _first(rank_one[i][:b]) if i in rank_one else None)
                 for slot, j in enumerate(hits):
                     if found[rep][slot] is None and j is not None:
                         found[rep][slot] = t + j + 1 if slot < 2 else _window(
                             walk, np.concatenate(seen[rep])[: t + j + 1])
-            t, rank_one = t + A.shape[1], {}
-            keep = [i for i, rep in enumerate(live) if pending(rep)]
-            if A.shape[1] < n:  # a generator met an all-eps row: the next draw raises
-                for i in keep:
-                    streams[live[i]].take(0)
+            t, rank_one = t + n, {}
+            keep = _carry_on(live, [pending(rep) for rep in live], streams, failed)
             live, x, P = [live[i] for i in keep], x[keep], None if P is None else P[keep]
+        if failed:
+            raise failed[min(failed)]
         samples += [CouplingSample(rep, merge, close, *(window or (None, None)))
                     for rep, (merge, close, window) in found.items()]
     modes = ("strong", "eta") if exact else ("eta",)
@@ -971,11 +1017,22 @@ def backward_loynes(
     projective image is tolerance-thin. tolerance=0 demands an exactly
     rank-one product and needs the exact backing; float models must pass
     a positive tolerance. A budget exhaustion returns a partial result
-    with converged=False rather than raising.
+    with converged=False rather than raising. The loop is _loynes's, on a
+    stack of one replication."""
+    return _loynes(D, tolerance, budget, seed, range(replication, replication + 1), trace_every)[0]
 
-    The products P(1..n) of a block are tested at once. Exact: they come
-    from one right scan of the block, and tolerance 0 is the rank-one test
-    of their normal forms. Float: each from the one before."""
+
+def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replications: range,
+            trace_every: int) -> list:
+    """backward_loynes for each of the replications, in order.
+
+    The products P(1..n) of a block are tested at once, and the
+    replications of a group step as one (R, k, k) stack of products: each
+    leaves it when it converges, and ends as it would alone (_carry_on).
+    Exact: groups of _group, a block's products come from one right scan,
+    and tolerance 0 is the rank-one test of their normal forms. Float:
+    groups of at most _FLOAT_GROUP entries a block, each product from the
+    one before (arrays._float_step)."""
     backing = dist_backing(D)
     tol = as_scalar(tolerance, backing) if tolerance != 0 else 0
     if tol is EPS:
@@ -990,13 +1047,15 @@ def backward_loynes(
         raise ContractViolation("backward_loynes: budget and trace_every must be >= 0")
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
-    rng = _stream(seed, replication, 1)
     if backing == FLOAT:
-        stream = _FloatStream(D, rng, "backward_loynes", backward=True)
+        new = functools.partial(_FloatStream, D, when="backward_loynes", backward=True)
+        # the pair distances behind the diameters take k^3 entries a step
+        groups = _group(len(replications), budget, _FIRST_CHUNK, _FLOAT_GROUP // D.k**3)
         bound, unscaled, ratio, eps = tol, float, float, -math.inf
     else:
         walk = _IntWalk(D, (), budget)
-        stream, bound = walk.stream(rng, backward=True), tol * walk.L
+        new = functools.partial(walk.stream, backward=True)
+        groups, bound = _group(len(replications), budget), tol * walk.L
 
         def unscaled(d):
             # what proj_diameter gives on the unscaled product: 0 and inf as they are
@@ -1006,40 +1065,70 @@ def backward_loynes(
             # float(unscaled(d)), as int / int rounds correctly
             return d if d == math.inf else int(d) / walk.L
 
-    P, t, trace, last = None, 0, [], math.inf
-    for A in stream.blocks(budget, _FIRST_CHUNK):
+    def limit(Z, signed):
+        col = Z[:, int((Z != eps).all(0).argmax())]  # the first finite column
         if backing == FLOAT:
-            Ps = np.empty_like(A)
-            for j, An in enumerate(A):
-                P = Ps[j] = An if P is None else _max_last(P[:, None, :] + An.T, stream.signed)
-        else:
-            Ps, eps = walk.scan(A, P, t, right=True), walk.eps
-        diams = _diameters(Ps, eps) if tolerance != 0 or trace_every else None
-        if tolerance == 0:
-            end = _first(_rank_one_flags(_normal(Ps, walk.clamp)[0], walk.clamp))
-        else:
-            end = _first([d <= bound for d in diams])
-        for j in range(len(Ps) if end is None else end + 1):
-            n, done = t + j + 1, j == end
-            traced = trace_every and (n % trace_every == 0 or done)
-            if done or traced or tolerance != 0:
-                last = 0 if done and tolerance == 0 else diams[j]
-            if traced:
-                trace.append((n, ratio(last)))
-        if end is not None:
-            Z = Ps[end]
-            col = Z[:, int((Z != eps).all(0).argmax())]  # the first finite column
+            return ProjVector(tuple((col - _max_last(col, signed)).tolist()), FLOAT)
+        return ProjVector(tuple(Fraction(int(v), walk.L) for v in (col - col.max()).tolist()), EXACT)
+
+    results = []
+    for group in groups:
+        reps = replications[group.start : group.stop]
+        streams = {rep: new(_stream(seed, rep, 1)) for rep in reps}
+        traces, lasts, ended = {rep: [] for rep in reps}, dict.fromkeys(reps, math.inf), {}
+        live, P, t, signed, failed = list(reps), None, 0, False, {}
+        for n in _block_sizes(budget, _FIRST_CHUNK):
+            if not live:
+                break
+            A, lengths = _stack_blocks([streams[rep] for rep in live], n)
             if backing == FLOAT:
-                limit = ProjVector(tuple((col - _max_last(col, stream.signed)).tolist()), FLOAT)
+                signed = signed or any(streams[rep].signed for rep in live)
+                Ab = np.ascontiguousarray(A.transpose(1, 2, 3, 0))  # Ab[j, l, b, r] = A[r, j, l, b]
+                Pt, Q = np.empty_like(Ab), None if P is None else P.T
+                for j in range(n):
+                    Q = Pt[j] = Ab[j].swapaxes(0, 1) if Q is None else _float_step(
+                        Q[:, None], Ab[j][:, :, None], signed)
+                Ps = np.ascontiguousarray(Pt.transpose(3, 0, 2, 1))  # Ps[r, j] = Pt[j].T[r]
             else:
-                limit = ProjVector(
-                    tuple(Fraction(int(v), walk.L) for v in (col - col.max()).tolist()), EXACT)
-            return LoynesResult(True, t + end + 1, limit, unscaled(last), tol, tuple(trace),
-                                seed, replication)
-        P, t = Ps[-1] if len(Ps) else P, t + len(Ps)
-    if last == math.inf and P is not None and tolerance == 0:
-        last = _diameters(P[None], eps)[0]
-    return LoynesResult(False, budget, None, unscaled(last), tol, tuple(trace), seed, replication)
+                Ps, eps = walk.scan(A, P, t, right=True), walk.eps
+            diams = _diameters(Ps, eps) if tolerance != 0 or trace_every else None
+            if tolerance == 0:
+                flags = _rank_one_flags(_normal(Ps, walk.clamp)[0].reshape(-1, D.k, D.k), walk.clamp)
+            for i, rep in enumerate(live):
+                b = lengths[i]
+                if tolerance == 0:
+                    end = _first(flags[i * n : i * n + b])
+                else:
+                    end = _first([d <= bound for d in diams[i][:b]])
+                stop, traced = b if end is None else end + 1, []
+                if trace_every:
+                    # the steps t + j + 1 that trace_every divides, and the last
+                    traced = list(range((-t - 1) % trace_every, stop, trace_every))
+                    if end is not None and end not in traced[-1:]:
+                        traced.append(end)
+                    traces[rep] += [(t + j + 1, ratio(0 if j == end and tolerance == 0 else diams[i][j]))
+                                    for j in traced]
+                if end is not None and tolerance == 0:
+                    lasts[rep] = 0
+                elif tolerance != 0 and stop:
+                    lasts[rep] = diams[i][stop - 1]
+                elif traced:
+                    lasts[rep] = diams[i][traced[-1]]
+                if end is not None:
+                    ended[rep] = LoynesResult(True, t + end + 1, limit(Ps[i, end], signed),
+                                              unscaled(lasts[rep]), tol, tuple(traces[rep]), seed, rep)
+            keep = _carry_on(live, [rep not in ended for rep in live], streams, failed)
+            live, P, t = [live[i] for i in keep], Ps[keep, -1], t + n
+        if failed:
+            raise failed[min(failed)]
+        for i, rep in enumerate(live):  # out of budget
+            last = lasts[rep]
+            if last == math.inf and P is not None and tolerance == 0:
+                last = _diameters(P[i], eps)
+            ended[rep] = LoynesResult(False, budget, None, unscaled(last), tol, tuple(traces[rep]),
+                                      seed, rep)
+        results += [ended[rep] for rep in reps]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -1417,20 +1506,9 @@ class StabilityVerdict:
 
 def _mc_backward_evidence(D: MatrixDistribution, options: StabilityOptions) -> dict:
     Df = D.to_float() if isinstance(D, FiniteSupport) and D.backing == EXACT else D
-
-    def one(rep):
-        return backward_loynes(
-            Df,
-            tolerance=options.eta,
-            budget=options.mc_budget,
-            seed=options.seed,
-            replication=rep,
-            trace_every=0,
-        )
-
     if options.mc_seeds < 1:
         raise ContractViolation("replications must be >= 1")
-    results = [one(rep) for rep in range(options.mc_seeds)]
+    results = _loynes(Df, options.eta, options.mc_budget, options.seed, range(options.mc_seeds), 0)
     return {
         "seeds": options.mc_seeds,
         "successes": sum(1 for r in results if r.converged),

@@ -190,3 +190,13 @@ def test_equal_powers_have_equal_keys(A, a, b):
     other = _max_last(Pa[:, None, :] + Pb.T[None], False)  # A^a A^b, not A^(a+b-1) A
     assert arrays._stack_keys(other[None]) == arrays._stack_keys(P[None])
     assert not np.signbit(P[P == 0]).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_irreducible_matrices(), st.integers(1, 6))
+def test_one_power_has_its_key_in_a_stack(A, n):
+    """The one-matrix keys of the power walk are those the matrix gets in a
+    larger stack, also from a transposed view."""
+    P = [P for _, P, _ in spectral._powers(spectral._spectrum(A), n)][-1]
+    for Q in (P, P.T):
+        assert arrays._stack_keys(Q[None]) == arrays._stack_keys(np.stack([Q, Q]))[:1]

@@ -848,11 +848,14 @@ def _diagonal(k, u):
     return M([[u if i == j else 0.0 for j in range(k)] for i in range(k)], FLOAT)
 
 
-def _custom(bad_at=None, bad_row=1, k=3):
-    """A generator without a block sampler; position bad_at gets an all-eps row."""
+def _custom(bad_at=None, bad_row=1, k=3, misshapen=False):
+    """A generator without a block sampler; position bad_at gets an all-eps
+    row, or with misshapen a matrix of size k - 1."""
 
     def sample(rng, n):
         A = _diagonal(k, float(rng.uniform(0.0, 1.0)))
+        if n == bad_at and misshapen:
+            return _diagonal(k - 1, 0.0)
         if n == bad_at:
             rows = [list(r) for r in A.rows]
             rows[bad_row] = [EPS] * k
@@ -860,6 +863,33 @@ def _custom(bad_at=None, bad_row=1, k=3):
         return A
 
     return GeneratorDistribution(k=k, sample_fn=sample, name="custom-test")
+
+
+def _agree_on_a_bad_matrix(D):
+    """A bad matrix of D, one with an all-eps row or of the wrong size,
+    fails a run that reaches it, and only such a run, as in the scalar
+    routines: the backward run at tolerance 100 converges at its first
+    step."""
+    x0s = [V([0.0, 1.0, 2.0], FLOAT), V([2.0, 0.5, 0.0], FLOAT)]
+    runs = [
+        lambda m, r: m.simulate(D, x0s[0], 30, 2),
+        lambda m, r: m.lyapunov_estimate(D, 30, 3, 2),
+        lambda m, r: m._couple_one(D, tuple(x0s), 60, 0.2, 2, r, False)
+        if m is reference else m.forward_coupling(D, x0s, 60, 0.2, 2, 1).samples[0],
+        lambda m, r: m.backward_loynes(D, 0.3, 60, 2, trace_every=0),
+        lambda m, r: m.backward_loynes(D, 100.0, 60, 2, trace_every=0),
+    ]
+    for run in runs:
+        outcome = []
+        for m in (stochastic, reference):
+            try:
+                res = run(m, 0)
+                outcome.append(res if isinstance(res, CouplingSample) else
+                               trajectory_json(res) if hasattr(res, "increments") else
+                               report_text(res))
+            except ContractViolation as exc:
+                outcome.append(("raised", str(exc)))
+        assert outcome[0] == outcome[1]
 
 
 class TestCustomGenerators:
@@ -881,26 +911,11 @@ class TestCustomGenerators:
 
     @pytest.mark.parametrize("bad_at", [0, 5, 15, 16, 40])
     def test_all_eps_row_raises_when_the_scalar_routine_did(self, bad_at):
-        D = _custom(bad_at=bad_at)
-        x0s = [V([0.0, 1.0, 2.0], FLOAT), V([2.0, 0.5, 0.0], FLOAT)]
-        runs = [
-            lambda m, r: m.simulate(D, x0s[0], 30, 2),
-            lambda m, r: m.lyapunov_estimate(D, 30, 3, 2),
-            lambda m, r: m._couple_one(D, tuple(x0s), 60, 0.2, 2, r, False)
-            if m is reference else m.forward_coupling(D, x0s, 60, 0.2, 2, 1).samples[0],
-            lambda m, r: m.backward_loynes(D, 0.3, 60, 2, trace_every=0),
-        ]
-        for run in runs:
-            outcome = []
-            for m in (stochastic, reference):
-                try:
-                    res = run(m, 0)
-                    outcome.append(res if isinstance(res, CouplingSample) else
-                                   trajectory_json(res) if hasattr(res, "increments") else
-                                   report_text(res))
-                except ContractViolation as exc:
-                    outcome.append(("raised", str(exc)))
-            assert outcome[0] == outcome[1]
+        _agree_on_a_bad_matrix(_custom(bad_at=bad_at))
+
+    @pytest.mark.parametrize("bad_at", [0, 5, 15, 16, 40])
+    def test_misshapen_matrix_raises_when_the_scalar_routine_did(self, bad_at):
+        _agree_on_a_bad_matrix(_custom(bad_at=bad_at, misshapen=True))
 
     # seeds 10 and 15: replication 0 meets its all-eps row only after the
     # first block, a later one within it, in another row
@@ -1026,6 +1041,203 @@ def test_float_routines_use_no_scalar_kernel(monkeypatch):
     floats += [v for z in tr.increments for v in z] + list(est.per_replication)
     floats += [d for _, d in res.trace] + [res.achieved_diameter] + list(res.limit_class.entries)
     assert {type(v) for v in floats} == {float}
+
+
+# ---------------------------------------------------------------------------
+# Float replications stepped as one stack
+
+
+def _dying(p=1 / 60, k=3):
+    """k x k float matrices with diagonal entries in (0, 1) and off-diagonal
+    ones in (-2, -1), so coupling and the backward scheme take tens of
+    steps; each matrix has an all-eps row, in a random row, with
+    probability p."""
+
+    def sample(rng, n):
+        u = rng.uniform(0.0, 1.0, size=(k + 1, k))
+        rows = [[float(u[i, j]) - (i != j) * 2.0 for j in range(k)] for i in range(k)]
+        if u[k, 0] < p:
+            rows[int(u[k, 0] / p * k)] = [EPS] * k
+        return M(rows, FLOAT)
+
+    return GeneratorDistribution(k=k, sample_fn=sample, name="dying")
+
+
+def _first_dead(D, seed, rep, channel, steps):
+    """(position, row) of the first all-eps row on a replication's stream."""
+    rng = stochastic._stream(seed, rep, channel)
+    for position in range(steps):
+        row = D.sample_fn(rng, position).row_finite_violation()
+        if row is not None:
+            return position, row
+    return None
+
+
+def _block_of(position):
+    """The index of the block of a driver that stops early that holds it."""
+    return len(list(stochastic._block_sizes(position + 1, stochastic._FIRST_CHUNK))) - 1
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ContractViolation as exc:
+        return ("raised", str(exc))
+
+
+_STARTS = (V([0.0, 1.0, 2.0], FLOAT), V([2.0, 0.5, 0.0], FLOAT))
+
+
+# the driver, the seed, and what replications 0 and 1 meet when each runs
+# alone: the step at which it converges, or the position and row of the
+# all-eps row that stops it
+STACK_ERROR_CASES = [
+    # replication 1 meets its row in the first block, replication 0
+    # converges a block later
+    ("coupling", 7, [("converges", 38), ("dies", (6, 0))]),
+    ("backward", 7, [("converges", 44), ("dies", (12, 1))]),
+    # both meet a row in one block, replication 0 after replication 1
+    ("coupling", 11, [("dies", (15, 1)), ("dies", (1, 0))]),
+    ("backward", 0, [("dies", (25, 1)), ("dies", (24, 2))]),
+    # both meet a row in one block, replication 0 first
+    ("coupling", 4, [("dies", (4, 0)), ("dies", (12, 2))]),
+    ("backward", 2, [("dies", (48, 2)), ("dies", (50, 1))]),
+]
+
+
+@pytest.mark.parametrize("driver, seed, outcomes", STACK_ERROR_CASES)
+def test_stacked_replications_raise_what_running_them_in_order_does(driver, seed, outcomes):
+    """Replications whose all-eps rows fall at different steps, stepped as
+    one stack: coupling and the Monte-Carlo evidence of stability_verdict
+    raise the error of the lowest replication that meets one, as the
+    scalar routines do run seed by seed."""
+    D = _dying()
+    if driver == "coupling":
+        alone = [lambda r=r: reference._couple_one(D, _STARTS, 200, 1e-9, seed, r, False)
+                 for r in range(2)]
+        stacked = lambda: forward_coupling(D, _STARTS, 200, 1e-9, seed, 2)  # noqa: E731
+    else:
+        alone = [lambda r=r: reference.backward_loynes(D, 1e-6, 200, seed, r, trace_every=0)
+                 for r in range(2)]
+        options = StabilityOptions(eta=1e-6, mc_seeds=2, mc_budget=200, seed=seed)
+        stacked = lambda: stability_verdict(D, options)  # noqa: E731
+    positions = []
+    for rep, (kind, at) in enumerate(outcomes):
+        if kind == "dies":
+            assert _first_dead(D, seed, rep, 0 if driver == "coupling" else 1, 200) == at
+            assert _outcome(alone[rep])[0] == "raised"
+            positions.append(at[0])
+        else:
+            result = alone[rep]()
+            assert (result.eta_time if driver == "coupling" else result.steps) == at
+            positions.append(at - 1)
+    blocks = [_block_of(p) for p in positions]
+    assert blocks[0] > blocks[1] if outcomes[0][0] == "converges" else blocks[0] == blocks[1]
+    want = _outcome(lambda: [run() for run in alone])
+    assert want[0] == "raised"
+    assert _outcome(stacked) == want
+
+
+def _signed_support():
+    return FiniteSupport.make(
+        [M([[-0.0, 1.5], [0.0, -0.0]], FLOAT), M([[0.25, -0.0], [2.0, -1.0]], FLOAT)],
+        ["1/2", "1/2"],
+    )
+
+
+def test_stacked_float_runs_do_not_depend_on_the_groups(monkeypatch):
+    """Float coupling replications and Monte-Carlo backward runs step in
+    groups of at most _FLOAT_GROUP entries a block; groups of 3 give the
+    bits of one group, also when letters hold -0.0, and the same error
+    when some replications meet an all-eps row."""
+    starts = (V([0.0, -0.0], FLOAT), V([-0.0, 3.0], FLOAT))
+    options = StabilityOptions(eta=1e-12, mc_seeds=10, mc_budget=300, seed=5)
+
+    def runs():
+        out = []
+        for D in (_signed_support(), independent_uniform_diagonal(2, 0.1, 1.2)):
+            out.append(forward_coupling(D, starts, 300, 1e-12, 4, 10).samples)
+            out.append(json.dumps(stochastic._mc_backward_evidence(D, options)))
+            out.append([report_text(r) for r in stochastic._loynes(D, 0.01, 300, 5, range(10), 7)])
+        D = _dying()
+        out.append(_outcome(lambda: forward_coupling(D, _STARTS, 300, 1e-9, 3, 10)))
+        out.append(_outcome(lambda: stochastic._mc_backward_evidence(D, options)))
+        return out
+
+    one = runs()
+    # 2 x 2 matrices and 2 states: 8 entries a step for coupling and for the backward scheme
+    monkeypatch.setattr(stochastic, "_FLOAT_GROUP", 3 * 128 * 8)
+    assert len(stochastic._group(10, 300, stochastic._FIRST_CHUNK, 3 * 128)) == 4
+    assert runs() == one
+
+
+@pytest.mark.parametrize("driver", ["coupling", "backward"])
+def test_stacked_float_memory_does_not_grow_with_replications(monkeypatch, driver):
+    """With groups of 4 replications, 64 replications peak at about the
+    memory of 8; one stack of them all would take 8 times as much."""
+    import tracemalloc
+
+    # the largest coordinate of each start grows by the shared diagonal
+    # entry and the others take its old value: the two never meet
+    D = shared_uniform_diagonal(4, 0.1, 1.2)
+    starts = (V([0.0, 1.0, 2.0, 0.5], FLOAT), V([1.0, 0.0, 0.0, 3.0], FLOAT))
+    if driver == "coupling":
+        monkeypatch.setattr(stochastic, "_FLOAT_GROUP", 4 * 128 * 16)
+
+        def run(replications):
+            samples = forward_coupling(D, starts, 256, 0, 1, replications).samples
+            assert {s.eta_time for s in samples} == {None}  # every block is stepped
+    else:
+        monkeypatch.setattr(stochastic, "_FLOAT_GROUP", 4 * 128 * 64)
+
+        def run(replications):
+            options = StabilityOptions(eta=1e-300, mc_seeds=replications, mc_budget=256, seed=1)
+            assert stochastic._mc_backward_evidence(D, options)["successes"] == 0
+
+    run(1)  # first-call allocations
+    peaks = []
+    for replications in (8, 64):
+        tracemalloc.start()
+        run(replications)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(float_models(), st.sampled_from([1e-9, 0.05, 0.5, 2.0]), st.integers(0, 40),
+       st.integers(1, 5), SEEDS)
+def test_mc_evidence_is_the_reference_run_seed_by_seed(model, eta, budget, seeds, seed):
+    D, R = model
+    want = [reference.backward_loynes(R, eta, budget, seed, rep, trace_every=0)
+            for rep in range(seeds)]
+    got = stochastic._mc_backward_evidence(
+        D, StabilityOptions(eta=eta, mc_seeds=seeds, mc_budget=budget, seed=seed))
+    assert got["successes"] == sum(r.converged for r in want)
+    assert got["steps"] == [r.steps for r in want]
+    assert json.dumps(got["diameters"]) == json.dumps(
+        [r.to_json()["achieved_diameter"] for r in want])
+    assert [report_text(r) for r in stochastic._loynes(D, eta, budget, seed, range(seeds), 3)] == [
+        report_text(reference.backward_loynes(R, eta, budget, seed, rep, trace_every=3))
+        for rep in range(seeds)
+    ]
+
+
+def test_float_stability_makes_no_backward_run_per_seed(count_calls):
+    calls = count_calls(stochastic, "backward_loynes")
+    options = StabilityOptions(eta=0.05, mc_seeds=6, mc_budget=100, seed=1)
+    for D in (shared_uniform_diagonal(3, 0.1, 1.2), _signed_support()):
+        assert stability_verdict(D, options).certificate["seeds"] == 6
+    assert calls["backward_loynes"] == 0
+
+
+def test_diameters_map_negative_zero_to_zero():
+    """A distance of -0.0 reads 0.0, as max(0.0, d) gives."""
+    P = np.array([[[-0.0, 0.0], [-0.0, 0.0]], [[0.0, -0.0], [0.0, -0.0]], [[1.0, -math.inf], [0.0, 0.0]]])
+    d = stochastic._pair_dists(P[:2].swapaxes(1, 2)).tolist()
+    got = stochastic._diameters(P, -math.inf)
+    assert got[:2] == [max(0.0, v) for v in d] and got[2] == math.inf
+    assert not any(math.copysign(1.0, v) < 0 for v in got)
 
 
 # ---------------------------------------------------------------------------
