@@ -23,11 +23,9 @@ import sys
 
 from . import __version__
 from .semiring import (
-    EPS,
     EXACT,
     FLOAT,
     BudgetExceeded,
-    ContractViolation,
     MaxPlusError,
     as_scalar,
     matrix_from_json,
@@ -37,6 +35,8 @@ from .semiring import (
 from .spectral import classify, cyclicity_and_transient, summary_to_json
 from .stochastic import (
     StabilityOptions,
+    _record,
+    _track,
     backward_loynes,
     dist_backing,
     distribution_from_json,
@@ -45,7 +45,6 @@ from .stochastic import (
     open_system_analysis,
     pattern_search,
     sample_sequence,
-    simulate,
     stability_verdict,
     structural_conditions,
 )
@@ -105,9 +104,6 @@ def _load_vector(path: str, backing: str):
 
 
 def _vector_json(v) -> list:
-    # A float entry is its own JSON value; only eps (None) needs converting.
-    if v.backing == FLOAT and EPS not in v.entries:
-        return list(v.entries)
     return [scalar_to_json(x) for x in v.entries]
 
 
@@ -191,38 +187,24 @@ def _cmd_power(args):
 def _cmd_simulate(args):
     D = _load_distribution(args.dist)
     x0 = _load_vector(args.x0, dist_backing(D))
-    tr = simulate(D, x0, horizon=args.horizon, seed=args.seed,
-                  replication=args.replication, thin=args.thin)
-    result = {
-        "seed": tr.seed,
-        "replication": tr.replication,
-        "horizon": tr.horizon,
-        "thin": tr.thin,
-        "x0": _vector_json(tr.x0),
-        "sample_times": list(tr.sample_times),
-        "states": [_vector_json(s) for s in tr.states],
-        "projective": [_vector_json(p) for p in tr.projective],
-        "increments": (
-            [list(z) for z in tr.increments] if tr.x0.backing == FLOAT
-            else [[scalar_to_json(v) for v in z] for z in tr.increments]
-        ),
-    }
+    fields = _track(D, x0, args.horizon, args.seed, args.replication, args.thin)
+    result = dict(fields, x0=_vector_json(x0))
+    if x0.backing == EXACT:
+        for key in ("states", "projective", "increments"):
+            result[key] = [[scalar_to_json(v) for v in row] for row in fields[key]]
     if args.cjn_columns != "none":
         mats = sample_sequence(D, seed=args.seed, n=args.horizon, replication=args.replication)
-        cols = cjn_trajectory_columns(tr, mats, physical=args.cjn_columns == "physical")
-        result["idle"] = [[scalar_to_json(v) for v in row] for row in cols["idle"]]
-        result["waiting"] = (
-            None if cols["waiting"] is None
-            else [[scalar_to_json(v) for v in row] for row in cols["waiting"]]
-        )
+        cols = cjn_trajectory_columns(_record(fields), mats,
+                                      physical=args.cjn_columns == "physical")
+        for key, rows in cols.items():  # idle, and waiting or None
+            result[key] = None if rows is None else [[scalar_to_json(v) for v in row] for row in rows]
     if args.csv:
         with _open_for_writing(args.csv, newline="") as fh:
             w = csv.writer(fh)
-            k = len(x0)
-            w.writerow(["n"] + [f"x_{i}" for i in range(k)])
-            for n, st in zip(tr.sample_times, tr.states):
-                w.writerow([n] + [float(v) for v in st.entries])
-    return result, f"simulated {args.horizon} steps, recorded {len(tr.states)} states"
+            w.writerow(["n"] + [f"x_{i}" for i in range(len(x0))])
+            for n, state in zip(fields["sample_times"], fields["states"]):
+                w.writerow([n] + [float(v) for v in state])
+    return result, f"simulated {args.horizon} steps, recorded {len(fields['states'])} states"
 
 
 def _cmd_lyapunov(args):
@@ -264,13 +246,8 @@ def _cmd_couple(args):
             w = csv.writer(fh)
             w.writerow(["replication", "merge_time", "eta_time", "window_start", "window_length"])
             for s in rep.samples:
-                w.writerow([
-                    s.replication,
-                    "" if s.merge_time is None else s.merge_time,
-                    "" if s.eta_time is None else s.eta_time,
-                    "" if s.window_start is None else s.window_start,
-                    "" if s.window_length is None else s.window_length,
-                ])
+                times = (s.merge_time, s.eta_time, s.window_start, s.window_length)
+                w.writerow([s.replication] + ["" if t is None else t for t in times])
     merged = sum(1 for s in rep.samples if s.merge_time is not None)
     etad = sum(1 for s in rep.samples if s.eta_time is not None)
     return result, f"strong coupling {merged}/{rep.replications}, eta-coupling {etad}/{rep.replications}"
@@ -480,13 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_json(args) -> dict:
-    skip = {"func"}
-    out = {}
-    for key, value in vars(args).items():
-        if key in skip:
-            continue
-        out[key] = value
-    return out
+    return {key: value for key, value in vars(args).items() if key != "func"}
 
 
 # Built on first use and shared by later main() calls in the process: the
@@ -520,10 +491,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         _emit_error("budget", str(exc))
         return 4
-    except ContractViolation as exc:
-        _emit_error("contract", str(exc))
-        return 3
-    except MaxPlusError as exc:
+    except MaxPlusError as exc:  # a ContractViolation, or another library error
         _emit_error("contract", str(exc))
         return 3
     if args.verbose and summary:

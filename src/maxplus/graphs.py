@@ -124,9 +124,12 @@ def scc_from_arcs(
             raise ContractViolation(f"scc_from_arcs: node {n} outside 0..{k - 1}")
     local = {n: i for i, n in enumerate(node_list)}
     inside = [(local[u], local[v]) for u, v in arc_set if u in local and v in local]
-    adj = np.zeros((len(node_list), len(node_list)), bool)
-    adj[[u for u, _ in inside], [v for _, v in inside]] = True
-    reach = _closure(adj).tolist()
+    n = len(node_list)
+    adj = bytearray(n * n)
+    for u, v in inside:
+        adj[u * n + v] = True
+    # a single node reaches itself, with or without a loop
+    reach = _closure(np.frombuffer(adj, bool).reshape(n, n)).tolist() if n > 1 else [[True]] * n
     # a component is a class of mutual reach, named by its least member
     head = [next(j for j in range(i + 1) if row[j] and reach[j][i]) for i, row in enumerate(reach)]
     heads = [i for i, h in enumerate(head) if h == i]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 EXACT = "exact"
 FLOAT = "float"
@@ -43,6 +43,19 @@ def zero(backing: str) -> Scalar:
     return Fraction(0) if backing == EXACT else 0.0
 
 
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), reading a "p/q" or integer spelling of plain digits
+    with int(), which skips Fraction's regex; any other spelling, and a
+    digit that int() does not take, goes to Fraction."""
+    num, slash, den = text.partition("/")
+    if num.lstrip("+-").isdigit() and (den.isdigit() or not slash):
+        try:
+            return Fraction(int(num), int(den) if slash else 1)
+        except ValueError:
+            pass
+    return Fraction(text)
+
+
 def as_scalar(value, backing: str) -> Scalar:
     """Coerce a user-supplied entry to a scalar of the given backing.
 
@@ -53,10 +66,11 @@ def as_scalar(value, backing: str) -> Scalar:
         return EPS
     raw = value
     if isinstance(value, str):
-        if value.strip() == "-inf":
+        text = value.strip()
+        if text == "-inf":
             return EPS
         try:
-            value = Fraction(value.strip())
+            value = _fraction(text)
         except (ValueError, ZeroDivisionError):
             raise ContractViolation(f"not a max-plus scalar: {raw!r}") from None
     if isinstance(value, bool):
@@ -66,7 +80,7 @@ def as_scalar(value, backing: str) -> Scalar:
             raise ContractViolation(
                 f"exact backing accepts int, Fraction or 'p/q' strings, got {value!r}"
             )
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
     if backing == FLOAT:
         try:
             out = float(value)
@@ -78,6 +92,29 @@ def as_scalar(value, backing: str) -> Scalar:
             raise ContractViolation("float entries must be finite; eps is None or '-inf'")
         return out
     raise ContractViolation(f"unknown backing {backing!r}")
+
+
+def parse_table(parse: Callable, *args) -> Callable:
+    """A reader of value as parse(value, *args), run once per distinct
+    entry of one JSON document: the table lives as long as the reader. It
+    is keyed on (type, value), so True and 1 stay apart; floats are parsed
+    every time, since -0.0 == 0.0 and float() is cheap, and an unhashable
+    entry goes straight to parse, which rejects it."""
+    table = {}
+
+    def read(value):
+        kind = type(value)
+        if kind is float:
+            return parse(value, *args)
+        try:
+            out = table.get((kind, value), table)
+        except TypeError:
+            return parse(value, *args)
+        if out is table:
+            out = table[kind, value] = parse(value, *args)
+        return out
+
+    return read
 
 
 def oplus(a: Scalar, b: Scalar) -> Scalar:
@@ -96,17 +133,6 @@ def otimes(a: Scalar, b: Scalar) -> Scalar:
     return a + b
 
 
-def otimes_repeat(a: Scalar, n: int) -> Scalar:
-    """n-fold otimes power of a scalar; n = 0 gives e by convention."""
-    if n < 0:
-        raise ContractViolation("negative otimes power")
-    if n == 0:
-        return 0
-    if a is EPS:
-        return EPS
-    return a * n
-
-
 def _coerce_backing(backing: str) -> str:
     if backing not in (EXACT, FLOAT):
         raise ContractViolation(f"backing must be {EXACT!r} or {FLOAT!r}, got {backing!r}")
@@ -123,7 +149,7 @@ class Vector:
     @staticmethod
     def make(entries: Iterable, backing: str = EXACT) -> "Vector":
         backing = _coerce_backing(backing)
-        tup = tuple(as_scalar(v, backing) for v in entries)
+        tup = tuple(map(parse_table(as_scalar, backing), entries))
         if not tup:
             raise ContractViolation("empty vector")
         return Vector(tup, backing)
@@ -152,9 +178,12 @@ class Matrix:
     backing: str
 
     @staticmethod
-    def make(rows: Iterable[Iterable], backing: str = EXACT) -> "Matrix":
+    def make(rows: Iterable[Iterable], backing: str = EXACT, read: Optional[Callable] = None) -> "Matrix":
+        """read parses the entries: the parse_table of as_scalar that serves
+        the whole JSON document, or a fresh one."""
         backing = _coerce_backing(backing)
-        out = tuple(tuple(as_scalar(v, backing) for v in row) for row in rows)
+        read = read or parse_table(as_scalar, backing)
+        out = tuple(tuple(map(read, row)) for row in rows)
         k = len(out)
         if k == 0 or any(len(row) != k for row in out):
             raise ContractViolation("matrix must be square and non-empty")
@@ -167,10 +196,6 @@ class Matrix:
             tuple(tuple(e if i == j else EPS for j in range(k)) for i in range(k)),
             backing,
         )
-
-    @staticmethod
-    def full_eps(k: int, backing: str = EXACT) -> "Matrix":
-        return Matrix(tuple((EPS,) * k for _ in range(k)), backing)
 
     @property
     def k(self) -> int:
@@ -188,9 +213,6 @@ class Matrix:
             if all(v is EPS for v in row):
                 return i
         return None
-
-    def is_row_finite(self) -> bool:
-        return self.row_finite_violation() is None
 
     def all_finite(self) -> bool:
         return all(v is not EPS for row in self.rows for v in row)
@@ -372,11 +394,11 @@ def reject_unknown_keys(obj: dict, allowed, what: str, hint: str = "") -> None:
         raise ContractViolation(f"{what}: unknown keys {unknown}{hint}")
 
 
-def matrix_from_json(obj, backing: str = EXACT) -> Matrix:
+def matrix_from_json(obj, backing: str = EXACT, read: Optional[Callable] = None) -> Matrix:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ContractViolation('matrix JSON must be {"k": ..., "entries": [[...]]}')
     reject_unknown_keys(obj, ("k", "entries"), "matrix JSON")
-    M = Matrix.make(obj["entries"], backing)
+    M = Matrix.make(obj["entries"], backing, read)
     if "k" in obj and obj["k"] != M.k:
         raise ContractViolation(f'matrix JSON: declared k={obj["k"]} but entries are {M.k}x{M.k}')
     return M

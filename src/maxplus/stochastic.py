@@ -83,10 +83,12 @@ from .semiring import (
     ContractViolation,
     Matrix,
     Vector,
+    _fraction,
     as_scalar,
     mat_mul,
     matrix_from_json,
     matrix_to_json,
+    parse_table,
     reject_unknown_keys,
     scalar_to_json,
     scale_to_integers,
@@ -108,7 +110,7 @@ def _as_probability(value):
         raise ContractViolation("bool is not a probability")
     try:
         if isinstance(value, str):
-            value = Fraction(value.strip())
+            value = _fraction(value.strip())
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         return float(value)
@@ -131,6 +133,7 @@ class FiniteSupport:
 
     @staticmethod
     def make(matrices, probabilities, kernel=None) -> "FiniteSupport":
+        read = parse_table(_as_probability)  # shared by the probabilities and the kernel
         mats = tuple(matrices)
         if not mats:
             raise ContractViolation("FiniteSupport: empty support")
@@ -141,7 +144,7 @@ class FiniteSupport:
                 raise ContractViolation("FiniteSupport: mixed dimensions")
             if M.backing != backing:
                 raise ContractViolation("FiniteSupport: mixed backings")
-        probs = tuple(_as_probability(p) for p in probabilities)
+        probs = tuple(map(read, probabilities))
         if len(probs) != len(mats):
             raise ContractViolation("FiniteSupport: probabilities do not match support")
         if any((p <= 0) for p in probs):
@@ -153,7 +156,7 @@ class FiniteSupport:
             raise ContractViolation("FiniteSupport: probabilities must sum to 1 within 1e-12")
         knl = None
         if kernel is not None:
-            rows = tuple(tuple(_as_probability(p) for p in row) for row in kernel)
+            rows = tuple(tuple(map(read, row)) for row in kernel)
             if len(rows) != len(mats) or any(len(r) != len(mats) for r in rows):
                 raise ContractViolation("FiniteSupport: kernel shape must match support size")
             for row in rows:
@@ -591,6 +594,26 @@ def simulate(
     """Run x(n+1) = A(n) x(n) and record states, projective states, and
     increments. Replayable: the same (seed, replication) always sees the
     same matrices (cf. sample_sequence)."""
+    return _record(_track(D, x0, horizon, seed, replication, thin))
+
+
+def _record(fields: dict) -> TrajectoryRecord:
+    """The TrajectoryRecord of the fields that _track returns."""
+    backing = fields["x0"].backing
+    return TrajectoryRecord(**{
+        **fields,
+        "sample_times": tuple(fields["sample_times"]),
+        "states": tuple(Vector(tuple(x), backing) for x in fields["states"]),
+        "projective": tuple(ProjVector(tuple(p), backing) for p in fields["projective"]),
+        "increments": tuple(map(tuple, fields["increments"])),
+    })
+
+
+def _track(D: MatrixDistribution, x0: Vector, horizon: int, seed: int, replication: int,
+           thin: int) -> dict:
+    """The fields of simulate's TrajectoryRecord, with the sample times a
+    list and the states, projective states and increments lists of rows:
+    lists of Python floats, or of Fractions for the exact backing."""
     if horizon < 0 or thin < 1:
         raise ContractViolation("simulate: horizon must be >= 0 and thin >= 1")
     if not x0.is_finite():
@@ -633,20 +656,9 @@ def simulate(
     parts = [kept[:, 0].tolist(), kept[:, 1].tolist(), np.diff(track[:, 0], axis=0).tolist()]
     if x0.backing == EXACT:
         fracs = {v: Fraction(v, walk.L) for v in set().union(*parts[0], *parts[1], *parts[2])}
-        parts = [[tuple(map(fracs.__getitem__, row)) for row in part] for part in parts]
-    else:
-        parts = [list(map(tuple, part)) for part in parts]
-    return TrajectoryRecord(
-        seed=seed,
-        replication=replication,
-        horizon=horizon,
-        thin=thin,
-        x0=x0,
-        sample_times=tuple(times),
-        states=tuple(Vector(x, x0.backing) for x in parts[0]),
-        projective=tuple(ProjVector(p, x0.backing) for p in parts[1]),
-        increments=tuple(parts[2]),
-    )
+        parts = [[list(map(fracs.__getitem__, row)) for row in part] for part in parts]
+    return dict(seed=seed, replication=replication, horizon=horizon, thin=thin, x0=x0,
+                sample_times=times, states=parts[0], projective=parts[1], increments=parts[2])
 
 
 @dataclass(frozen=True)
@@ -826,13 +838,6 @@ class CouplingReport:
     modes: tuple
     initial_conditions: tuple
     samples: tuple
-
-    def merge_times(self) -> list:
-        return [s.merge_time for s in self.samples]
-
-    def certified_fraction(self) -> float:
-        hits = sum(1 for s in self.samples if s.window_start is not None)
-        return hits / len(self.samples)
 
 
 def _window(walk: _IntWalk, letters: np.ndarray) -> tuple:
@@ -1834,7 +1839,8 @@ def distribution_from_json(obj: dict) -> MatrixDistribution:
             raise ContractViolation('distribution JSON support items need "matrix" and "probability"')
         for item in support:
             reject_unknown_keys(item, _ITEM_KEYS, "distribution JSON support item")
-        mats = [matrix_from_json(item["matrix"], backing) for item in support]
+        read = parse_table(as_scalar, backing)
+        mats = [matrix_from_json(item["matrix"], backing, read) for item in support]
         probs = [item["probability"] for item in support]
         D = FiniteSupport.make(mats, probs, kernel=obj.get("kernel"))
     else:

@@ -18,7 +18,6 @@ from maxplus.semiring import (
     mat_mul,
     mat_power,
     mat_vec,
-    otimes_repeat,
     scale_matrix,
 )
 from maxplus.projective import canonicalize, is_rank_one, proj_diameter, proj_dist
@@ -49,6 +48,7 @@ from maxplus.models import (
 )
 
 from conftest import brute_max_cycle_mean, irreducible_corpus, random_matrix
+from helpers import otimes_repeat
 
 
 def M(rows, backing=EXACT):
@@ -163,10 +163,13 @@ def test_05a_ring_coupling_certified_in_every_replication(bottleneck_ring):
         assert is_rank_one(prod), f"replication {smp.replication} window not rank-one"
 
 
-def test_05b_cyclic_shift_support_admits_no_short_pattern():
+def test_05b_cyclic_shift_support_has_a_length_four_pattern():
     """Ring with the three cyclic shifts of (2,2,1), each w.p. 1/3: the
-    closed-form coupling condition fails, and no positive-probability
-    rank-one word of length <= 12 exists."""
+    closed-form coupling condition fails, yet the search finds the rank-one
+    word (0,0,1,0) of length 4 with probability 1/81, and its product,
+    formed here with plain Python ints, has every column a shift of the
+    first. (A published claim says no such word of length <= 12 exists; the
+    brute-force test_cyclic_shift_words_by_brute_force finds the same word.)"""
     spec = CjnSpec(
         queues=3,
         customers=3,
@@ -179,12 +182,21 @@ def test_05b_cyclic_shift_support_admits_no_short_pattern():
         ["1/3", "1/3", "1/3"],
     )
     report = pattern_search(D, max_len=12)
-    assert not report.found, (
-        "expected no positive-probability rank-one word up to length 12, but "
-        f"found {list(report.word)} (length {report.length}, "
-        f"probability {report.probability}); the product of those four draws "
-        "is exactly rank-one, so the absence claim does not hold"
-    )
+    assert (report.found, report.word, report.length) == (True, (0, 0, 1, 0), 4)
+    assert report.probability == Fraction(1, 81)
+
+    def times(A, B):  # A otimes B, eps as None
+        return [[max((a + b for a, b in zip(row, col) if a is not None and b is not None),
+                     default=None) for col in zip(*B)] for row in A]
+
+    ints = [[[None if v is EPS else int(v) for v in row] for row in A.rows] for A in D.matrices]
+    P = ints[0]
+    for letter in (0, 1, 0):
+        P = times(ints[letter], P)
+    assert P == [[8, 8, 8], [8, 8, 8], [7, 7, 7]]
+    assert report.matrix.rows == tuple(map(tuple, P))
+    first = [row[0] for row in P]
+    assert all(len({r[j] - f for r, f in zip(P, first)}) == 1 for j in range(3))
 
 
 def test_06_uniform_diagonal_distance_law():

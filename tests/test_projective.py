@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import full_eps
+
 from maxplus.semiring import EPS, EXACT, FLOAT, ContractViolation, Matrix, Vector, mat_vec
 from maxplus.projective import (
     canonicalize,
@@ -134,7 +136,7 @@ class TestRankOne:
 
     def test_all_eps_matrix_rejected(self):
         with pytest.raises(ContractViolation):
-            is_rank_one(Matrix.full_eps(2, EXACT))
+            is_rank_one(full_eps(2, EXACT))
 
     def test_shift_invariance_via_normal_form(self):
         A = M([[5, 6], [7, 8]])

@@ -88,12 +88,13 @@ digits = st.one_of(
     st.integers(0, 99).map(str),
     st.integers(0, 10**40).map(str),
     st.from_regex(r"\A[0-9]{1,3}(_[0-9]{1,3}){0,2}\Z"),
-    st.sampled_from(["", "0", "00", "007", "1__0", "_1", "1_", "١٢", "½", "0x10"]),
+    st.sampled_from(["", "0", "00", "007", "1__0", "_1", "1_", "١٢", "½", "²", "0x10"]),
 )
 bodies = st.one_of(
     digits,
     st.builds("{}/{}".format, digits, digits),
-    st.builds("{} / {}{}".format, digits, st.sampled_from(SIGNS), digits),
+    st.builds("{}{}/{}{}{}".format, digits, st.sampled_from(PADS), st.sampled_from(PADS),
+              st.sampled_from(SIGNS), digits),
     st.builds("{}.{}".format, digits, digits),
     st.builds("{}{}{}{}".format, digits, st.sampled_from(["e", "E", ".5e"]),
               st.sampled_from(SIGNS), digits),
@@ -203,3 +204,40 @@ def test_int_and_bool_entries_stay_apart():
         matrix_from_json({"entries": [[1, True], [1, 1]]}, EXACT)
     M = matrix_from_json({"entries": [[0.0, -0.0], [-0.0, 0.0]]}, FLOAT)
     assert [[math.copysign(1, v) for v in row] for row in M.rows] == [[1, -1], [-1, 1]]
+
+
+# the spellings that README.md "File formats" lists: (entry, exact, float)
+REJECT = "rejected"
+SPELLINGS = [
+    (3, Fraction(3), 3.0),
+    (None, EPS, EPS),
+    ("-inf", EPS, EPS),
+    (" -inf ", EPS, EPS),
+    ("3", Fraction(3), 3.0),
+    ("-7/2", Fraction(-7, 2), -3.5),
+    ("0.5", Fraction(1, 2), 0.5),
+    ("1e-3", Fraction(1, 1000), 0.001),
+    ("1_000", Fraction(1000), 1000.0),
+    (" 3/4 ", Fraction(3, 4), 0.75),
+    ("1/-2", REJECT, REJECT),
+    ("1 / 2", REJECT, REJECT),
+    ("3/0", REJECT, REJECT),
+    ("inf", REJECT, REJECT),
+    (0.5, REJECT, 0.5),
+    (-0.0, REJECT, -0.0),
+    (float("inf"), REJECT, REJECT),
+    (2**1100, Fraction(2**1100), REJECT),
+    ("1e400", Fraction(10**400), REJECT),
+    (True, REJECT, REJECT),
+    (False, REJECT, REJECT),
+]
+
+
+@pytest.mark.parametrize("entry, exact, flt", SPELLINGS)
+def test_documented_spellings(entry, exact, flt):
+    for backing, want in ((EXACT, exact), (FLOAT, flt)):
+        got = outcome(lambda: canon(matrix_from_json({"entries": [[entry]]}, backing).rows[0][0]))
+        if want is REJECT:
+            assert got[0] == "error"
+        else:
+            assert got == ("ok", canon(want))

@@ -14,7 +14,6 @@ from maxplus.semiring import (
     mat_mul,
     mat_power,
     mat_vec,
-    otimes_repeat,
     scale_matrix,
 )
 from maxplus.projective import is_rank_one, proj_equal
@@ -36,6 +35,7 @@ from maxplus.spectral import (
 from maxplus.models import cjn_matrix
 
 import reference_spectral as reference
+from helpers import otimes_repeat
 from conftest import brute_max_cycle_mean, irreducible_corpus, level_flags, random_irreducible
 
 

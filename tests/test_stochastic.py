@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 import reference_stochastic as reference
+from helpers import certified_fraction, merge_times
 
 from maxplus.semiring import (
     EPS,
@@ -506,7 +507,7 @@ class TestIncrementStationarity:
             seed=5,
             replications=100,
         )
-        times = report.merge_times()
+        times = merge_times(report)
         assert all(t is not None for t in times)
         assert max(times) < self.N_STAR
 
@@ -657,7 +658,7 @@ def test_exact_routines_multiply_integers(monkeypatch):
     monkeypatch.setattr(stochastic, "word_product", report_product)
     assert pattern_search(D, max_len=8).found
     x0s = [V(["1/5", 0, 2]), V([0, "3/4", 1])]
-    assert forward_coupling(D, x0s, horizon=60, seed=1, replications=2).certified_fraction() == 1
+    assert certified_fraction(forward_coupling(D, x0s, horizon=60, seed=1, replications=2)) == 1
     assert backward_loynes(D, tolerance=0, budget=200, seed=1).converged
     assert Fraction not in seen
 
