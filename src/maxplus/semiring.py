@@ -43,16 +43,25 @@ def zero(backing: str) -> Scalar:
     return Fraction(0) if backing == EXACT else 0.0
 
 
+# the digits Python reads into an int from a str by default
+MAX_EXPONENT = 4300
+
+
 def _fraction(text: str) -> Fraction:
     """Fraction(text), reading a "p/q" or integer spelling of plain digits
     with int(), which skips Fraction's regex; any other spelling, and a
-    digit that int() does not take, goes to Fraction."""
+    digit that int() does not take, goes to Fraction. A decimal exponent
+    beyond MAX_EXPONENT is a ValueError: Fraction would build 10**exponent,
+    which for "1e1000000000000" takes no end of time and memory."""
     num, slash, den = text.partition("/")
     if num.lstrip("+-").isdigit() and (den.isdigit() or not slash):
         try:
             return Fraction(int(num), int(den) if slash else 1)
         except ValueError:
             pass
+    _, e, exp = text.replace("E", "e").rpartition("e")
+    if e and exp.lstrip("+-").replace("_", "").isdigit() and abs(int(exp)) > MAX_EXPONENT:
+        raise ValueError(f"exponent beyond {MAX_EXPONENT}: {text!r}")
     return Fraction(text)
 
 

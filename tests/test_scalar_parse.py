@@ -5,6 +5,7 @@ is the per-entry parse, kept here as it stood before the loaders shared
 one parse table per document."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,19 @@ from maxplus.semiring import (
 from maxplus.stochastic import FiniteSupport, _as_probability, distribution_from_json
 
 
+# README "File formats": a decimal exponent past this is rejected, since
+# Fraction("1e1000000000000") would build 10**exponent
+MAX_EXPONENT = 4300
+DECIMAL = re.compile(r"[-+]?(?=\d|\.\d)(\d*|\d+(_\d+)*)(\.(\d*|\d+(_\d+)*))?"
+                     r"E(?P<exp>[-+]?\d+(_\d+)*)", re.IGNORECASE)
+
+
+def decimal_exponent(text):
+    """The exponent of a decimal spelling that Fraction reads, else 0."""
+    m = DECIMAL.fullmatch(text)
+    return int(m["exp"]) if m else 0
+
+
 def reference_as_scalar(value, backing):
     """semiring.as_scalar, entry by entry."""
     if value is EPS:
@@ -32,6 +46,8 @@ def reference_as_scalar(value, backing):
         if value.strip() == "-inf":
             return EPS
         try:
+            if abs(decimal_exponent(value.strip())) > MAX_EXPONENT:
+                raise ValueError(value)
             value = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise ContractViolation(f"not a max-plus scalar: {raw!r}") from None
@@ -138,6 +154,8 @@ def documents(draw):
 @example([["3/0", 1], [1, 1]], EXACT)
 @example([[" -inf ", "1_000/3"], ["-1e-3", "1" * 5000]], EXACT)
 @example([["1.5", [1]], [{"a": 1}, 2]], FLOAT)
+@example([["1e1000000000000", "1e-4301"], ["1e4300", " 1E-4300"]], EXACT)
+@example([["1e1000000000000", "1e-4301"], ["1e4300", " 1E-4300"]], FLOAT)
 def test_matrix_from_json_parses_as_each_entry_alone(entries, backing):
     assert outcome(loaded_matrix, entries, backing) == outcome(reference_matrix, entries, backing)
 
@@ -228,6 +246,9 @@ SPELLINGS = [
     (float("inf"), REJECT, REJECT),
     (2**1100, Fraction(2**1100), REJECT),
     ("1e400", Fraction(10**400), REJECT),
+    ("1e-4300", Fraction(1, 10**4300), 0.0),
+    ("1e5000", REJECT, REJECT),
+    ("1e1000000000000", REJECT, REJECT),
     (True, REJECT, REJECT),
     (False, REJECT, REJECT),
 ]
