@@ -10,9 +10,10 @@ Its callers:
 
 - the stochastic drivers of ``stochastic`` (simulation, Lyapunov estimates,
   coupling, the backward scheme): on float64 one step at a time for float
-  models, every replication of a group in one stack (``_float_step``), and
-  on the integer-scaled support for exact ones, where a block's running
-  products come from one prefix scan (``_scan``);
+  models, every state of a block of every replication of a group in one
+  stack (``_float_states``), and on the integer-scaled support for exact
+  ones, where a block's running products come from one prefix scan
+  (``_scan``);
 - the exact spectral record of ``spectral`` (irreducibility, Karp's
   algorithm, the closure, its fixpoint check, the critical graph and the
   eigenvectors), on the integer-scaled matrix, and its exact power loop
@@ -76,7 +77,7 @@ def _max_last(a: np.ndarray, signed: bool) -> np.ndarray:
     return np.take_along_axis(a, first[..., None], -1)[..., 0]
 
 
-def _float_step(A: np.ndarray, X: np.ndarray, signed: bool) -> np.ndarray:
+def _float_step(A: np.ndarray, X: np.ndarray, signed: bool, out=None) -> np.ndarray:
     """The max over the leading axis l of A + X: one max-plus step on
     float64 stacks laid out with the summed index first, A[l] the column l
     of the matrices and X[l] the row l of the states or right factors,
@@ -85,12 +86,32 @@ def _float_step(A: np.ndarray, X: np.ndarray, signed: bool) -> np.ndarray:
     With both laid out in C order so is the sum, and the max is an
     elementwise maximum of l contiguous slabs, which numpy takes faster
     than a max over a short last axis. Of tied values the first maximal
-    one is kept once signed, as in _max_last."""
+    one is kept once signed, as in _max_last. Writes to out when given."""
     S = A + X
-    top = np.maximum.reduce(S, 0)
-    if not signed:
-        return top
-    return np.take_along_axis(S, (S == top).argmax(0)[None], 0)[0]
+    top = np.maximum.reduce(S, 0, out=out)
+    if signed:
+        top[...] = np.take_along_axis(S, (S == top).argmax(0)[None], 0)[0]
+    return top
+
+
+def _float_states(A: np.ndarray, X, signed: bool) -> np.ndarray:
+    """Every state of a block of left products on float64: for the (R, n,
+    k, k) stack A of R blocks of n matrices and the (R, m, k) stack X of m
+    initial states each, one state a row, S[r, j, s] = A[r, j] S[r, j-1, s]
+    with S[r, -1] = X[r]; with X None the unit vectors, so S[r, j] is the
+    transpose of A[r, j] ... A[r, 0]. As (P A)^T = A^T P^T, the right
+    products P A(0) ... A(j) are the states of the transposes from the rows
+    of P. Returns S, (R, n, m, k), a view of St[j, i, r, s] = S[r, j, s, i],
+    where a step is one _float_step, with At[j, l, i, r] = A[r, j, i, l]."""
+    At = np.ascontiguousarray(A.transpose(1, 3, 2, 0))[..., None]
+    St = np.empty(A.shape[1:3] + (len(A), A.shape[-1] if X is None else X.shape[1]))
+    if X is None:  # a copy of A[:, 0], with no sum that could turn -0.0 into 0.0
+        St[0] = A[:, 0].transpose(1, 0, 2)
+    else:
+        _float_step(At[0], X.transpose(2, 0, 1)[:, None], signed, St[0])
+    for Aj, state, out in zip(At[1:], St[:, :, None], St[1:]):
+        _float_step(Aj, state, signed, out)
+    return St.transpose(2, 0, 3, 1)
 
 
 def _no_clamp(X):

@@ -262,13 +262,15 @@ def cjn_distribution(spec: CjnSpec, backing: str = EXACT) -> MatrixDistribution:
 def cjn_stability_condition(spec: CjnSpec):
     """Closed-form coupling condition for customers == queues with a finite
     iid service law: some atom has a unique strictly maximal service time,
-    or some atom has all service times equal. Returns (bool, witness atom)."""
+    or some atom has all service times equal. Returns (bool, witness atom),
+    the atom's service times read by as_scalar: exactly, floats as floats."""
     if isinstance(spec.law, UniformServiceLaw):
         raise ContractViolation("cjn_stability_condition: needs a finite service law")
     if spec.customers != spec.queues:
         raise ContractViolation("cjn_stability_condition: needs customers == queues")
     joint = spec.law.joint() if isinstance(spec.law, PerQueueServiceLaw) else spec.law
-    for atom in joint.atoms:
+    for raw in joint.atoms:
+        atom = tuple(as_scalar(v, FLOAT if isinstance(v, float) else EXACT) for v in raw)
         top = max(atom)
         if sum(1 for v in atom if v == top) == 1:
             return True, atom

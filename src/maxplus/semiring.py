@@ -192,6 +192,8 @@ class Matrix:
         the whole JSON document, or a fresh one."""
         backing = _coerce_backing(backing)
         read = read or parse_table(as_scalar, backing)
+        if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
+            raise ContractViolation("matrix entries must be an array of row arrays")
         out = tuple(tuple(map(read, row)) for row in rows)
         k = len(out)
         if k == 0 or any(len(row) != k for row in out):

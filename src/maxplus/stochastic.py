@@ -18,12 +18,11 @@ stays O(_CHUNK k^2) on long horizons; drivers that stop early start from
 ``_FIRST_CHUNK`` and double. A generator block is checked once for all-eps
 rows, and the driver fails at the step that would use such a matrix. Each
 driver (``simulate``, ``lyapunov_estimate``, ``forward_coupling``,
-``backward_loynes``) is one loop over blocks that tests every step of a
-block at once, and steps its independent replications as one stack; the
-backings differ in how a block's states or products are formed, on the
-array kernel of ``arrays``. A replication in a stack ends as it would
-alone, and a stack raises what running its replications one after another
-would (_carry_on).
+``backward_loynes``) runs on one block loop (_stacked) that steps its
+independent replications as one stack and owns their streams and the
+order of their errors; the driver keeps its state update and tests every
+step of a block at once. The backings differ in how a block's states or
+products are formed, on the array kernel of ``arrays``.
 
 Exact: each call scales the support, and the initial conditions, once by
 L, the lcm of their entry denominators (``semiring.scale_to_integers``), and
@@ -39,16 +38,16 @@ Markov kernel a letter may follow another when the exact transition
 probability is positive, however small.
 
 Float: float64 with -inf for eps, each state from the one before
-(``arrays._float_step``), with the IEEE additions and maxima of the scalar
-kernel; of tied signed zeros the first is kept, as Python's ``max`` does, so
-reports are bit for bit those of ``semiring.mat_vec`` and
-``projective.proj_dist``. Results leave the module as Python floats.
+(``arrays._float_states``, on the transposes for the backward scheme), with
+the IEEE additions and maxima of the scalar kernel; of tied signed zeros
+the first is kept, as Python's ``max`` does, so reports are bit for bit
+those of ``semiring.mat_vec`` and ``projective.proj_dist``. Results leave
+the module as Python floats.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,6 +60,7 @@ from .arrays import (
     _FLOAT_EXACT,
     _as_array,
     _as_object,
+    _float_states,
     _float_step,
     _int_stack,
     _matrix_of,
@@ -314,6 +314,12 @@ class _Letters:
             else:
                 self._rows = [_cum_floats(row) for row in D.kernel]
 
+    def on(self, rng: np.random.Generator) -> "_Letters":
+        """These letters on another random stream, sharing the tables."""
+        letters = object.__new__(_Letters)
+        letters.__dict__.update(self.__dict__, _rng=rng, _state=None)
+        return letters
+
     def draw(self, n: int) -> np.ndarray:
         us = self._rng.random(n)
         if self._rows is None:
@@ -354,27 +360,33 @@ class _FloatStream:
     (n, k, k) blocks, float64 with -inf for eps. A FiniteSupport picks the
     matrices of a block from its stacked support by the block's letters,
     kept as ``letters``; an exact driver passes its integer stack as
-    support (see _IntWalk).
+    support (see _IntWalk). Each replication of a driver call steps on a
+    copy (on).
 
     A generator's matrices are checked for their shape, and its blocks for
     all-eps rows (when ``when`` names the caller): take() stops just before
-    a bad matrix, sets error, and the next take() raises it, so a driver
-    fails at the step that would use the matrix. signed turns True once a
-    block holds -0.0; drivers set it for their initial state too (see
-    _max_last).
+    a bad matrix and sets error, which _stacked raises, so a driver fails at
+    the step that would use the matrix.
     """
 
-    def __init__(self, dist: MatrixDistribution, rng: np.random.Generator,
+    def __init__(self, dist: MatrixDistribution, rng: Optional[np.random.Generator],
                  when: Optional[str], backward: bool = False, support=None):
         self.dist = dist
         self.rng = rng
         self.when = when
         self.position = 0
-        self.signed = False
         self.error = None
         if isinstance(dist, FiniteSupport):
             self._support = _as_array(M.rows for M in dist.matrices) if support is None else support
             self._letters = _Letters(dist, rng, backward)
+
+    def on(self, rng: np.random.Generator) -> "_FloatStream":
+        """This stream on another random stream, sharing its support and tables."""
+        stream = object.__new__(_FloatStream)
+        stream.__dict__.update(self.__dict__, rng=rng, position=0, error=None)
+        if isinstance(self.dist, FiniteSupport):
+            stream._letters = self._letters.on(rng)
+        return stream
 
     def _draw(self, n: int) -> np.ndarray:
         d = self.dist
@@ -401,8 +413,6 @@ class _FloatStream:
     def take(self, n: int) -> np.ndarray:
         """The next at most n matrices: fewer, maybe none, only before a bad
         matrix."""
-        if self.error is not None:
-            raise self.error
         block = self._draw(n)
         if self.when is not None and isinstance(self.dist, GeneratorDistribution):
             dead = (block == -math.inf).all(-1)
@@ -414,41 +424,48 @@ class _FloatStream:
                 )
                 block = block[:t]
         self.position += len(block)
-        self.signed = self.signed or _negative_zero(block)
         return block
 
-    def blocks(self, total: int, first: int = _CHUNK):
-        """Blocks covering the next total matrices, of _block_sizes."""
-        for n in _block_sizes(total, first):
-            yield self.take(n)
-        if self.error is not None:
-            raise self.error
 
+def _stacked(reps: range, stream: _FloatStream, seed: int, channel: int, total: int, first: int,
+             ended=lambda rep: False, letters: Optional[dict] = None):
+    """The blocks of the replications reps of a stacked driver, each on
+    stream.on(the random stream (seed, rep, channel)). For each block of
+    _block_sizes(total, first) it yields (live, keep, A, lengths, t): the
+    replications that step on, their indices into the live of the block
+    before (into reps at the first), their next n matrices as one (R, n, k,
+    k) stack, each one's length, and the steps before the block.
 
-def _stack_blocks(streams: list, n: int) -> tuple:
-    """(A, lengths): the next block of n matrices of each stream as one
-    (R, n, k, k) stack, and each block's length. A block that stopped short
-    before a bad matrix is padded with zero matrices, whose steps the
-    caller ignores."""
-    blocks = [s.take(n) for s in streams]
-    A = np.zeros((len(blocks), n) + blocks[0].shape[1:], blocks[0].dtype)
-    for a, block in zip(A, blocks):
-        a[: len(block)] = block
-    return A, [len(block) for block in blocks]
-
-
-def _carry_on(live: list, open_: list, streams: dict, failed: dict) -> list:
-    """The indices into live of the replications a stacked driver steps on
-    after a block. open_[i] tells whether replication live[i] is still
-    undecided; one whose block stopped short has met its stream's error,
-    which failed records by replication. Each replication thus ends as it
-    would alone, and the driver raises the error of the lowest failed one
-    once every replication before it has ended: those after it stop."""
-    for i, rep in enumerate(live):
-        if open_[i] and streams[rep].error is not None:
-            failed[rep] = streams[rep].error
-    cut = min(failed, default=math.inf)
-    return [i for i, rep in enumerate(live) if open_[i] and rep < cut]
+    A block that stopped short before a bad matrix is padded with zero
+    matrices, whose steps the driver ignores; unless ended(rep), replication
+    rep has then met its stream's error. So each replication ends as it
+    would alone, those after the lowest failed one stop, and its error is
+    raised once every one before it has ended: a stack raises what running
+    its replications one after another would. letters maps replications to
+    lists that collect the letters of each of their blocks."""
+    streams = {rep: stream.on(_stream(seed, rep, channel)) for rep in reps if not ended(rep)}
+    live, failed, t = list(reps), {}, 0
+    sizes = _block_sizes(total, first)
+    while True:
+        for rep in live:
+            if not ended(rep) and streams[rep].error is not None:
+                failed[rep] = streams[rep].error
+        cut = min(failed, default=math.inf)
+        keep = [i for i, rep in enumerate(live) if not ended(rep) and rep < cut]
+        live = [live[i] for i in keep]
+        n = next(sizes, 0)
+        if not live or not n:
+            break
+        blocks = [streams[rep].take(n) for rep in live]
+        for rep in (letters or {}).keys() & set(live):
+            letters[rep].append(streams[rep].letters)
+        A = np.zeros((len(blocks), n) + blocks[0].shape[1:], blocks[0].dtype)
+        for a, block in zip(A, blocks):
+            a[: len(block)] = block
+        yield live, keep, A, [len(block) for block in blocks], t
+        t += n
+    if failed:
+        raise failed[min(failed)]
 
 
 def _integer_support(D: FiniteSupport, vectors: Sequence[Vector] = ()) -> tuple:
@@ -498,8 +515,8 @@ class _IntWalk:
         self.support, self.x0 = self._cast(self.support), self._cast(self.x0)
         return [self._cast(a) for a in arrays]
 
-    def stream(self, rng: np.random.Generator, backward: bool = False) -> _FloatStream:
-        return _FloatStream(self.dist, rng, None, backward, self.support)
+    def stream(self, backward: bool = False) -> _FloatStream:
+        return _FloatStream(self.dist, None, None, backward, self.support)
 
     def scan(self, A: np.ndarray, P, t: int, right: bool = False) -> np.ndarray:
         """The running products of the block A that follows the product P of
@@ -560,10 +577,10 @@ def _check_condition_i(D: FiniteSupport) -> None:
 
 def sample_sequence(D: MatrixDistribution, seed: int, n: int, replication: int = 0) -> list:
     """The matrices A(0), ..., A(n-1) that any same-seeded run will see."""
-    rng = _stream(seed, replication, 0)
     if isinstance(D, FiniteSupport):
-        return [D.matrices[i] for i in _Letters(D, rng).draw(n).tolist()]
-    return [_matrix_of(A) for block in _FloatStream(D, rng, None).blocks(n) for A in block]
+        return [D.matrices[i] for i in _Letters(D, _stream(seed, replication, 0)).draw(n).tolist()]
+    blocks = _stacked(range(replication, replication + 1), _FloatStream(D, None, None), seed, 0, n, _CHUNK)
+    return [_matrix_of(A) for _, _, (block,), _, _ in blocks for A in block]
 
 
 # ---------------------------------------------------------------------------
@@ -625,29 +642,28 @@ def _track(D: MatrixDistribution, x0: Vector, horizon: int, seed: int, replicati
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
     times = [0] + [n for n in range(1, horizon + 1) if n % thin == 0 or n == horizon]
-    rng = _stream(seed, replication, 0)
     if x0.backing == FLOAT:
         # the projective track steps from the canonical representative, which keeps
         # its rounding error independent of the state's growing magnitude
-        stream, first = _FloatStream(D, rng, "simulate"), _CHUNK
+        stream, first = _FloatStream(D, None, "simulate"), _CHUNK
         track = np.empty((horizon + 1, 2, D.k))  # track[n] = (x(n), projective state)
         track[0] = (x0.entries, canonicalize(x0).entries)
-        stream.signed = _negative_zero(track[0])
+        signed = _negative_zero(track[0])
     else:
         walk = _IntWalk(D, (x0,), horizon)
-        stream, first, blocks = walk.stream(rng), _FIRST_CHUNK, [walk.x0]  # L x(n)
-    t, P = 0, None
-    for A in stream.blocks(horizon, first):
+        stream, first, blocks = walk.stream(), _FIRST_CHUNK, [walk.x0]  # L x(n)
+    # a block that stops short before a bad matrix ends in padding, and the loop raises
+    for _, _, (A,), _, t in _stacked(range(replication, replication + 1), stream, seed, 0, horizon,
+                                     first):
         if x0.backing == FLOAT:
+            signed = signed or _negative_zero(A)
             for n, An in enumerate(np.ascontiguousarray(A.swapaxes(1, 2))[..., None], t + 1):
-                y = _float_step(An, track[n - 1].T[:, None], stream.signed).T
-                y[1] -= _max_last(y[1], stream.signed)
+                y = _float_step(An, track[n - 1].T[:, None], signed).T
+                y[1] -= _max_last(y[1], signed)
                 track[n] = y
         else:
-            C = walk.scan(A, P, t)
-            P = C[-1]
+            C = walk.scan(A, None if t == 0 else C[-1], t)
             blocks.append(walk.act(C, walk.x0)[:, 0])
-        t += len(A)
     if x0.backing == EXACT:
         # in exact arithmetic the projective state is x(n) minus its maximum
         X = np.concatenate([b if b.dtype == object else b.astype(np.int64) for b in blocks])
@@ -715,10 +731,7 @@ def lyapunov_estimate(
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
     values = _growth(D, x0, horizon, replications, seed, channel)
-    if backing == EXACT:
-        point = sum(values, Fraction(0)) / len(values)
-    else:
-        point = sum(values) / len(values)
+    point = sum(values, Fraction(0)) / len(values)  # a float for float values
     fvals = [float(v) for v in values]
     mean = sum(fvals) / len(fvals)
     if len(fvals) > 1:
@@ -735,9 +748,6 @@ def lyapunov_estimate(
         replications=replications,
         per_replication=tuple(values),
     )
-
-
-_EPS_AT_HORIZON = "lyapunov_estimate: the state at the horizon has eps coordinates"
 
 
 def _group(replications: int, total: int, first: int = _FIRST_CHUNK, cap: int = _CHUNK) -> list:
@@ -760,46 +770,33 @@ _FLOAT_GROUP = 2**21
 
 def _growth(D, x0, horizon, replications, seed, channel) -> list:
     """max_i x_i(horizon) / horizon per replication, the replications of a
-    group stepped as one stack. Exact: groups of _group, and x = C x for the
-    product C of each block, the last of its scan. Float: groups of at most
-    _FLOAT_GROUP entries a block, each state from the one before
-    (arrays._float_step). A replication's steps do not depend on the others
-    of its group, so neither do its values, nor, by _carry_on, the error
-    raised when some meet a bad matrix."""
+    group stepped as one stack (_stacked). Exact: groups of _group, and
+    x = C x for the product C of each block, the last of its scan. Float:
+    groups of at most _FLOAT_GROUP entries a block, x the last of the
+    block's states (arrays._float_states). A replication's steps do not
+    depend on the others of its group, so neither do its values."""
     exact = D.backing == EXACT
     if exact:
         walk = _IntWalk(D, (x0,), horizon)
-        groups, first, start, new = _group(replications, horizon), _FIRST_CHUNK, walk.x0[0], walk.stream
+        groups, first, start = _group(replications, horizon), _FIRST_CHUNK, walk.x0[0]
+        stream = walk.stream()
     else:
         first = _CHUNK
         groups = _group(replications, horizon, first, _FLOAT_GROUP // (D.k * D.k))
         start = np.array([-math.inf if v is EPS else v for v in x0.entries])
-        new = functools.partial(_FloatStream, D, when="lyapunov_estimate")
-    values = []
+        stream = _FloatStream(D, None, "lyapunov_estimate")
+    values, signed = [], _negative_zero(start)
     for reps in groups:
-        streams = {rep: new(_stream(seed, rep, channel)) for rep in reps}
-        live, failed = list(reps), {}
         x = np.tile(start, (len(reps), 1))
-        signed, t = _negative_zero(x), 0
-        for n in _block_sizes(horizon, first):
-            if not live:
-                break
-            A, _ = _stack_blocks([streams[rep] for rep in live], n)
+        for _, keep, A, _, t in _stacked(reps, stream, seed, channel, horizon, first):
             if exact:
-                A, x = walk.fit(t + n, A, x)
+                A, x = walk.fit(t + A.shape[1], A, x[keep])
                 x = walk.act(_scan(A, None, walk.clamp)[:, -1], x[:, None])[:, 0]
             else:
-                signed = signed or any(streams[rep].signed for rep in live)
-                At, xt = np.ascontiguousarray(A.transpose(1, 3, 2, 0)), x.T  # At[j, l, i, r] = A[r, j, i, l]
-                for j in range(n):
-                    xt = _float_step(At[j], xt[:, None], signed)
-                x = xt.T
-            keep = _carry_on(live, [True] * len(live), streams, failed)
-            live, x, t = [live[i] for i in keep], x[keep], t + n
-        if failed:
-            raise failed[min(failed)]
+                signed = signed or _negative_zero(A)
+                x = _float_states(A, x[keep, None], signed)[:, -1, 0]
         if (x == (walk.eps if exact else -math.inf)).any():
-            raise ContractViolation(_EPS_AT_HORIZON)
+            raise ContractViolation("lyapunov_estimate: the state at the horizon has eps coordinates")
         if exact:
             values += [Fraction(int(v), walk.L * horizon) for v in x.max(-1).tolist()]
         else:
@@ -871,14 +868,14 @@ def forward_coupling(
     eta coupling only. Replications are independent and reported in order;
     threads is accepted and has no effect.
 
-    Every step of a block is tested at once: the largest pairwise distance
-    of the states against eta (and 0, the merge), and the rank-one test of
-    the running product for the window. The replications of a group step
-    as one stack. Exact: groups of _group, a block's running products
-    C[t] = A(t) ... A(0) come from one scan, and the states are C[t] x0.
-    Float: groups of at most _FLOAT_GROUP entries a block, each state from
-    the one before (arrays._float_step), eta only. A replication ends as it
-    would alone (_carry_on)."""
+    The replications of a group step as one stack (_stacked), and every
+    step of a block is tested at once: the largest pairwise distance of the
+    states against eta (and 0, the merge), and the rank-one test of the
+    running product for the window. Exact: groups of _group, a block's
+    running products C[t] = A(t) ... A(0) come from one scan, and the
+    states are C[t] x0.
+    Float: groups of at most _FLOAT_GROUP entries a block, the states of
+    arrays._float_states, eta only."""
     x0s = tuple(initial_conditions)
     if len(x0s) < 2:
         raise ContractViolation("forward_coupling: need at least two initial conditions")
@@ -901,55 +898,43 @@ def forward_coupling(
         walk = _IntWalk(D, x0s, horizon)
         cap = walk.top * _reach(horizon)  # above every distance
         bound = cap if eta == math.inf else min(math.floor(Fraction(eta) * walk.L), cap)
-        x0, groups, new = walk.x0, _group(replications, horizon), walk.stream
+        x0, groups, stream = walk.x0, _group(replications, horizon), walk.stream()
     else:
         x0, bound = np.array([v.entries for v in x0s]), eta
         # the matrices, k^2 entries a step, and the pair distances, m^2 k
         per_step = D.k * max(D.k, len(x0s) ** 2)
         groups = _group(replications, horizon, _FIRST_CHUNK, _FLOAT_GROUP // per_step)
-        new = functools.partial(_FloatStream, D, when="forward_coupling")
+        stream = _FloatStream(D, None, "forward_coupling")
 
     def near(d):
         # d <= eta; float64 holds the integer distances below 2**53
         return (d <= (min(bound, _FLOAT_EXACT) if exact and d.dtype == float else bound)).tolist()
 
+    def ended(rep):
+        merge, close, window = found[rep]
+        return close is not None and not (exact and (merge is None or window is None))
+
     d0 = _pair_dists(x0[None])
-    samples = []
+    # merge time, eta time, window; and the letters drawn before the window
+    found = {rep: [0 if exact and d0[0] == 0 else None, 0 if near(d0)[0] else None, None]
+             for rep in range(replications)}
+    seen = {rep: [] for rep in found if exact}
+    signed = not exact and _negative_zero(x0)
     for reps in groups:
-        streams = {rep: new(_stream(seed, rep, 0)) for rep in reps}
-        # merge time, eta time, window; and the letters drawn before the window
-        found = {rep: [0 if exact and d0[0] == 0 else None, 0 if near(d0)[0] else None, None]
-                 for rep in reps}
-        seen = {rep: [] for rep in reps}
-
-        def pending(rep):
-            merge, close, window = found[rep]
-            return close is None or exact and (merge is None or window is None)
-
-        live = [rep for rep in reps if pending(rep)]
-        x, P, t, rank_one, failed = np.array([x0] * len(live)), None, 0, {}, {}
-        signed = not exact and _negative_zero(x0)
-        for n in _block_sizes(horizon, _FIRST_CHUNK):
-            if not live:
-                break
-            A, lengths = _stack_blocks([streams[rep] for rep in live], n)
+        for live, keep, A, lengths, t in _stacked(reps, stream, seed, 0, horizon, _FIRST_CHUNK, ended,
+                                                  seen):
+            n, rank_one = A.shape[1], {}
             if exact:
+                C = walk.scan(A, None if t == 0 else C[keep, -1], t)
+                S = walk.act(C, walk.x0)
                 open_ = [i for i, rep in enumerate(live) if found[rep][2] is None]
-                for i in open_:
-                    seen[live[i]].append(streams[live[i]].letters)
-                C = walk.scan(A, P, t)
-                P, S = C[:, -1], walk.act(C, walk.x0)
                 if open_:
                     Q = _normal(C[open_], walk.clamp)[0].reshape(-1, D.k, D.k)
                     flags = _rank_one_flags(Q, walk.clamp)
                     rank_one = {i: flags[a * n : (a + 1) * n] for a, i in enumerate(open_)}
             else:
-                signed = signed or any(streams[rep].signed for rep in live)
-                At = np.ascontiguousarray(A.transpose(1, 3, 2, 0))  # At[j, l, i, r] = A[r, j, i, l]
-                St, xt = np.empty((n, D.k) + x.shape[:2]), x.transpose(2, 0, 1)
-                for j in range(n):
-                    xt = St[j] = _float_step(At[j][..., None], xt[:, None], signed)
-                S, x = np.ascontiguousarray(St.transpose(2, 0, 3, 1)), xt.transpose(1, 2, 0)
+                signed = signed or _negative_zero(A)
+                S = _float_states(A, np.array([x0] * len(live)) if t == 0 else S[keep, -1], signed)
             d = _pair_dists(S)
             merged, close = (d == 0).tolist(), near(d)
             for i, rep in enumerate(live):
@@ -959,16 +944,11 @@ def forward_coupling(
                 for slot, j in enumerate(hits):
                     if found[rep][slot] is None and j is not None:
                         found[rep][slot] = t + j + 1 if slot < 2 else _window(
-                            walk, np.concatenate(seen[rep])[: t + j + 1])
-            t, rank_one = t + n, {}
-            keep = _carry_on(live, [pending(rep) for rep in live], streams, failed)
-            live, x, P = [live[i] for i in keep], x[keep], None if P is None else P[keep]
-        if failed:
-            raise failed[min(failed)]
-        samples += [CouplingSample(rep, merge, close, *(window or (None, None)))
-                    for rep, (merge, close, window) in found.items()]
+                            walk, np.concatenate(seen.pop(rep))[: t + j + 1])
+    samples = tuple(CouplingSample(rep, merge, close, *(window or (None, None)))
+                    for rep, (merge, close, window) in found.items())
     modes = ("strong", "eta") if exact else ("eta",)
-    return CouplingReport(eta, horizon, replications, modes, x0s, tuple(samples))
+    return CouplingReport(eta, horizon, replications, modes, x0s, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -1032,12 +1012,13 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
     """backward_loynes for each of the replications, in order.
 
     The products P(1..n) of a block are tested at once, and the
-    replications of a group step as one (R, k, k) stack of products: each
-    leaves it when it converges, and ends as it would alone (_carry_on).
+    replications of a group step as one (R, k, k) stack of products
+    (_stacked): each leaves it when it converges or runs out of budget.
     Exact: groups of _group, a block's products come from one right scan,
     and tolerance 0 is the rank-one test of their normal forms. Float:
-    groups of at most _FLOAT_GROUP entries a block, each product from the
-    one before (arrays._float_step)."""
+    groups of at most _FLOAT_GROUP entries a block, the products
+    P A(1) ... A(j) the states of arrays._float_states on the transposed
+    matrices."""
     backing = dist_backing(D)
     tol = as_scalar(tolerance, backing) if tolerance != 0 else 0
     if tol is EPS:
@@ -1053,13 +1034,13 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
     if backing == FLOAT:
-        new = functools.partial(_FloatStream, D, when="backward_loynes", backward=True)
+        stream = _FloatStream(D, None, "backward_loynes", backward=True)
         # the pair distances behind the diameters take k^3 entries a step
         groups = _group(len(replications), budget, _FIRST_CHUNK, _FLOAT_GROUP // D.k**3)
         bound, unscaled, ratio, eps = tol, float, float, -math.inf
     else:
         walk = _IntWalk(D, (), budget)
-        new = functools.partial(walk.stream, backward=True)
+        stream = walk.stream(backward=True)
         groups, bound = _group(len(replications), budget), tol * walk.L
 
         def unscaled(d):
@@ -1076,24 +1057,17 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
             return ProjVector(tuple((col - _max_last(col, signed)).tolist()), FLOAT)
         return ProjVector(tuple(Fraction(int(v), walk.L) for v in (col - col.max()).tolist()), EXACT)
 
-    results = []
+    traces, lasts, ended = {rep: [] for rep in replications}, dict.fromkeys(replications, math.inf), {}
+    signed = False
     for group in groups:
         reps = replications[group.start : group.stop]
-        streams = {rep: new(_stream(seed, rep, 1)) for rep in reps}
-        traces, lasts, ended = {rep: [] for rep in reps}, dict.fromkeys(reps, math.inf), {}
-        live, P, t, signed, failed = list(reps), None, 0, False, {}
-        for n in _block_sizes(budget, _FIRST_CHUNK):
-            if not live:
-                break
-            A, lengths = _stack_blocks([streams[rep] for rep in live], n)
+        for live, keep, A, lengths, t in _stacked(reps, stream, seed, 1, budget, _FIRST_CHUNK,
+                                                  ended.__contains__):
+            n, P = A.shape[1], None if t == 0 else Ps[keep, -1]
             if backing == FLOAT:
-                signed = signed or any(streams[rep].signed for rep in live)
-                Ab = np.ascontiguousarray(A.transpose(1, 2, 3, 0))  # Ab[j, l, b, r] = A[r, j, l, b]
-                Pt, Q = np.empty_like(Ab), None if P is None else P.T
-                for j in range(n):
-                    Q = Pt[j] = Ab[j].swapaxes(0, 1) if Q is None else _float_step(
-                        Q[:, None], Ab[j][:, :, None], signed)
-                Ps = np.ascontiguousarray(Pt.transpose(3, 0, 2, 1))  # Ps[r, j] = Pt[j].T[r]
+                signed = signed or _negative_zero(A)
+                # the diameters read the products faster in C order
+                Ps = np.ascontiguousarray(_float_states(A.swapaxes(-1, -2), P, signed))
             else:
                 Ps, eps = walk.scan(A, P, t, right=True), walk.eps
             diams = _diameters(Ps, eps) if tolerance != 0 or trace_every else None
@@ -1119,21 +1093,18 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
                     lasts[rep] = diams[i][stop - 1]
                 elif traced:
                     lasts[rep] = diams[i][traced[-1]]
+                last = lasts[rep]
                 if end is not None:
                     ended[rep] = LoynesResult(True, t + end + 1, limit(Ps[i, end], signed),
-                                              unscaled(lasts[rep]), tol, tuple(traces[rep]), seed, rep)
-            keep = _carry_on(live, [rep not in ended for rep in live], streams, failed)
-            live, P, t = [live[i] for i in keep], Ps[keep, -1], t + n
-        if failed:
-            raise failed[min(failed)]
-        for i, rep in enumerate(live):  # out of budget
-            last = lasts[rep]
-            if last == math.inf and P is not None and tolerance == 0:
-                last = _diameters(P[i], eps)
-            ended[rep] = LoynesResult(False, budget, None, unscaled(last), tol, tuple(traces[rep]),
-                                      seed, rep)
-        results += [ended[rep] for rep in reps]
-    return results
+                                              unscaled(last), tol, tuple(traces[rep]), seed, rep)
+                elif t + b == budget:  # out of budget
+                    if last == math.inf and tolerance == 0:
+                        last = _diameters(Ps[i, -1], eps)
+                    ended[rep] = LoynesResult(False, budget, None, unscaled(last), tol,
+                                              tuple(traces[rep]), seed, rep)
+    # a budget of 0 steps no block
+    return [ended.get(rep) or LoynesResult(False, 0, None, math.inf, tol, (), seed, rep)
+            for rep in replications]
 
 
 # ---------------------------------------------------------------------------

@@ -253,3 +253,55 @@ def test_scan_forms_the_running_products():
             for j in range(7):
                 P = arrays._stack_mul(P, X[g, j]) if right else arrays._stack_mul(X[g, j], P)
                 assert (got[g, j] == P).all()
+
+
+# ---------------------------------------------------------------------------
+# The one block loop
+
+
+def test_exact_replications_that_span_two_groups():
+    """70 replications at horizon 20 form two _group groups (64 and 6):
+    each replication gives the reference's report, whichever group holds
+    it."""
+    assert [len(g) for g in stochastic._group(70, 20)] == [64, 6]
+    D = FiniteSupport.make([M([[2, EPS, "1/2"], [1, 1, EPS], [EPS, 1, "3/2"]]),
+                            M([[1, EPS, 1], [1, "1/3", EPS], [EPS, 1, 1]])], ["1/3", "2/3"])
+    x0s = [V([0, 0, 0]), V([0, 5, "2/3"]), V(["1/2", 1, 0])]
+    got = forward_coupling(D, x0s, 20, Fraction(1, 3), 9, 70)
+    assert samples_text(got.samples) == samples_text(
+        reference_samples(D, x0s, 20, Fraction(1, 3), 9, 70))
+    args = dict(replications=70, seed=9, x0=x0s[1])
+    assert report_text(lyapunov_estimate(D, 20, **args)) == report_text(
+        reference.lyapunov_estimate(D, 20, **args))
+
+
+@pytest.mark.parametrize("backing, tolerance", [
+    ("exact", 0), ("exact", Fraction(1, 2)), ("float", 0.5), ("float", 1e-9)])
+def test_one_replication_is_its_entry_of_a_stack(backing, tolerance):
+    """backward_loynes(replication=r) steps a stack of one; it reports what
+    replication r reports in a stack of all of them, converged or not."""
+    D = FiniteSupport.make([M([[0, "1/2", EPS], [EPS, 0, 1], [1, EPS, "1/3"]]),
+                            M([[1, EPS, 0], [0, 1, EPS], [EPS, "1/2", 0]])], ["1/2", "1/2"])
+    if backing == "float":
+        D = D.to_float()
+    stack = stochastic._loynes(D, tolerance, 20, 3, range(8), 3)
+    alone = [backward_loynes(D, tolerance, 20, 3, r, trace_every=3) for r in range(8)]
+    assert [report_text(r) for r in alone] == [report_text(r) for r in stack]
+    assert {r.converged for r in stack} == {True, False}
+
+
+def test_letter_tables_are_built_once_a_call(count_calls):
+    """A float Markov stability verdict builds the stationary law and the
+    reversed kernel once, however many Monte-Carlo replications it runs."""
+    D = FiniteSupport.make(
+        [M([[0.0, 1.5], [0.25, EPS]], "float"), M([[1.0, EPS], [0.5, 0.0]], "float"),
+         M([[EPS, 0.5], [1.0, 0.25]], "float")],
+        ["1/3", "1/3", "1/3"], [["1/2", "1/2", 0], [0, "1/2", "1/2"], ["1/2", 0, "1/2"]])
+    counts = []
+    for seeds in (1, 20):
+        calls = count_calls(stochastic, "stationary_distribution", "_reverse_kernel_cum")
+        verdict = stochastic.stability_verdict(
+            D, stochastic.StabilityOptions(eta=0.05, mc_seeds=seeds, mc_budget=50, seed=2))
+        counts.append(dict(calls))
+        assert verdict.to_json()["certificate"]["seeds"] == seeds
+    assert counts[0] == counts[1] and counts[0]["_reverse_kernel_cum"] >= 1

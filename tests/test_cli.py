@@ -136,6 +136,17 @@ class TestExitCodes:
         assert bad in err["error"]["message"]
 
 
+    @pytest.mark.parametrize("entries, message", [
+        ([5], "matrix entries must be an array of row arrays"),
+        (5, "matrix entries must be an array of row arrays"),
+        ([[0, 1], [2]], "matrix must be square and non-empty"),
+    ])
+    def test_misshapen_matrix_is_contract_violation(self, tmp_path, entries, message):
+        proc = run_cli("spectral", "--input", write(tmp_path / "m.json", {"entries": entries}))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["error"] == {"type": "contract", "message": message}
+
     @pytest.mark.parametrize(
         "command, obj",
         [
@@ -468,6 +479,20 @@ class TestModelPipeline:
         proc = run_cli("model", kind, "--spec", write(tmp_path / "spec.json", spec))
         assert proc.returncode == 3
         assert json.loads(proc.stderr)["error"]["type"] == "contract"
+
+    def test_cjn_condition_reads_service_times_as_scalars(self, tmp_path):
+        """String and number spellings of one service time compare alike."""
+        per_queue = {"values": [[1, "3/2"], [2], ["1/2", "5/4"]],
+                     "probs": [["1/2", "1/2"], [1], ["1/2", "1/2"]]}
+        conditions = []
+        for law in ({"per_queue": per_queue}, {"joint": {"atoms": [["10", "9", "9"]], "probs": [1]}},
+                    {"joint": {"atoms": [[10, 9, 9]], "probs": [1]}}):
+            spec = write(tmp_path / "spec.json", {"queues": 3, "customers": 3, "law": law})
+            proc = run_cli("model", "cjn", "--spec", spec)
+            assert proc.returncode == 0, proc.stderr
+            conditions.append(json.loads(proc.stdout)["result"]["cjn_stability_condition"])
+        assert conditions[0] == {"holds": True, "witness": [1, 2, "1/2"]}
+        assert conditions[1] == conditions[2] == {"holds": True, "witness": [10, 9, 9]}
 
     def test_taskgraph_model(self, tmp_path):
         spec = write(

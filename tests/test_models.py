@@ -173,6 +173,14 @@ class TestStabilityCondition:
         )
         assert not ok and wit is None
 
+    def test_spelled_service_times_compare_as_scalars(self):
+        got = [cjn_stability_condition(CjnSpec(3, 3, JointServiceLaw.make([atom], [1])))
+               for atom in (("10", "9", "9"), (10, 9, 9), (10.0, "9", 9))]
+        assert got == [(True, (10, 9, 9))] * 3
+        ok, wit = cjn_stability_condition(CjnSpec(3, 3, PerQueueServiceLaw.make(
+            [[1, "3/2"], [2], ["1/2", "5/4"]], [["1/2", "1/2"], [1], ["1/2", "1/2"]])))
+        assert ok and wit == (1, 2, Fraction(1, 2))
+
     def test_split_model_rejected(self):
         with pytest.raises(ContractViolation):
             cjn_stability_condition(CjnSpec(2, 3, JointServiceLaw.make([(1, 1)], [1])))
