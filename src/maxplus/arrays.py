@@ -11,9 +11,10 @@ Its callers:
 - the stochastic drivers of ``stochastic`` (simulation, Lyapunov estimates,
   coupling, the backward scheme): on float64 one step at a time for float
   models, every state of a block of every replication of a group in one
-  stack (``_float_states``), and on the integer-scaled support for exact
-  ones, where a block's running products come from one prefix scan
-  (``_scan``);
+  stack (``_float_states``), which steps on the matrices where the block
+  loop drew them, laid out with the steps first and the replications last;
+  and on the integer-scaled support for exact ones, where a block's running
+  products come from one prefix scan (``_scan``) of an (R, n, k, k) stack;
 - the exact spectral record of ``spectral`` (irreducibility, Karp's
   algorithm, the closure, its fixpoint check, the critical graph and the
   eigenvectors), on the integer-scaled matrix, and its exact power loop
@@ -62,8 +63,14 @@ def _matrix_of(a: np.ndarray) -> Matrix:
     )
 
 
+# the bits of -0.0 read as an int64
+_NEGATIVE_ZERO = np.float64(-0.0).view(np.int64)
+
+
 def _negative_zero(a: np.ndarray) -> bool:
-    return a.dtype == float and bool(np.signbit(a[a == 0]).any())
+    """Whether a float64 array holds a -0.0, as a compare of its bits as
+    int64: no copy of a, whatever its strides. False for other dtypes."""
+    return a.dtype == float and bool((a.view(np.int64) == _NEGATIVE_ZERO).any())
 
 
 def _max_last(a: np.ndarray, signed: bool) -> np.ndarray:
@@ -94,22 +101,26 @@ def _float_step(A: np.ndarray, X: np.ndarray, signed: bool, out=None) -> np.ndar
     return top
 
 
-def _float_states(A: np.ndarray, X, signed: bool) -> np.ndarray:
-    """Every state of a block of left products on float64: for the (R, n,
-    k, k) stack A of R blocks of n matrices and the (R, m, k) stack X of m
-    initial states each, one state a row, S[r, j, s] = A[r, j] S[r, j-1, s]
+def _float_states(At: np.ndarray, X, signed: bool) -> np.ndarray:
+    """Every state of a block of left products on float64, for R blocks of
+    n matrices A[r, j] laid out as the steps read them, the (n, k, k, R)
+    stack At[j, l, i, r] = A[r, j][i, l], and the (R, m, k) stack X of m
+    initial states each, one state a row: S[r, j, s] = A[r, j] S[r, j-1, s]
     with S[r, -1] = X[r]; with X None the unit vectors, so S[r, j] is the
     transpose of A[r, j] ... A[r, 0]. As (P A)^T = A^T P^T, the right
     products P A(0) ... A(j) are the states of the transposes from the rows
-    of P. Returns S, (R, n, m, k), a view of St[j, i, r, s] = S[r, j, s, i],
-    where a step is one _float_step, with At[j, l, i, r] = A[r, j, i, l]."""
-    At = np.ascontiguousarray(A.transpose(1, 3, 2, 0))[..., None]
-    St = np.empty(A.shape[1:3] + (len(A), A.shape[-1] if X is None else X.shape[1]))
+    of P, whose stack At holds the matrices as they are. Each step is one
+    _float_step of At[j] in place: At is read, never copied. Returns S,
+    (R, n, m, k), a view of St[j, i, r, s] = S[r, j, s, i]."""
+    n, k, _, R = At.shape
+    St = np.empty((n, k, R, k if X is None else X.shape[1]))
     if X is None:  # a copy of A[:, 0], with no sum that could turn -0.0 into 0.0
-        St[0] = A[:, 0].transpose(1, 0, 2)
-    else:
-        _float_step(At[0], X.transpose(2, 0, 1)[:, None], signed, St[0])
-    for Aj, state, out in zip(At[1:], St[:, :, None], St[1:]):
+        St[0] = At[0].transpose(1, 2, 0)
+    # one state a replication steps without the trailing axis of 1, which numpy broadcasts slower
+    S, At = (St[..., 0], At) if St.shape[-1] == 1 else (St, At[..., None])
+    if X is not None:
+        _float_step(At[0], X.transpose(2, 0, 1).reshape(S[0].shape)[:, None], signed, S[0])
+    for Aj, state, out in zip(At[1:], S[:, :, None], S[1:]):
         _float_step(Aj, state, signed, out)
     return St.transpose(2, 0, 3, 1)
 

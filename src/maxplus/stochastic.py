@@ -15,14 +15,17 @@ support picks rows of its stacked support by a block of uniforms, a
 generator draws a block through its ``sample_block(rng, n)`` or stacks n
 ``sample_fn`` calls. Blocks hold at most ``_CHUNK`` matrices, so memory
 stays O(_CHUNK k^2) on long horizons; drivers that stop early start from
-``_FIRST_CHUNK`` and double. A generator block is checked once for all-eps
-rows, and the driver fails at the step that would use such a matrix. Each
-driver (``simulate``, ``lyapunov_estimate``, ``forward_coupling``,
-``backward_loynes``) runs on one block loop (_stacked) that steps its
-independent replications as one stack and owns their streams and the
-order of their errors; the driver keeps its state update and tests every
-step of a block at once. The backings differ in how a block's states or
-products are formed, on the array kernel of ``arrays``.
+``_FIRST_CHUNK`` and double. Each driver (``simulate``,
+``lyapunov_estimate``, ``forward_coupling``, ``backward_loynes``) runs on
+one block loop (_stacked) that steps its independent replications as one
+stack and owns their streams and the order of their errors; the driver
+keeps its state update and tests every step of a block at once. The loop
+writes each replication's block once, into one array in the layout the
+driver's steps read (``_FloatStream.order``), and tests each stacked
+generator block once for all-eps rows; the driver fails at the step that
+would use such a matrix, and only the tail of a block cut short is
+zero-filled. The backings differ in how a block's states or products are
+formed, on the array kernel of ``arrays``.
 
 Exact: each call scales the support, and the initial conditions, once by
 L, the lcm of their entry denominators (``semiring.scale_to_integers``), and
@@ -363,10 +366,18 @@ class _FloatStream:
     support (see _IntWalk). Each replication of a driver call steps on a
     copy (on).
 
-    A generator's matrices are checked for their shape, and its blocks for
-    all-eps rows (when ``when`` names the caller): take() stops just before
-    a bad matrix and sets error, which _stacked raises, so a driver fails at
-    the step that would use the matrix.
+    ``order`` is the layout of the stack in which _stacked writes the
+    blocks of R replications: the axes of the (R, n, k, k) stack A[r, j]
+    that it holds in turn, as for A.transpose(order), and A is
+    stack.transpose(axes). An exact stream keeps A, which arrays._scan
+    reads; a float one holds the matrices transposed and the replications
+    last, as arrays._float_states steps on them, and backward the matrices
+    as they are, for the steps on their transposes.
+
+    A generator's matrices are checked for their shape (take() stops just
+    before a bad matrix and sets error, which _stacked raises, so a driver
+    fails at the step that would use the matrix), and, when ``when`` names
+    the caller, for all-eps rows, once a stacked block (_stacked).
     """
 
     def __init__(self, dist: MatrixDistribution, rng: Optional[np.random.Generator],
@@ -376,9 +387,13 @@ class _FloatStream:
         self.when = when
         self.position = 0
         self.error = None
+        self.order = (0, 1, 2, 3) if support is not None else (1, 2, 3, 0) if backward else (1, 3, 2, 0)
+        self.axes = tuple(map(self.order.index, range(4)))
+        self.dtype = float
         if isinstance(dist, FiniteSupport):
             self._support = _as_array(M.rows for M in dist.matrices) if support is None else support
             self._letters = _Letters(dist, rng, backward)
+            self.dtype = self._support.dtype
 
     def on(self, rng: np.random.Generator) -> "_FloatStream":
         """This stream on another random stream, sharing its support and tables."""
@@ -411,18 +426,9 @@ class _FloatStream:
         return _as_array(mats).reshape(len(mats), d.k, d.k)
 
     def take(self, n: int) -> np.ndarray:
-        """The next at most n matrices: fewer, maybe none, only before a bad
-        matrix."""
+        """The next at most n matrices: fewer, maybe none, only before a
+        misshapen matrix."""
         block = self._draw(n)
-        if self.when is not None and isinstance(self.dist, GeneratorDistribution):
-            dead = (block == -math.inf).all(-1)
-            if dead.any():
-                t = int(dead.any(-1).argmax())
-                self.error = ContractViolation(
-                    f"{self.when}: matrix row {int(dead[t].argmax())} is all eps "
-                    "(every row needs a finite entry)"
-                )
-                block = block[:t]
         self.position += len(block)
         return block
 
@@ -433,16 +439,20 @@ def _stacked(reps: range, stream: _FloatStream, seed: int, channel: int, total: 
     stream.on(the random stream (seed, rep, channel)). For each block of
     _block_sizes(total, first) it yields (live, keep, A, lengths, t): the
     replications that step on, their indices into the live of the block
-    before (into reps at the first), their next n matrices as one (R, n, k,
-    k) stack, each one's length, and the steps before the block.
+    before (into reps at the first), their next n matrices as one stack in
+    the layout of stream.order, each one's length, and the steps before the
+    block.
 
-    A block that stopped short before a bad matrix is padded with zero
-    matrices, whose steps the driver ignores; unless ended(rep), replication
-    rep has then met its stream's error. So each replication ends as it
-    would alone, those after the lowest failed one stop, and its error is
-    raised once every one before it has ended: a stack raises what running
-    its replications one after another would. letters maps replications to
-    lists that collect the letters of each of their blocks."""
+    Each replication's matrices are written once, into their place in the
+    stack. A block that stops short before a bad matrix, one of the wrong
+    shape or (when stream.when names the caller) one with an all-eps row,
+    ends in zero matrices, whose steps the driver ignores; only such a tail
+    is filled. Unless ended(rep), replication rep has then met its stream's
+    error. So each replication ends as it would alone, those after the
+    lowest failed one stop, and its error is raised once every one before
+    it has ended: a stack raises what running its replications one after
+    another would. letters maps replications to lists that collect the
+    letters of each of their blocks."""
     streams = {rep: stream.on(_stream(seed, rep, channel)) for rep in reps if not ended(rep)}
     live, failed, t = list(reps), {}, 0
     sizes = _block_sizes(total, first)
@@ -456,13 +466,29 @@ def _stacked(reps: range, stream: _FloatStream, seed: int, channel: int, total: 
         n = next(sizes, 0)
         if not live or not n:
             break
-        blocks = [streams[rep].take(n) for rep in live]
+        shape = (len(live), n, stream.dist.k, stream.dist.k)
+        stack = np.empty([shape[axis] for axis in stream.order], stream.dtype)
+        A, lengths = stack.transpose(stream.axes), []  # A[r, j]: matrix j of live[r]
+        for a, rep in zip(A, live):
+            block = streams[rep].take(n)
+            a[: len(block)] = block
+            a[len(block) :] = 0
+            lengths.append(len(block))
         for rep in (letters or {}).keys() & set(live):
             letters[rep].append(streams[rep].letters)
-        A = np.zeros((len(blocks), n) + blocks[0].shape[1:], blocks[0].dtype)
-        for a, block in zip(A, blocks):
-            a[: len(block)] = block
-        yield live, keep, A, [len(block) for block in blocks], t
+        if stream.when is not None and isinstance(stream.dist, GeneratorDistribution):
+            eps = A == -math.inf
+            if eps.any():  # else no row is all eps
+                dead = eps.all(-1)  # [r, j, i]: row i of A[r, j]; no zero tail has one
+                for i in np.flatnonzero(dead.any((1, 2))).tolist():
+                    j = int(dead[i].any(-1).argmax())
+                    streams[live[i]].error = ContractViolation(
+                        f"{stream.when}: matrix row {int(dead[i, j].argmax())} is all eps "
+                        "(every row needs a finite entry)"
+                    )
+                    lengths[i] = j
+                    A[i, j:] = 0
+        yield live, keep, stack, lengths, t
         t += n
     if failed:
         raise failed[min(failed)]
@@ -580,7 +606,8 @@ def sample_sequence(D: MatrixDistribution, seed: int, n: int, replication: int =
     if isinstance(D, FiniteSupport):
         return [D.matrices[i] for i in _Letters(D, _stream(seed, replication, 0)).draw(n).tolist()]
     blocks = _stacked(range(replication, replication + 1), _FloatStream(D, None, None), seed, 0, n, _CHUNK)
-    return [_matrix_of(A) for _, _, (block,), _, _ in blocks for A in block]
+    # a float stream's stack holds the transposes (_FloatStream.order)
+    return [_matrix_of(At.T) for _, _, block, _, _ in blocks for At in block[..., 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -653,16 +680,17 @@ def _track(D: MatrixDistribution, x0: Vector, horizon: int, seed: int, replicati
         walk = _IntWalk(D, (x0,), horizon)
         stream, first, blocks = walk.stream(), _FIRST_CHUNK, [walk.x0]  # L x(n)
     # a block that stops short before a bad matrix ends in padding, and the loop raises
-    for _, _, (A,), _, t in _stacked(range(replication, replication + 1), stream, seed, 0, horizon,
-                                     first):
+    for _, _, A, _, t in _stacked(range(replication, replication + 1), stream, seed, 0, horizon,
+                                  first):
         if x0.backing == FLOAT:
+            # A[n - t - 1] is the transpose of A(n - 1), with the one replication last
             signed = signed or _negative_zero(A)
-            for n, An in enumerate(np.ascontiguousarray(A.swapaxes(1, 2))[..., None], t + 1):
+            for n, An in enumerate(A, t + 1):
                 y = _float_step(An, track[n - 1].T[:, None], signed).T
                 y[1] -= _max_last(y[1], signed)
                 track[n] = y
         else:
-            C = walk.scan(A, None if t == 0 else C[-1], t)
+            C = walk.scan(A[0], None if t == 0 else C[-1], t)
             blocks.append(walk.act(C, walk.x0)[:, 0])
     if x0.backing == EXACT:
         # in exact arithmetic the projective state is x(n) minus its maximum
@@ -889,6 +917,8 @@ def forward_coupling(
         _check_condition_i(D)
     if eta is None or not eta >= 0:
         raise ContractViolation("forward_coupling: eta must be >= 0")
+    if eta == math.inf:
+        raise ContractViolation("forward_coupling: eta must be finite")
     if horizon < 0:
         raise ContractViolation("forward_coupling: horizon must be >= 0")
     if replications < 1:
@@ -897,7 +927,7 @@ def forward_coupling(
     if exact:
         walk = _IntWalk(D, x0s, horizon)
         cap = walk.top * _reach(horizon)  # above every distance
-        bound = cap if eta == math.inf else min(math.floor(Fraction(eta) * walk.L), cap)
+        bound = min(math.floor(Fraction(eta) * walk.L), cap)
         x0, groups, stream = walk.x0, _group(replications, horizon), walk.stream()
     else:
         x0, bound = np.array([v.entries for v in x0s]), eta
@@ -923,8 +953,9 @@ def forward_coupling(
     for reps in groups:
         for live, keep, A, lengths, t in _stacked(reps, stream, seed, 0, horizon, _FIRST_CHUNK, ended,
                                                   seen):
-            n, rank_one = A.shape[1], {}
+            rank_one = {}
             if exact:
+                n = A.shape[1]
                 C = walk.scan(A, None if t == 0 else C[keep, -1], t)
                 S = walk.act(C, walk.x0)
                 open_ = [i for i, rep in enumerate(live) if found[rep][2] is None]
@@ -1063,15 +1094,17 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
         reps = replications[group.start : group.stop]
         for live, keep, A, lengths, t in _stacked(reps, stream, seed, 1, budget, _FIRST_CHUNK,
                                                   ended.__contains__):
-            n, P = A.shape[1], None if t == 0 else Ps[keep, -1]
+            P = None if t == 0 else Ps[keep, -1]
             if backing == FLOAT:
                 signed = signed or _negative_zero(A)
-                # the diameters read the products faster in C order
-                Ps = np.ascontiguousarray(_float_states(A.swapaxes(-1, -2), P, signed))
+                # the stack holds the matrices, which are the transposes of the
+                # transposes; the diameters read the products faster in C order
+                Ps = np.ascontiguousarray(_float_states(A, P, signed))
             else:
                 Ps, eps = walk.scan(A, P, t, right=True), walk.eps
             diams = _diameters(Ps, eps) if tolerance != 0 or trace_every else None
             if tolerance == 0:
+                n = Ps.shape[1]
                 flags = _rank_one_flags(_normal(Ps, walk.clamp)[0].reshape(-1, D.k, D.k), walk.clamp)
             for i, rep in enumerate(live):
                 b = lengths[i]
@@ -1516,6 +1549,8 @@ def stability_verdict(D: MatrixDistribution, options: Optional[StabilityOptions]
     Monte-Carlo backward-diameter evidence at the eta threshold.
     """
     opt = options or StabilityOptions()
+    if not 0 <= opt.mc_threshold <= 1:
+        raise ContractViolation("stability_verdict: mc_threshold must be in [0, 1]")
     notes = []
     conditions = None
     pattern = None

@@ -424,6 +424,58 @@ class TestNegativeCounts:
         }
 
 
+class TestThresholds:
+    """A Monte-Carlo threshold outside [0, 1] and a coupling eta that is
+    negative, NaN or infinite are contract errors, raised before any run
+    starts."""
+
+    @pytest.fixture
+    def cjn_uniform(self, tmp_path):
+        return write(tmp_path / "cjn.json", {
+            "kind": "generator", "name": "cjn_uniform", "k": 3,
+            "params": {"queues": 3, "customers": 3, "low": 0.2, "high": 1.1}})
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stability", "--mc-threshold", "nan"], "mc_threshold must be in [0, 1]"),
+            (["stability", "--mc-threshold", "inf"], "mc_threshold must be in [0, 1]"),
+            (["stability", "--mc-threshold", "1.5"], "mc_threshold must be in [0, 1]"),
+            (["stability", "--mc-threshold", "-1", "--mc-seeds", "2", "--mc-budget", "3"],
+             "mc_threshold must be in [0, 1]"),
+            (["couple", "--eta", "inf"], "eta must be finite"),
+            (["couple", "--eta", "1e309"], "eta must be finite"),
+            (["couple", "--eta", "-1"], "eta must be >= 0"),
+            (["couple", "--eta", "nan"], "eta must be >= 0"),
+        ],
+    )
+    def test_threshold_outside_its_range_is_contract_violation(
+        self, cjn_uniform, x0_files, monkeypatch, capsys, argv, message
+    ):
+        from maxplus import cli, stochastic
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(stochastic, "_stacked", no_run)
+        if argv[0] == "couple":
+            argv = argv + ["--x0", x0_files[0], "--x0", x0_files[1], "--horizon", "5"]
+        assert cli.main(argv + ["--dist", cjn_uniform, "--seed", "1"]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "contract" and message in error["message"]
+
+    @pytest.mark.parametrize("threshold", ["0", "1"])
+    def test_threshold_bounds_are_accepted(self, cjn_uniform, capsys, threshold):
+        from maxplus import cli
+
+        argv = ["stability", "--dist", cjn_uniform, "--seed", "1", "--mc-threshold", threshold,
+                "--mc-seeds", "2", "--mc-budget", "3"]
+        assert cli.main(argv) == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["config"]["mc_threshold"] == float(threshold)
+        assert result["result"]["verdict"] == ("StableWeak" if threshold == "0" else "Inconclusive")
+
+
 class TestModelPipeline:
     def test_emitted_distribution_feeds_other_commands(self, tmp_path):
         spec = write(
