@@ -86,6 +86,14 @@ def _open_for_writing(path: str, **kw):
         raise InputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _write_csv(path: str, header: list, rows) -> None:
+    """Write a CSV side file: the header row, then rows."""
+    with _open_for_writing(path, newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _load_matrix(path: str, backing: str):
     return matrix_from_json(_read_json(path), backing)
 
@@ -199,11 +207,9 @@ def _cmd_simulate(args):
         for key, rows in cols.items():  # idle, and waiting or None
             result[key] = None if rows is None else [[scalar_to_json(v) for v in row] for row in rows]
     if args.csv:
-        with _open_for_writing(args.csv, newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n"] + [f"x_{i}" for i in range(len(x0))])
-            for n, state in zip(fields["sample_times"], fields["states"]):
-                w.writerow([n] + [float(v) for v in state])
+        _write_csv(args.csv, ["n"] + [f"x_{i}" for i in range(len(x0))],
+                   ([n] + [float(v) for v in state]
+                    for n, state in zip(fields["sample_times"], fields["states"])))
     return result, f"simulated {args.horizon} steps, recorded {len(fields['states'])} states"
 
 
@@ -242,12 +248,9 @@ def _cmd_couple(args):
         ],
     }
     if args.csv:
-        with _open_for_writing(args.csv, newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["replication", "merge_time", "eta_time", "window_start", "window_length"])
-            for s in rep.samples:
-                times = (s.merge_time, s.eta_time, s.window_start, s.window_length)
-                w.writerow([s.replication] + ["" if t is None else t for t in times])
+        keys = ["replication", "merge_time", "eta_time", "window_start", "window_length"]
+        _write_csv(args.csv, keys, (["" if s[key] is None else s[key] for key in keys]
+                                    for s in result["samples"]))
     merged = sum(1 for s in rep.samples if s.merge_time is not None)
     etad = sum(1 for s in rep.samples if s.eta_time is not None)
     return result, f"strong coupling {merged}/{rep.replications}, eta-coupling {etad}/{rep.replications}"
@@ -259,11 +262,7 @@ def _cmd_loynes(args):
                           seed=args.seed, replication=args.replication,
                           trace_every=args.trace_every)
     if args.csv:
-        with _open_for_writing(args.csv, newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "diameter"])
-            for n, d in res.trace:
-                w.writerow([n, d])
+        _write_csv(args.csv, ["n", "diameter"], res.trace)
     note = "converged" if res.converged else "budget exhausted (partial result)"
     return res.to_json(), f"{note} after {res.steps} steps, diameter {res.achieved_diameter}"
 
@@ -337,11 +336,6 @@ def _cmd_model(args):
 
 
 THREADS_HELP = "accepted and ignored: replications run in order in one thread"
-
-
-def _add_common_search(p):
-    p.add_argument("--max-len", type=int, default=16, help="maximum word length")
-    p.add_argument("--budget", type=int, default=200000, help="maximum states to expand")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("patterns", help="search for rank-one words")
     p.add_argument("--dist", required=True)
-    _add_common_search(p)
+    p.add_argument("--max-len", type=int, default=16, help="maximum word length")
+    p.add_argument("--budget", type=int, default=200000, help="maximum states to expand")
     p.set_defaults(func=_cmd_patterns)
 
     p = add("conditions", help="structural conditions I and II")

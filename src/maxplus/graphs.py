@@ -168,16 +168,10 @@ def is_irreducible(A: Matrix) -> bool:
 def graph_cyclicity(G: PrecedenceGraph) -> int:
     """lcm of the per-SCC circuit-length gcds; components without a circuit
     are excluded. Rejects a graph with no circuit at all."""
-    dec = scc_decompose(G)
-    result = 1
-    seen = False
-    for c in dec.cyclicities:
-        if c is not None:
-            result = result * c // math.gcd(result, c)
-            seen = True
-    if not seen:
+    circuits = [c for c in scc_decompose(G).cyclicities if c is not None]
+    if not circuits:
         raise ContractViolation("graph_cyclicity: graph has no circuit")
-    return result
+    return math.lcm(*circuits)
 
 
 def is_aperiodic(A: Matrix) -> bool:

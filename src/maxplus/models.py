@@ -28,6 +28,8 @@ from .stochastic import (
     GeneratorDistribution,
     MatrixDistribution,
     _as_probability,
+    _cum_floats,
+    _pick,
     _sample_one,
     register_generator,
 )
@@ -206,10 +208,10 @@ def split_service_vector(sigma: Sequence, customers: int, backing: str = EXACT) 
 def cjn_distribution(spec: CjnSpec, backing: str = EXACT) -> MatrixDistribution:
     """Matrix distribution of the network.
 
-    customers == queues maps service vectors through cjn_matrix directly.
-    customers > queues first splits each vector into dimension customers
-    with zero-service fictive coordinates (layout in split_service_vector),
-    so exactly customers - queues rows carry service time e. customers <
+    Each service vector is split into dimension customers with
+    zero-service fictive coordinates (layout in split_service_vector,
+    the identity when customers == queues), so exactly customers - queues
+    rows carry service time e, and mapped through cjn_matrix. customers <
     queues has no matrix form of this shape and is rejected.
     """
     k, c = spec.queues, spec.customers
@@ -218,11 +220,6 @@ def cjn_distribution(spec: CjnSpec, backing: str = EXACT) -> MatrixDistribution:
             "cjn_distribution: fewer customers than queues needs a different "
             "state representation that this library does not provide"
         )
-
-    def build(sigma):
-        if c == k:
-            return cjn_matrix(sigma, backing)
-        return cjn_matrix(split_service_vector(sigma, c, backing), backing)
 
     law = spec.law
     if isinstance(law, UniformServiceLaw):
@@ -251,12 +248,12 @@ def cjn_distribution(spec: CjnSpec, backing: str = EXACT) -> MatrixDistribution:
     joint = law.joint() if isinstance(law, PerQueueServiceLaw) else law
     merged = {}
     for atom, p in zip(joint.atoms, joint.probs):
-        key = tuple(as_scalar(v, backing) for v in atom)
+        key = split_service_vector(atom, c, backing)
         if key in merged:
             merged[key] += p
         else:
             merged[key] = p
-    return FiniteSupport.make([build(key) for key in merged], list(merged.values()))
+    return FiniteSupport.make([cjn_matrix(key, backing) for key in merged], list(merged.values()))
 
 
 def cjn_stability_condition(spec: CjnSpec):
@@ -290,7 +287,8 @@ def cjn_trajectory_columns(traj, matrices, physical: bool = True) -> dict:
     x_j(n) - sigma_j - x_{j-1}(n-1), cyclic in j. Waiting times are only
     meaningful when every coordinate is a physical queue (customers ==
     queues); split models must pass physical=False, which reports
-    waiting=None.
+    waiting=None. A matrix with eps on its diagonal is a
+    ContractViolation naming the step and the queue.
     """
     if traj.thin != 1:
         raise ContractViolation("cjn_trajectory_columns: needs an unthinned trajectory")
@@ -304,6 +302,11 @@ def cjn_trajectory_columns(traj, matrices, physical: bool = True) -> dict:
         prev = traj.states[n - 1].entries
         cur = traj.states[n].entries
         sig = [A.entry(j, j) for j in range(k)]
+        if EPS in sig:
+            raise ContractViolation(
+                f"cjn_trajectory_columns: the matrix of step {n} has eps at diagonal entry "
+                f"{sig.index(EPS)}, so queue {sig.index(EPS)} has no service time"
+            )
         idle.append(tuple(cur[j] - sig[j] - prev[j] for j in range(k)))
         if physical:
             waiting.append(tuple(cur[j] - sig[j] - prev[(j - 1) % k] for j in range(k)))
@@ -387,19 +390,12 @@ def taskgraph_distribution(spec: TaskGraphSpec, backing: str = EXACT) -> MatrixD
         _, low, high = spec.duration
         if not (0.0 <= low <= high):
             raise ContractViolation("taskgraph_distribution: need 0 <= low <= high")
-        laws = spec.subsets
+        laws = [(law.masks, _cum_floats(law.probs)) for law in spec.subsets]
 
         def sample(rng, n):
             rows = [[EPS] * k for _ in range(k)]
-            for i, law in enumerate(laws):
-                u = float(rng.random())
-                acc = 0.0
-                mask = law.masks[-1]
-                for m, p in zip(law.masks, law.probs):
-                    acc += float(p)
-                    if u < acc:
-                        mask = m
-                        break
+            for i, (masks, cum) in enumerate(laws):
+                mask = masks[_pick(cum, float(rng.random()))]
                 for j in range(k):
                     if mask >> j & 1:
                         rows[j][i] = float(rng.uniform(low, high))
@@ -440,49 +436,40 @@ def taskgraph_distribution(spec: TaskGraphSpec, backing: str = EXACT) -> MatrixD
 # Builtin generator models
 
 
-def shared_uniform_diagonal(k: int, low: float = 0.0, high: float = 1.0) -> GeneratorDistribution:
-    """A(n) has one shared uniform draw U(n) on the whole diagonal and e
-    everywhere else, so every coordinate races the same service time
-    against its neighbours."""
+def _uniform_diagonal(name: str, k: int, low: float, high: float, draws: int) -> GeneratorDistribution:
+    """A(n) is e off the diagonal and uniform on [low, high] on it, from
+    one draw shared by every diagonal entry (draws = 1) or one draw per
+    entry (draws = k)."""
     if k < 1:
-        raise ContractViolation("shared_uniform_diagonal: need k >= 1")
+        raise ContractViolation(f"{name}: need k >= 1")
 
     diag = np.arange(k)
 
     def sample_block(rng, n):
         out = np.zeros((n, k, k))
-        out[:, diag, diag] = rng.uniform(low, high, size=n)[:, None]
+        out[:, diag, diag] = rng.uniform(low, high, size=(n, draws))
         return out
 
     return GeneratorDistribution(
         k=k,
         sample_fn=_sample_one(sample_block),
-        name="shared_uniform_diagonal",
+        name=name,
         params=(("k", k), ("low", float(low)), ("high", float(high))),
         sample_block=sample_block,
     )
+
+
+def shared_uniform_diagonal(k: int, low: float = 0.0, high: float = 1.0) -> GeneratorDistribution:
+    """A(n) has one shared uniform draw U(n) on the whole diagonal and e
+    everywhere else, so every coordinate races the same service time
+    against its neighbours."""
+    return _uniform_diagonal("shared_uniform_diagonal", k, low, high, 1)
 
 
 def independent_uniform_diagonal(k: int, low: float = 0.0, high: float = 1.0) -> GeneratorDistribution:
     """Like shared_uniform_diagonal but with an independent uniform draw per
     diagonal entry."""
-    if k < 1:
-        raise ContractViolation("independent_uniform_diagonal: need k >= 1")
-
-    diag = np.arange(k)
-
-    def sample_block(rng, n):
-        out = np.zeros((n, k, k))
-        out[:, diag, diag] = rng.uniform(low, high, size=(n, k))
-        return out
-
-    return GeneratorDistribution(
-        k=k,
-        sample_fn=_sample_one(sample_block),
-        name="independent_uniform_diagonal",
-        params=(("k", k), ("low", float(low)), ("high", float(high))),
-        sample_block=sample_block,
-    )
+    return _uniform_diagonal("independent_uniform_diagonal", k, low, high, k)
 
 
 def _uniform_params(params, key: str, extra: tuple = ()) -> tuple:
@@ -490,8 +477,12 @@ def _uniform_params(params, key: str, extra: tuple = ()) -> tuple:
     hold no keys but these and extra."""
     size = _number(int, _field(params, key, "generator params"), key)
     reject_unknown_keys(params, (key, "low", "high", *extra), "generator params")
-    low = _number(float, params.get("low", 0.0), "low")
-    return size, low, _number(float, params.get("high", 1.0), "high")
+    return (size, *_bounds(params))
+
+
+def _bounds(obj: dict) -> tuple:
+    """(low, high) of a uniform law's JSON object, 0 and 1 when absent."""
+    return _number(float, obj.get("low", 0.0), "low"), _number(float, obj.get("high", 1.0), "high")
 
 
 def _build_shared_uniform(params: dict) -> GeneratorDistribution:
@@ -588,11 +579,7 @@ def cjn_spec_from_json(obj: dict) -> CjnSpec:
             _field(body, "values", "per_queue law"), _field(body, "probs", "per_queue law")
         )
     else:
-        law = UniformServiceLaw(
-            k=queues,
-            low=_number(float, body.get("low", 0.0), "low"),
-            high=_number(float, body.get("high", 1.0), "high"),
-        )
+        law = UniformServiceLaw(queues, *_bounds(body))
     return CjnSpec(queues=queues, customers=customers, law=law)
 
 
@@ -611,11 +598,7 @@ def taskgraph_spec_from_json(obj: dict) -> TaskGraphSpec:
     if isinstance(dur, dict):
         _object(dur, ("uniform",), "duration")
         u = _object(_field(dur, "uniform", "duration"), ("low", "high"), "uniform duration")
-        duration = (
-            "uniform",
-            _number(float, u.get("low", 0.0), "low"),
-            _number(float, u.get("high", 1.0), "high"),
-        )
+        duration = ("uniform", *_bounds(u))
     else:
         duration = dur
     return TaskGraphSpec(k=k, subsets=subsets, duration=duration)

@@ -267,12 +267,9 @@ def _spectrum(A: Matrix) -> _Spectrum:
 
 
 def _cyclicity(crit: CriticalGraph) -> int:
-    result = 1
-    for c in crit.scc.cyclicities:
-        if c is None:
-            raise ContractViolation("cyclicity: critical SCC without a circuit")
-        result = result * c // math.gcd(result, c)
-    return result
+    if None in crit.scc.cyclicities:
+        raise ContractViolation("cyclicity: critical SCC without a circuit")
+    return math.lcm(*crit.scc.cyclicities)
 
 
 def _require_exact(A: Matrix, what: str) -> None:
@@ -314,7 +311,8 @@ def _walk(rec: _Spectrum, max_power: Optional[int], what: str, hit=None) -> tupl
     earlier one, Abar^first; (None, n) for the first power before that
     which hit(P, eps), when given, accepts. Raises BudgetExceeded, with
     what, when neither comes within max_power powers (by default
-    ``default_power_budget(k)``). The powers are keyed by
+    ``default_power_budget(k)``), and a ContractViolation when max_power
+    is negative. The powers are keyed by
     ``arrays._stack_keys``: at the switch to object arrays the float64 keys
     seen so far are converted once."""
     import numpy as np
@@ -324,6 +322,8 @@ def _walk(rec: _Spectrum, max_power: Optional[int], what: str, hit=None) -> tupl
     k = len(rec.abar)
     if max_power is None:
         max_power = default_power_budget(k)
+    if max_power < 0:
+        raise ContractViolation(f"max_power must be >= 0, got {max_power}")
     seen: dict = {}
     dtype = None
     for n, P, eps in _powers(rec, max_power):
@@ -416,7 +416,7 @@ def cyclicity_and_transient(A: Matrix, max_power: Optional[int] = None) -> Tuple
     iteration of the normalized powers until the first repetition; the
     period is cross-checked against the critical graph. Exact backing
     only. Raises BudgetExceeded when max_power (default 10 k^2 + 64) is
-    hit before a repetition.
+    hit before a repetition, and a ContractViolation when it is negative.
 
     The powers are computed on the array kernel: on float64, keyed by
     their bytes, while n max|Abar| < 2**53 at power n, so that every entry
@@ -455,7 +455,7 @@ def classify(A: Matrix, with_transient: bool = False, max_power: Optional[int] =
         eigenvalue=rec.value(rec.shift),
         critical=rec.critical,
         cyclicity=d,
-        scs1cyc1=(rec.critical.scc.count == 1 and d == 1),
+        scs1cyc1=_scs1cyc1(rec),
         eigenbasis=_eigenbasis(rec),
         transient=transient,
     )

@@ -1032,9 +1032,11 @@ def backward_loynes(
     """Grow the backward product one past matrix at a time until its
     projective image is tolerance-thin. tolerance=0 demands an exactly
     rank-one product and needs the exact backing; float models must pass
-    a positive tolerance. A budget exhaustion returns a partial result
-    with converged=False rather than raising. The loop is _loynes's, on a
-    stack of one replication."""
+    a positive tolerance. The exact backing reads a float tolerance as the
+    dyadic rational it denotes, and the result echoes it as given. A
+    budget exhaustion returns a partial result with converged=False
+    rather than raising. The loop is _loynes's, on a stack of one
+    replication."""
     return _loynes(D, tolerance, budget, seed, range(replication, replication + 1), trace_every)[0]
 
 
@@ -1051,7 +1053,7 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
     P A(1) ... A(j) the states of arrays._float_states on the transposed
     matrices."""
     backing = dist_backing(D)
-    tol = as_scalar(tolerance, backing) if tolerance != 0 else 0
+    tol = as_scalar(tolerance, FLOAT if isinstance(tolerance, float) else backing) if tolerance != 0 else 0
     if tol is EPS:
         raise ContractViolation("backward_loynes: tolerance must be a number >= 0")
     if tolerance != 0 and tol < 0:
@@ -1072,7 +1074,7 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
     else:
         walk = _IntWalk(D, (), budget)
         stream = walk.stream(backward=True)
-        groups, bound = _group(len(replications), budget), tol * walk.L
+        groups, bound = _group(len(replications), budget), Fraction(tol) * walk.L
 
         def unscaled(d):
             # what proj_diameter gives on the unscaled product: 0 and inf as they are
@@ -1362,31 +1364,16 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
         )
         return word, Matrix(rows, EXACT), word_probability(D, word)
 
+    hit, P, prob = certificate("hit")
     scs_word, scs_mat, scs_prob = certificate("weak")
-    if "hit" in found:
-        hit, P, prob = certificate("hit")
-        return PatternReport(
-            found=True,
-            word=hit,
-            matrix=P,
-            length=len(hit),
-            classification=found["class"],
-            probability=prob,
-            status="found",
-            states_explored=explored,
-            max_len=max_len,
-            scs1cyc1_word=scs_word,
-            scs1cyc1_matrix=scs_mat,
-            scs1cyc1_probability=scs_prob,
-        )
     return PatternReport(
-        found=False,
-        word=None,
-        matrix=None,
-        length=None,
-        classification=None,
-        probability=None,
-        status="saturated" if saturated else "truncated",
+        found=hit is not None,
+        word=hit,
+        matrix=P,
+        length=None if hit is None else len(hit),
+        classification=found.get("class"),
+        probability=prob,
+        status="found" if hit is not None else "saturated" if saturated else "truncated",
         states_explored=explored,
         max_len=max_len,
         scs1cyc1_word=scs_word,
@@ -1714,10 +1701,7 @@ def open_system_analysis(
     notes = []
     rates = []
     for ci, comp in enumerate(dec.components):
-        has_circuit = all(
-            any(D.matrices[0].entry(i, j) is not EPS for j in comp) for i in comp
-        )
-        if not has_circuit:
+        if dec.cyclicities[ci] is None:  # no circuit
             rates.append(None)
             continue
         sub = _restrict_support(D, comp)

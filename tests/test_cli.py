@@ -297,6 +297,23 @@ class TestStochasticCommands:
         assert len(result["idle"]) == 6
         assert len(result["waiting"]) == 6
 
+    @pytest.mark.parametrize("backing", ["exact", "float"])
+    @pytest.mark.parametrize("columns", ["physical", "split"])
+    def test_cjn_columns_need_a_finite_diagonal(self, tmp_path, capsys, backing, columns):
+        from maxplus import cli
+
+        dist = write(tmp_path / "d.json", {
+            "kind": "finite", "k": 2, "backing": backing,
+            "support": [{"matrix": {"k": 2, "entries": [["-inf", 2], [3, "1/2"]]}, "probability": 1}],
+        })
+        x0 = write(tmp_path / "x0.json", {"entries": [0, 0]})
+        argv = ["simulate", "--dist", dist, "--x0", x0, "--horizon", "3", "--seed", "0",
+                "--cjn-columns", columns]
+        assert cli.main(argv) == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "contract"
+        assert "step 1" in err["message"] and "queue 0" in err["message"]
+
     def test_couple_reports_certified_windows(self, ring_dist, x0_files, tmp_path):
         hist = tmp_path / "times.csv"
         proc = run_cli(
@@ -324,6 +341,28 @@ class TestStochasticCommands:
         with open(trace) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["n", "diameter"]
+
+    def test_exact_loynes_at_a_positive_tolerance(self, tmp_path, capsys):
+        from fractions import Fraction
+
+        from maxplus import cli
+        from maxplus.stochastic import backward_loynes, distribution_from_json
+
+        obj = {
+            "kind": "finite", "k": 2, "backing": "exact",
+            "support": [
+                {"matrix": {"k": 2, "entries": [[0, -2], [-2, "-1/2"]]}, "probability": "1/2"},
+                {"matrix": {"k": 2, "entries": [[0, -1], [-2, "-1/4"]]}, "probability": "1/2"},
+            ],
+        }
+        dist = write(tmp_path / "d.json", obj)
+        assert cli.main(["loynes", "--dist", dist, "--seed", "4", "--tolerance", "0.5"]) == 0
+        got = json.loads(capsys.readouterr().out)["result"]
+        want = backward_loynes(distribution_from_json(obj), Fraction(1, 2), seed=4).to_json()
+        assert got["tolerance"] == 0.5 and got["converged"]
+        assert got["achieved_diameter"] != 0
+        for key in ("steps", "limit_class", "achieved_diameter", "trace"):
+            assert got[key] == want[key]
 
     def test_loynes_budget_exhaustion_is_partial_not_error(self, tmp_path):
         swap = write(
@@ -402,6 +441,16 @@ class TestNegativeCounts:
         from maxplus import cli
 
         assert cli.main(argv + ["--dist", ring_dist]) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "contract"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["power", "--max-power", "-3"], ["spectral", "--transient", "--max-power", "-1"]],
+    )
+    def test_negative_power_budget_is_contract_violation(self, two_node_matrix, capsys, argv):
+        from maxplus import cli
+
+        assert cli.main(argv + ["--input", two_node_matrix]) == 3
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "contract"
 
     def test_zero_horizon_and_budget_report_no_step(self, ring_dist, x0_files, capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from maxplus import stochastic
 from maxplus.semiring import EPS, EXACT, FLOAT, ContractViolation, Matrix, Vector
 from maxplus.projective import is_rank_one
 from maxplus.spectral import classify
@@ -267,6 +268,39 @@ class TestTaskGraphs:
         assert isinstance(D, GeneratorDistribution)
         mats = sample_sequence(D, seed=1, n=3)
         assert all(m.backing == FLOAT for m in mats)
+
+    @pytest.mark.parametrize("seed, replication", [(0, 0), (5, 2)])
+    def test_uniform_duration_draws_are_pinned(self, seed, replication):
+        # the per-matrix sampler as first written, one accumulate-and-compare
+        # loop per processor: the draws must stay these doubles in this order
+        k, low, high = 3, 0.5, 2.0
+        laws = (
+            SubsetLaw.make([0b010, 0b110, 0b111], ["1/3", "1/2", "1/6"]),
+            SubsetLaw.make([0b101, 0b111], ["1/4", "3/4"]),
+            SubsetLaw.make([0b000, 0b011, 0b100], ["1/5", "0", "4/5"]),
+        )
+
+        def sample(rng, n):
+            rows = [[EPS] * k for _ in range(k)]
+            for i, law in enumerate(laws):
+                u = float(rng.random())
+                acc = 0.0
+                mask = law.masks[-1]
+                for m, p in zip(law.masks, law.probs):
+                    acc += float(p)
+                    if u < acc:
+                        mask = m
+                        break
+                for j in range(k):
+                    if mask >> j & 1:
+                        rows[j][i] = float(rng.uniform(low, high))
+            return Matrix(tuple(tuple(r) for r in rows), FLOAT)
+
+        D = taskgraph_distribution(TaskGraphSpec(k=k, subsets=laws, duration=("uniform", low, high)))
+        rng = stochastic._stream(seed, replication, 0)
+        expected = [sample(rng, n).rows for n in range(40)]
+        got = sample_sequence(D, seed=seed, n=40, replication=replication)
+        assert [A.rows for A in got] == expected
 
 
 class TestSpecJson:

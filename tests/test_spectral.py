@@ -116,6 +116,16 @@ class TestCyclicityAndTransient:
         with pytest.raises(BudgetExceeded):
             cyclicity_and_transient(M([[EPS, 0], [0, EPS]]), max_power=1)
 
+    def test_negative_budget_is_a_contract_violation(self):
+        A = M([[EPS, 0], [0, EPS]])
+        walks = (cyclicity_and_transient, first_rank_one_power,
+                 lambda A, max_power: classify(A, with_transient=True, max_power=max_power))
+        for walk in walks:
+            with pytest.raises(ContractViolation, match="max_power"):
+                walk(A, max_power=-1)
+            with pytest.raises(BudgetExceeded):
+                walk(A, max_power=0)
+
 
 class TestEigenbasis:
     def test_columns_are_eigenvectors(self, small_corpus):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -240,6 +241,16 @@ class TestCoupling:
         rep = forward_coupling(good_cjn, x0s, horizon=5, eta=1e300, seed=0)
         assert rep.samples[0].eta_time == 0
 
+    def test_window_longer_than_the_first_block(self):
+        # the product of the one letter is first rank-one at the 20th power,
+        # so the window search scans past its first block of 16 letters
+        D = FiniteSupport.make([M([[0, -10], [-10, -1]])], [1])
+        x0s = (V([0, 0]), V([0, 7]))
+        smp = forward_coupling(D, x0s, horizon=40, seed=0).samples[0]
+        assert (smp.window_start, smp.window_length) == (0, 20)
+        assert smp.window_length > stochastic._FIRST_CHUNK
+        assert smp == reference._couple_one(D, x0s, 40, stochastic.DEFAULT_ETA, 0, 0, True)
+
 
 class TestUniformDiagonalLaw:
     def test_distance_to_origin_is_running_minimum(self):
@@ -279,6 +290,18 @@ class TestBackward:
         assert max(abs(float(v)) for v in res.limit_class.entries) <= 1e-3 + 1e-12
         diams = [d for _, d in res.trace]
         assert all(a >= b - 1e-12 for a, b in zip(diams, diams[1:]))
+
+    def test_exact_backing_reads_a_float_tolerance_exactly(self):
+        D = FiniteSupport.make([M([[0, -2], [-2, "-1/2"]]), M([[0, -1], [-2, "-1/4"]])],
+                               ["1/2", "1/2"])
+        got = backward_loynes(D, tolerance=0.5, budget=100, seed=4)
+        want = backward_loynes(D, tolerance=Fraction(1, 2), budget=100, seed=4)
+        assert got.converged and 0 < got.achieved_diameter <= Fraction(1, 2)
+        assert got.tolerance == 0.5 and type(got.tolerance) is float
+        assert dataclasses.replace(got, tolerance=want.tolerance) == want
+        for bad in (float("nan"), float("inf"), -0.5):
+            with pytest.raises(ContractViolation):
+                backward_loynes(D, tolerance=bad, budget=100, seed=4)
 
     def test_budget_exhaustion_returns_partial(self, alternating):
         res = backward_loynes(alternating, tolerance=0, budget=5, seed=0)
@@ -400,6 +423,23 @@ class TestStabilityVerdicts:
         v = stability_verdict(D, StabilityOptions(seed=0))
         assert v.verdict == "UnstableCertified"
         assert v.basis == "pattern-semigroup-saturated-without-rank-one"
+
+    def test_scs1cyc1_word_certifies_when_no_rank_one_word_is_short_enough(self):
+        # A is first rank-one at its 10th power, beyond max_len, but is
+        # irreducible with one critical component of cyclicity one
+        A = M([[0, -5], [-5, -1]])
+        D = FiniteSupport.make([A], [1])
+        v = stability_verdict(D, StabilityOptions(max_len=2))
+        assert (v.verdict, v.basis) == ("StableStrong", "positive-probability-scs1cyc1-pattern")
+        assert v.certificate == {
+            "word": [0], "length": 1, "probability": 1,
+            "matrix": {"k": 2, "entries": [[0, -5], [-5, -1]]}, "classification": "scs1cyc1",
+        }
+        assert not v.pattern.found and v.pattern.status == "truncated"
+        assert v.notes == (
+            "no rank-one pattern below the length bound; the certificate is an irreducible "
+            "product with a single critical component of cyclicity one",
+        )
 
     def test_eps_swap_singleton_fails_condition_ii_first(self):
         # no product of the pure swap is ever all-finite, so the ladder
