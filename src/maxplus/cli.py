@@ -14,12 +14,15 @@ Exit codes: 0 success (any verdict), 2 input error, 3 contract violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
 import json
 import math
 import sys
+
+import numpy as np
 
 from . import __version__
 from .semiring import (
@@ -123,9 +126,11 @@ def _vector_json(v) -> list:
 # indent set, CPython runs its pure-Python encoder, and a float trajectory
 # holds tens of thousands of numbers. _layout writes the same text: it lays
 # out dicts and lists itself and hands each list of numbers, or list of
-# such lists, to the compact C encoder in one call. The text of a JSON
-# number never contains ",", "[" or "]", so the compact text is indented by
-# plain replacement.
+# such lists (_rows), to the compact C encoder in one call. The text of a
+# JSON number never contains ",", "[" or "]", so the compact text is
+# indented by plain replacement. _pieces lays out the 2-D float64 arrays
+# (tables) of a float simulate report _TABLE_ROWS rows at a time.
+_TABLE_ROWS = 256
 _compact = json.JSONEncoder(separators=(",", ":")).encode
 _encode_str = json.encoder.encode_basestring_ascii
 _NUMBERS = frozenset((int, float))
@@ -158,11 +163,7 @@ def _layout(obj, pad: str = "") -> str:
             body = _compact(obj)[1:-1].replace(",", ",\n" + inner)
         elif (types == {list} and all(obj)
               and set(map(type, itertools.chain.from_iterable(obj))) <= _NUMBERS):
-            row = inner + "  "
-            body = (f"[\n{row}" + _compact(obj)[2:-2]
-                    .replace(",", ",\n" + row)
-                    .replace(f"],\n{row}[", f"\n{inner}],\n{inner}[\n{row}")
-                    + f"\n{inner}]")
+            body = _rows(obj, inner)
         else:
             body = f",\n{inner}".join(_layout(item, inner) for item in obj)
         return f"[\n{inner}{body}\n{pad}]"
@@ -170,6 +171,44 @@ def _layout(obj, pad: str = "") -> str:
     # non-str keys and anything else unusual. An encoded string never holds
     # a raw newline, so every newline in the text starts a layout line.
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+
+
+def _rows(rows: list, inner: str) -> str:
+    """The non-empty number rows of a list laid out at pad inner[:-2], as
+    _layout does, without the list's brackets and first indent."""
+    row = inner + "  "
+    return (f"[\n{row}" + _compact(rows)[2:-2]
+            .replace(",", ",\n" + row)
+            .replace(f"],\n{row}[", f"\n{inner}],\n{inner}[\n{row}")
+            + f"\n{inner}]")
+
+
+def _has_table(obj: dict) -> bool:
+    """Whether a table is a value of obj or of a dict within it."""
+    for v in obj.values():
+        if type(v) is np.ndarray or type(v) is dict and _has_table(v):
+            return True
+    return False
+
+
+def _pieces(obj, pad: str = ""):
+    """_layout(obj, pad), tables as lists, in pieces: a table a chunk of rows
+    at a time, a dict holding one item by item, anything else whole."""
+    inner = pad + "  "
+    if type(obj) is np.ndarray and obj.size:
+        yield f"[\n{inner}"
+        for i in range(0, len(obj), _TABLE_ROWS):
+            yield (f",\n{inner}" if i else "") + _rows(obj[i:i + _TABLE_ROWS].tolist(), inner)
+        yield f"\n{pad}]"
+    elif type(obj) is dict and _has_table(obj):
+        sep = f"{{\n{inner}"
+        for key in sorted(obj):
+            yield f"{sep}{_encode_str(key)}: "
+            yield from _pieces(obj[key], inner)
+            sep = f",\n{inner}"
+        yield f"\n{pad}}}"
+    else:
+        yield _layout(obj.tolist() if type(obj) is np.ndarray else obj, pad)
 
 
 # ---------------------------------------------------------------------------
@@ -474,12 +513,13 @@ def main(argv=None) -> int:
             "version": __version__,
             "result": result,
         }
-        text = _layout(envelope) + "\n"
-        if args.output:
-            with _open_for_writing(args.output) as fh:
+        pieces = _pieces(envelope)
+        text = next(pieces)  # the whole report, in one write, unless it holds a table
+        with _open_for_writing(args.output) if args.output else contextlib.nullcontext(sys.stdout) as fh:
+            for piece in pieces:
                 fh.write(text)
-        else:
-            sys.stdout.write(text)
+                text = piece
+            fh.write(text + "\n")
     except InputError as exc:
         _emit_error("input", str(exc))
         return 2

@@ -306,6 +306,13 @@ def _powers(rec: _Spectrum, max_power: int):
         yield n, P, eps
 
 
+def _power_budget(max_power: Optional[int], k: int) -> int:
+    """max_power, by default default_power_budget(k); negative is a ContractViolation."""
+    if max_power is not None and max_power < 0:
+        raise ContractViolation(f"max_power must be >= 0, got {max_power}")
+    return default_power_budget(k) if max_power is None else max_power
+
+
 def _walk(rec: _Spectrum, max_power: Optional[int], what: str, hit=None) -> tuple:
     """(first, n) for the first power Abar^n of ``_powers`` equal to an
     earlier one, Abar^first; (None, n) for the first power before that
@@ -320,10 +327,7 @@ def _walk(rec: _Spectrum, max_power: Optional[int], what: str, hit=None) -> tupl
     from .arrays import _as_object, _stack_keys
 
     k = len(rec.abar)
-    if max_power is None:
-        max_power = default_power_budget(k)
-    if max_power < 0:
-        raise ContractViolation(f"max_power must be >= 0, got {max_power}")
+    max_power = _power_budget(max_power, k)
     seen: dict = {}
     dtype = None
     for n, P, eps in _powers(rec, max_power):
@@ -445,6 +449,7 @@ def is_scs1cyc1(A: Matrix) -> bool:
 
 
 def classify(A: Matrix, with_transient: bool = False, max_power: Optional[int] = None) -> SpectralSummary:
+    _power_budget(max_power, A.k)  # checked even when no power is walked
     rec = _spectrum(A)
     d = _cyclicity(rec.critical)
     transient = None

@@ -642,22 +642,26 @@ def simulate(
 
 
 def _record(fields: dict) -> TrajectoryRecord:
-    """The TrajectoryRecord of the fields that _track returns."""
+    """The TrajectoryRecord of the fields that _track returns, one track at a time."""
     backing = fields["x0"].backing
+
+    def rows(key):
+        return map(tuple, fields[key].tolist() if backing == FLOAT else fields[key])
+
     return TrajectoryRecord(**{
         **fields,
         "sample_times": tuple(fields["sample_times"]),
-        "states": tuple(Vector(tuple(x), backing) for x in fields["states"]),
-        "projective": tuple(ProjVector(tuple(p), backing) for p in fields["projective"]),
-        "increments": tuple(map(tuple, fields["increments"])),
+        "states": tuple(Vector(x, backing) for x in rows("states")),
+        "projective": tuple(ProjVector(p, backing) for p in rows("projective")),
+        "increments": tuple(rows("increments")),
     })
 
 
 def _track(D: MatrixDistribution, x0: Vector, horizon: int, seed: int, replication: int,
            thin: int) -> dict:
     """The fields of simulate's TrajectoryRecord, with the sample times a
-    list and the states, projective states and increments lists of rows:
-    lists of Python floats, or of Fractions for the exact backing."""
+    list and the states, projective states and increments tables of rows:
+    float64 arrays, or lists of lists of Fractions for the exact backing."""
     if horizon < 0 or thin < 1:
         raise ContractViolation("simulate: horizon must be >= 0 and thin >= 1")
     if not x0.is_finite():
@@ -696,9 +700,10 @@ def _track(D: MatrixDistribution, x0: Vector, horizon: int, seed: int, replicati
         # in exact arithmetic the projective state is x(n) minus its maximum
         X = np.concatenate([b if b.dtype == object else b.astype(np.int64) for b in blocks])
         track = np.stack([X, X - X.max(1, keepdims=True)], 1)
-    kept = track[times]
-    parts = [kept[:, 0].tolist(), kept[:, 1].tolist(), np.diff(track[:, 0], axis=0).tolist()]
+    kept = track if thin == 1 else track[times]
+    parts = [kept[:, 0], kept[:, 1], np.diff(track[:, 0], axis=0)]
     if x0.backing == EXACT:
+        parts = [part.tolist() for part in parts]
         fracs = {v: Fraction(v, walk.L) for v in set().union(*parts[0], *parts[1], *parts[2])}
         parts = [[list(map(fracs.__getitem__, row)) for row in part] for part in parts]
     return dict(seed=seed, replication=replication, horizon=horizon, thin=thin, x0=x0,
@@ -1053,6 +1058,8 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
     P A(1) ... A(j) the states of arrays._float_states on the transposed
     matrices."""
     backing = dist_backing(D)
+    if isinstance(tolerance, float) and not math.isfinite(tolerance):
+        raise ContractViolation(f"backward_loynes: tolerance must be finite, got {tolerance}")
     tol = as_scalar(tolerance, FLOAT if isinstance(tolerance, float) else backing) if tolerance != 0 else 0
     if tol is EPS:
         raise ContractViolation("backward_loynes: tolerance must be a number >= 0")
@@ -1502,8 +1509,6 @@ class StabilityVerdict:
 
 def _mc_backward_evidence(D: MatrixDistribution, options: StabilityOptions) -> dict:
     Df = D.to_float() if isinstance(D, FiniteSupport) and D.backing == EXACT else D
-    if options.mc_seeds < 1:
-        raise ContractViolation("replications must be >= 1")
     results = _loynes(Df, options.eta, options.mc_budget, options.seed, range(options.mc_seeds), 0)
     return {
         "seeds": options.mc_seeds,
@@ -1538,6 +1543,12 @@ def stability_verdict(D: MatrixDistribution, options: Optional[StabilityOptions]
     opt = options or StabilityOptions()
     if not 0 <= opt.mc_threshold <= 1:
         raise ContractViolation("stability_verdict: mc_threshold must be in [0, 1]")
+    if opt.mc_seeds < 1:
+        raise ContractViolation(f"stability_verdict: mc_seeds must be >= 1, got {opt.mc_seeds}")
+    if opt.mc_budget < 0:
+        raise ContractViolation(f"stability_verdict: mc_budget must be >= 0, got {opt.mc_budget}")
+    if not 0 <= opt.eta < math.inf:
+        raise ContractViolation(f"stability_verdict: eta must be finite and >= 0, got {opt.eta}")
     notes = []
     conditions = None
     pattern = None

@@ -288,6 +288,22 @@ class TestStochasticCommands:
         assert rows[0] == ["n", "x_0", "x_1", "x_2"]
         assert len(rows) == 12
 
+    def test_float_simulate_over_several_table_chunks(self, tmp_path):
+        """600 steps lay out each track table in three chunks of rows; the
+        layout plugin checks the report against json.dumps."""
+        dist = write(tmp_path / "d.json", {
+            "kind": "generator", "name": "independent_uniform_diagonal", "k": 3,
+            "params": {"k": 3, "low": -0.5, "high": 1.5}})
+        x0 = write(tmp_path / "x0.json", [0.25, -0.0, 3])
+        out = tmp_path / "out.json"
+        proc = run_cli("simulate", "--dist", dist, "--x0", x0, "--horizon", "600", "--seed", "4",
+                       "--output", str(out))
+        assert proc.returncode == 0
+        result = json.loads(out.read_text())["result"]
+        assert len(result["states"]) == len(result["projective"]) == 601
+        assert len(result["increments"]) == 600
+        assert result["states"][0] == [0.25, -0.0, 3.0]
+
     def test_simulate_cjn_columns(self, ring_dist, x0_files):
         proc = run_cli(
             "simulate", "--dist", ring_dist, "--x0", x0_files[0],
@@ -445,13 +461,15 @@ class TestNegativeCounts:
 
     @pytest.mark.parametrize(
         "argv",
-        [["power", "--max-power", "-3"], ["spectral", "--transient", "--max-power", "-1"]],
+        [["power", "--max-power", "-3"], ["spectral", "--transient", "--max-power", "-1"],
+         ["spectral", "--max-power", "-1"]],
     )
     def test_negative_power_budget_is_contract_violation(self, two_node_matrix, capsys, argv):
         from maxplus import cli
 
         assert cli.main(argv + ["--input", two_node_matrix]) == 3
-        assert json.loads(capsys.readouterr().err)["error"]["type"] == "contract"
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "contract" and "max_power must be >= 0" in error["message"]
 
     def test_zero_horizon_and_budget_report_no_step(self, ring_dist, x0_files, capsys):
         from maxplus import cli
@@ -496,6 +514,12 @@ class TestThresholds:
             (["couple", "--eta", "1e309"], "eta must be finite"),
             (["couple", "--eta", "-1"], "eta must be >= 0"),
             (["couple", "--eta", "nan"], "eta must be >= 0"),
+            (["loynes", "--tolerance", "nan"], "tolerance must be finite, got nan"),
+            (["loynes", "--tolerance", "inf"], "tolerance must be finite, got inf"),
+            (["stability", "--eta", "nan"], "eta must be finite and >= 0, got nan"),
+            (["stability", "--eta", "inf"], "eta must be finite and >= 0, got inf"),
+            (["stability", "--mc-seeds", "0"], "mc_seeds must be >= 1, got 0"),
+            (["stability", "--mc-budget", "-1"], "mc_budget must be >= 0, got -1"),
         ],
     )
     def test_threshold_outside_its_range_is_contract_violation(
@@ -510,6 +534,31 @@ class TestThresholds:
         if argv[0] == "couple":
             argv = argv + ["--x0", x0_files[0], "--x0", x0_files[1], "--horizon", "5"]
         assert cli.main(argv + ["--dist", cjn_uniform, "--seed", "1"]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "contract" and message in error["message"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--mc-seeds", "0", "--mc-budget", "-1", "--eta", "-1"], "mc_seeds must be >= 1"),
+            (["--mc-budget", "-1"], "mc_budget must be >= 0"),
+            (["--eta", "-1"], "eta must be finite and >= 0"),
+        ],
+    )
+    def test_monte_carlo_options_are_checked_when_the_search_decides(
+        self, ring_dist, monkeypatch, capsys, argv, message
+    ):
+        """An exact model whose search is definitive runs no Monte-Carlo
+        evidence, and its bad Monte-Carlo options are still rejected."""
+        from maxplus import cli, stochastic
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(stochastic, "_stacked", no_run)
+        assert cli.main(["stability", "--dist", ring_dist, "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert cli.main(["stability", "--dist", ring_dist, "--seed", "1", *argv]) == 3
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "contract" and message in error["message"]
 

@@ -126,6 +126,13 @@ class TestCyclicityAndTransient:
             with pytest.raises(BudgetExceeded):
                 walk(A, max_power=0)
 
+    def test_negative_budget_is_rejected_without_a_walk(self):
+        """classify walks no power without with_transient, and still
+        rejects a negative max_power."""
+        with pytest.raises(ContractViolation, match="max_power must be >= 0, got -1"):
+            classify(M([[EPS, 0], [0, EPS]]), max_power=-1)
+        assert classify(M([[EPS, 0], [0, EPS]]), max_power=0).transient is None
+
 
 class TestEigenbasis:
     def test_columns_are_eigenvectors(self, small_corpus):
