@@ -2,9 +2,9 @@
 
 A k x k matrix is a (k, k) array with -inf for eps, and a stack of them an
 (n, k, k) array. The product P A takes, for each (i, j), the max over l of
-P[i, l] + A[l, j]: ``_max_last(P[:, None, :] + A.T[None], signed)``. A
-float step of the stochastic drivers lays its stacks out with l first and
-takes the max over that leading axis instead (``_float_step``).
+P[i, l] + A[l, j]: ``_max_last(P[:, None, :] + A.T[None], signed)``. The
+float drivers and the exact power walk lay their stacks out with l first
+and take the faster max over that leading axis instead (``_lead_step``).
 
 Its callers:
 
@@ -17,8 +17,9 @@ Its callers:
   products come from one prefix scan (``_scan``) of an (R, n, k, k) stack;
 - the exact spectral record of ``spectral`` (irreducibility, Karp's
   algorithm, the closure, its fixpoint check, the critical graph and the
-  eigenvectors), on the integer-scaled matrix, and its exact power loop
-  behind the transient and the cyclicity, on the normalized matrix;
+  eigenvectors), on the integer-scaled matrix, which the CLI loads from
+  JSON straight into the array (``spectral._int_matrix``), and its exact
+  power loop behind the transient and the cyclicity, on the normalized matrix;
 - the exact word search of ``stochastic.pattern_search``, on the
   integer-scaled support: it expands a whole breadth-first level as one
   stack of products (``_stack_mul``), takes their projective normal forms
@@ -84,11 +85,11 @@ def _max_last(a: np.ndarray, signed: bool) -> np.ndarray:
     return np.take_along_axis(a, first[..., None], -1)[..., 0]
 
 
-def _float_step(A: np.ndarray, X: np.ndarray, signed: bool, out=None) -> np.ndarray:
+def _lead_step(A: np.ndarray, X: np.ndarray, signed: bool, out=None) -> np.ndarray:
     """The max over the leading axis l of A + X: one max-plus step on
-    float64 stacks laid out with the summed index first, A[l] the column l
-    of the matrices and X[l] the row l of the states or right factors,
-    broadcast against each other.
+    stacks laid out with the summed index first, A[l] the column l of the
+    matrices and X[l] the row l of the states, powers or right factors,
+    broadcast against each other, on float64 or an object array.
 
     With both laid out in C order so is the sum, and the max is an
     elementwise maximum of l contiguous slabs, which numpy takes faster
@@ -110,7 +111,7 @@ def _float_states(At: np.ndarray, X, signed: bool) -> np.ndarray:
     transpose of A[r, j] ... A[r, 0]. As (P A)^T = A^T P^T, the right
     products P A(0) ... A(j) are the states of the transposes from the rows
     of P, whose stack At holds the matrices as they are. Each step is one
-    _float_step of At[j] in place: At is read, never copied. Returns S,
+    _lead_step of At[j] in place: At is read, never copied. Returns S,
     (R, n, m, k), a view of St[j, i, r, s] = S[r, j, s, i]."""
     n, k, _, R = At.shape
     St = np.empty((n, k, R, k if X is None else X.shape[1]))
@@ -119,9 +120,9 @@ def _float_states(At: np.ndarray, X, signed: bool) -> np.ndarray:
     # one state a replication steps without the trailing axis of 1, which numpy broadcasts slower
     S, At = (St[..., 0], At) if St.shape[-1] == 1 else (St, At[..., None])
     if X is not None:
-        _float_step(At[0], X.transpose(2, 0, 1).reshape(S[0].shape)[:, None], signed, S[0])
+        _lead_step(At[0], X.transpose(2, 0, 1).reshape(S[0].shape)[:, None], signed, S[0])
     for Aj, state, out in zip(At[1:], S[:, :, None], S[1:]):
-        _float_step(Aj, state, signed, out)
+        _lead_step(Aj, state, signed, out)
     return St.transpose(2, 0, 3, 1)
 
 

@@ -31,11 +31,10 @@ from .semiring import (
     BudgetExceeded,
     MaxPlusError,
     as_scalar,
-    matrix_from_json,
     scalar_to_json,
     vector_from_json,
 )
-from .spectral import classify, cyclicity_and_transient, summary_to_json
+from .spectral import _classify, _cyclicity_and_transient, _int_matrix, summary_to_json
 from .stochastic import (
     StabilityOptions,
     _record,
@@ -95,10 +94,6 @@ def _write_csv(path: str, header: list, rows) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
-
-
-def _load_matrix(path: str, backing: str):
-    return matrix_from_json(_read_json(path), backing)
 
 
 def _load_distribution(path: str):
@@ -216,8 +211,8 @@ def _pieces(obj, pad: str = ""):
 
 
 def _cmd_spectral(args):
-    A = _load_matrix(args.input, args.backing)
-    summary = classify(A, with_transient=args.transient, max_power=args.max_power)
+    B = _int_matrix(_read_json(args.input), args.backing)
+    summary = _classify(args.backing, *B, args.transient, args.max_power)
     return summary_to_json(summary), (
         f"eigenvalue {summary.eigenvalue}, cyclicity {summary.cyclicity}, "
         f"scs1cyc1 {summary.scs1cyc1}"
@@ -225,8 +220,8 @@ def _cmd_spectral(args):
 
 
 def _cmd_power(args):
-    A = _load_matrix(args.input, args.backing)
-    d, m = cyclicity_and_transient(A, max_power=args.max_power)
+    B = _int_matrix(_read_json(args.input), args.backing)
+    d, m = _cyclicity_and_transient(args.backing, *B, args.max_power)
     note = f"powers repeat with period {d} (up to uniform growth) from power {m}"
     return {"cyclicity": d, "transient": m}, note
 

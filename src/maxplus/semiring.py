@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 EXACT = "exact"
@@ -189,16 +191,8 @@ class Matrix:
     @staticmethod
     def make(rows: Iterable[Iterable], backing: str = EXACT, read: Optional[Callable] = None) -> "Matrix":
         """read parses the entries: the parse_table of as_scalar that serves
-        the whole JSON document, or a fresh one."""
-        backing = _coerce_backing(backing)
-        read = read or parse_table(as_scalar, backing)
-        if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
-            raise ContractViolation("matrix entries must be an array of row arrays")
-        out = tuple(tuple(map(read, row)) for row in rows)
-        k = len(out)
-        if k == 0 or any(len(row) != k for row in out):
-            raise ContractViolation("matrix must be square and non-empty")
-        return Matrix(out, backing)
+        the whole JSON document, or as_scalar on backing."""
+        return matrix_from_json({"entries": rows}, backing, read)
 
     @staticmethod
     def identity(k: int, backing: str = EXACT) -> "Matrix":
@@ -347,6 +341,15 @@ def scale_vector(c, x: Vector) -> Vector:
     )
 
 
+def _integers(values) -> tuple:
+    """(L, the scalars values times L as Python ints, eps kept) for L the
+    lcm of their denominators; a float counts as the exact dyadic rational
+    it denotes."""
+    values = [Fraction(v) if type(v) is float else v for v in values]
+    L = math.lcm(*{v.denominator for v in values if v is not EPS})
+    return L, [EPS if v is EPS else v.numerator * (L // v.denominator) for v in values]
+
+
 def scale_to_integers(matrices: Sequence[Matrix], vectors: Sequence[Vector] = ()):
     """(L, matrices times L, vectors times L) for L the lcm of every entry
     denominator: exact containers of Python ints.
@@ -356,20 +359,10 @@ def scale_to_integers(matrices: Sequence[Matrix], vectors: Sequence[Vector] = ()
     scaled values are those of the originals, up to the one factor L.
     Float entries count as the exact dyadic rationals they denote.
     """
-    blocks = [(M.rows, M.backing) for M in matrices] + [((x.entries,), x.backing) for x in vectors]
-    blocks = [
-        rows if backing == EXACT
-        else tuple(tuple(EPS if v is EPS else Fraction(v) for v in row) for row in rows)
-        for rows, backing in blocks
-    ]
-    L = math.lcm(*{v.denominator for rows in blocks for row in rows for v in row if v is not EPS})
-    scaled = [
-        tuple(
-            tuple(EPS if v is EPS else v.numerator * (L // v.denominator) for v in row)
-            for row in rows
-        )
-        for rows in blocks
-    ]
+    blocks = [M.rows for M in matrices] + [(x.entries,) for x in vectors]
+    L, flat = _integers([v for rows in blocks for row in rows for v in row])
+    flat = iter(flat)
+    scaled = [tuple(tuple(islice(flat, len(row))) for row in rows) for rows in blocks]
     n = len(matrices)
     return (
         L,
@@ -405,14 +398,47 @@ def reject_unknown_keys(obj: dict, allowed, what: str, hint: str = "") -> None:
         raise ContractViolation(f"{what}: unknown keys {unknown}{hint}")
 
 
-def matrix_from_json(obj, backing: str = EXACT, read: Optional[Callable] = None) -> Matrix:
+def _matrix_table(obj, backing: str, read: Optional[Callable] = None) -> tuple:
+    """(values, index) of the JSON matrix object obj: the distinct entries,
+    each parsed once by read (as_scalar on backing by default) in row-major
+    order, keyed on (type, value) as in parse_table and never shared by a
+    float; and the rows with each entry replaced by the position of its value."""
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ContractViolation('matrix JSON must be {"k": ..., "entries": [[...]]}')
     reject_unknown_keys(obj, ("k", "entries"), "matrix JSON")
-    M = Matrix.make(obj["entries"], backing, read)
-    if "k" in obj and obj["k"] != M.k:
-        raise ContractViolation(f'matrix JSON: declared k={obj["k"]} but entries are {M.k}x{M.k}')
-    return M
+    backing, rows = _coerce_backing(backing), obj["entries"]
+    read = read or partial(as_scalar, backing=backing)
+    if not isinstance(rows, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in rows):
+        raise ContractViolation("matrix entries must be an array of row arrays")
+    table, values, index = {}, [], []
+    get = table.get
+    for row in rows:
+        slots = []
+        for v in row:
+            kind = type(v)
+            key = v if kind is str else (kind, v)  # a str equals no other type
+            try:
+                n = None if kind is float else get(key)
+            except TypeError:  # unhashable: never a scalar, so read rejects it
+                n = None
+            if n is None:
+                n = len(values)
+                values.append(read(v))
+                if kind is not float:
+                    table[key] = n
+            slots.append(n)
+        index.append(slots)
+    k = len(index)
+    if k == 0 or any(len(row) != k for row in index):
+        raise ContractViolation("matrix must be square and non-empty")
+    if "k" in obj and obj["k"] != k:
+        raise ContractViolation(f'matrix JSON: declared k={obj["k"]} but entries are {k}x{k}')
+    return values, index
+
+
+def matrix_from_json(obj, backing: str = EXACT, read: Optional[Callable] = None) -> Matrix:
+    values, index = _matrix_table(obj, backing, read)
+    return Matrix(tuple(tuple(map(values.__getitem__, row)) for row in index), backing)
 
 
 def vector_from_json(obj, backing: str = EXACT) -> Vector:

@@ -8,10 +8,13 @@ the eventually periodic behaviour of matrix powers:
 
     A^(m+d) = lambda^(otimes d) otimes A^m    for all m >= M.
 
-Every reader builds one exact record per matrix (``_spectrum``): A is
+Every reader builds one exact record per matrix (``_int_spectrum``): A is
 scaled by the lcm L of its entry denominators, Karp's algorithm gives
 lambda = p / (q L), and the normalized matrix is held as the integer matrix
-Abar = q L A - p (otimes is positively homogeneous). The record is built on
+Abar = q L A - p (otimes is positively homogeneous). It starts from L and
+the array L A: scaled from a Matrix (``_scaled``), or, for the CLI, loaded
+from JSON with each distinct entry parsed and scaled once and no Matrix
+built (``_int_matrix``). The record is built on
 the array kernel of ``arrays``: irreducibility by the boolean
 reachability closure of ``graphs`` on the finite pattern, Karp by k array
 mat-vec steps with the minimum over walk lengths and the maximum over
@@ -37,8 +40,10 @@ reads "one SCC of cyclicity 1" from boolean powers of the critical
 adjacency rather than an SCC decomposition.
 
 The power loop behind the transient M and cyclicity d walks Abar, Abar^2,
-... on the same kernel up to the first repeated power (``_walk``). An
-entry of Abar^n is a sum of n entries of Abar, so at most n max|Abar| in
+... on the same kernel up to the first repeated power (``_walk``), each
+power Abar times the one before by a max over a contiguous leading axis
+(``arrays._lead_step``), which for commuting powers is the one before
+times Abar. An entry of Abar^n is a sum of n entries of Abar, so at most n max|Abar| in
 magnitude. While that bound stays below 2**53 the walk runs on float64: no
 -0.0 or NaN arises, and equal powers have equal keys. From the first power
 past it the walk runs on object arrays of Python ints, and the powers seen
@@ -52,6 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence, Tuple
 
 from .graphs import SccDecomposition, _closure, scc_from_arcs
@@ -63,6 +69,8 @@ from .semiring import (
     ContractViolation,
     Matrix,
     Vector,
+    _integers,
+    _matrix_table,
     otimes,
     scalar_to_json,
     scale_to_integers,
@@ -242,10 +250,20 @@ def _scs1cyc1_flags(Q, eps) -> list:
     return flags.tolist()
 
 
-def _spectrum(A: Matrix) -> _Spectrum:
-    """The one exact record behind every spectral reader of A, the one-matrix
-    case of ``_records``: A scaled by the lcm L of its entry denominators,
-    stacked on the array kernel for reach ``_reach(k)``."""
+def _scaled(A: Matrix) -> tuple:
+    """(L, B, eps, clamp): B = L A for L the lcm of A's entry denominators,
+    on the array kernel for reach ``_reach(k)``."""
+    from .arrays import _int_stack
+
+    lcm, (B,), _ = scale_to_integers((A,))
+    (B,), eps, clamp = _int_stack([B], _reach(A.k))
+    return lcm, B, eps, clamp
+
+
+def _int_matrix(obj, backing: str) -> tuple:
+    """``_scaled(matrix_from_json(obj, backing))``, its errors included, with
+    each distinct entry parsed and scaled once and the rows indexed through
+    that table into one array: no Matrix is built."""
     # numpy and the kernel load on first use, in the functions that use
     # them, and not with this module: the package imports spectral before
     # stochastic, and without a bytecode cache numpy loaded ahead of
@@ -253,17 +271,33 @@ def _spectrum(A: Matrix) -> _Spectrum:
     # about 1.7 MB.
     import numpy as np
 
-    from .arrays import _int_stack
+    from .arrays import _guard
 
-    lcm, (B,), _ = scale_to_integers((A,))
-    (B,), eps, clamp = _int_stack([B], _reach(A.k))
+    values, index = _matrix_table(obj, backing)
+    k = len(index)
+    lcm, ints = _integers(values)
+    eps, dtype, clamp = _guard(max((abs(v) for v in ints if v is not EPS), default=0), _reach(k))
+    table = np.array([eps if v is EPS else v for v in ints], dtype)
+    slots = np.fromiter(chain.from_iterable(index), np.intp, k * k).reshape(k, k)
+    return lcm, table[slots], eps, clamp
+
+
+def _int_spectrum(backing: str, lcm: int, B, eps, clamp) -> _Spectrum:
+    """The one exact record behind every spectral reader, the one-matrix
+    case of ``_records``, of B / lcm on backing (B, eps, clamp of ``_scaled``)."""
+    import numpy as np
+
     if not _closure(B != eps).all():
         raise ContractViolation("eigenvalue: matrix is not irreducible")
     p, q, abar, plus, nodes, arcs = _records(B, eps, clamp)
     nodes = tuple(np.flatnonzero(nodes).tolist())
     arcs = tuple(map(tuple, np.argwhere(arcs).tolist()))
-    critical = CriticalGraph(nodes, arcs, scc_from_arcs(A.k, arcs, nodes=nodes))
-    return _Spectrum(A.backing, int(q) * lcm, int(p), abar, plus, eps, critical)
+    critical = CriticalGraph(nodes, arcs, scc_from_arcs(len(B), arcs, nodes=nodes))
+    return _Spectrum(backing, int(q) * lcm, int(p), abar, plus, eps, critical)
+
+
+def _spectrum(A: Matrix) -> _Spectrum:
+    return _int_spectrum(A.backing, *_scaled(A))
 
 
 def _cyclicity(crit: CriticalGraph) -> int:
@@ -272,14 +306,15 @@ def _cyclicity(crit: CriticalGraph) -> int:
     return math.lcm(*crit.scc.cyclicities)
 
 
-def _require_exact(A: Matrix, what: str) -> None:
-    if A.backing != EXACT:
+def _require_exact(backing: str, what: str) -> None:
+    if backing != EXACT:
         raise ContractViolation(f"{what}: exact backing required")
 
 
 def _powers(rec: _Spectrum, max_power: int):
-    """(n, Abar^n, eps) for n = 1..max_power, each power the one before
-    times Abar, with the value of its eps entries.
+    """(n, Abar^n, eps) for n = 1..max_power, each power Abar times the one
+    before by ``arrays._lead_step`` of a contiguous Abar transposed, with
+    the value of its eps entries.
 
     An entry of Abar^n, and every sum that forms it, is at most n max|Abar|
     in magnitude. The walk runs on float64 with -inf for eps while that
@@ -287,7 +322,9 @@ def _powers(rec: _Spectrum, max_power: int):
     first power past it on object arrays of Python ints, with the eps that
     arrays._guard picks for max_power.
     """
-    from .arrays import _FLOAT_EXACT, _as_object, _guard, _max_last, _recast, _top
+    import numpy as np
+
+    from .arrays import _FLOAT_EXACT, _as_object, _guard, _lead_step, _recast, _top
 
     finite = rec.abar != rec.eps
     top = _top(rec.abar, finite)
@@ -296,12 +333,14 @@ def _powers(rec: _Spectrum, max_power: int):
         A, eps, clamp = _recast(rec.abar, finite, 1)  # float64, no clamp
     else:
         A, eps, clamp = _as_object(rec.abar, finite, object_eps), object_eps, object_clamp
+    At = np.ascontiguousarray(A.T)[:, :, None]
     P = None
     for n in range(1, max_power + 1):
         if A.dtype == float and n * top >= _FLOAT_EXACT:
             A, P = (_as_object(X, X != eps, object_eps) for X in (A, P))
+            At = np.ascontiguousarray(A.T)[:, :, None]
             eps, clamp = object_eps, object_clamp
-        P = A if P is None else _max_last(P[:, None, :] + A.T[None], False)
+        P = A if P is None else _lead_step(At, P[:, None, :], False)
         clamp(P)
         yield n, P, eps
 
@@ -427,8 +466,13 @@ def cyclicity_and_transient(A: Matrix, max_power: Optional[int] = None) -> Tuple
     of every power is an exactly held integer, and on object arrays of
     Python ints, keyed by their entries, from the first power past that.
     """
-    _require_exact(A, "cyclicity_and_transient")
-    return _period_and_transient(_spectrum(A), max_power)
+    return _cyclicity_and_transient(A.backing, *_scaled(A), max_power)
+
+
+def _cyclicity_and_transient(backing: str, lcm: int, B, eps, clamp, max_power) -> Tuple[int, int]:
+    """cyclicity_and_transient of the matrix B / lcm, as ``_scaled`` gives it."""
+    _require_exact(backing, "cyclicity_and_transient")
+    return _period_and_transient(_int_spectrum(backing, lcm, B, eps, clamp), max_power)
 
 
 def eigenbasis(A: Matrix) -> tuple:
@@ -449,12 +493,17 @@ def is_scs1cyc1(A: Matrix) -> bool:
 
 
 def classify(A: Matrix, with_transient: bool = False, max_power: Optional[int] = None) -> SpectralSummary:
-    _power_budget(max_power, A.k)  # checked even when no power is walked
-    rec = _spectrum(A)
+    return _classify(A.backing, *_scaled(A), with_transient, max_power)
+
+
+def _classify(backing: str, lcm: int, B, eps, clamp, with_transient, max_power) -> SpectralSummary:
+    """classify of the matrix B / lcm, as ``_scaled`` gives it."""
+    _power_budget(max_power, len(B))  # checked even when no power is walked
+    rec = _int_spectrum(backing, lcm, B, eps, clamp)
     d = _cyclicity(rec.critical)
     transient = None
     if with_transient:
-        _require_exact(A, "cyclicity_and_transient")
+        _require_exact(backing, "cyclicity_and_transient")
         _d, transient = _period_and_transient(rec, max_power)
     return SpectralSummary(
         eigenvalue=rec.value(rec.shift),
@@ -547,7 +596,7 @@ def first_rank_one_power(A: Matrix, max_power: Optional[int] = None) -> Optional
     cycles without ever reaching a rank-one matrix. Exact backing only.
     The powers are those of the record's Abar, on the walk behind
     ``cyclicity_and_transient``."""
-    _require_exact(A, "first_rank_one_power")
+    _require_exact(A.backing, "first_rank_one_power")
     first, n = _walk(_spectrum(A), max_power, "first_rank_one_power: undecided", _rank_one)
     return n if first is None else None
 

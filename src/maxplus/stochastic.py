@@ -64,8 +64,8 @@ from .arrays import (
     _as_array,
     _as_object,
     _float_states,
-    _float_step,
     _int_stack,
+    _lead_step,
     _matrix_of,
     _max_last,
     _negative_zero,
@@ -690,7 +690,7 @@ def _track(D: MatrixDistribution, x0: Vector, horizon: int, seed: int, replicati
             # A[n - t - 1] is the transpose of A(n - 1), with the one replication last
             signed = signed or _negative_zero(A)
             for n, An in enumerate(A, t + 1):
-                y = _float_step(An, track[n - 1].T[:, None], signed).T
+                y = _lead_step(An, track[n - 1].T[:, None], signed).T
                 y[1] -= _max_last(y[1], signed)
                 track[n] = y
         else:
@@ -1549,6 +1549,8 @@ def stability_verdict(D: MatrixDistribution, options: Optional[StabilityOptions]
         raise ContractViolation(f"stability_verdict: mc_budget must be >= 0, got {opt.mc_budget}")
     if not 0 <= opt.eta < math.inf:
         raise ContractViolation(f"stability_verdict: eta must be finite and >= 0, got {opt.eta}")
+    if opt.eta == 0:  # the Monte-Carlo evidence is a float backward run to tolerance eta
+        raise ContractViolation(f"stability_verdict: eta must be > 0, got {opt.eta}")
     notes = []
     conditions = None
     pattern = None

@@ -562,6 +562,27 @@ class TestThresholds:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "contract" and message in error["message"]
 
+    @pytest.mark.parametrize("model", ["cjn_uniform", "ring_dist"])
+    def test_stability_eta_zero_is_contract_violation(self, request, monkeypatch, capsys, model):
+        """The Monte-Carlo evidence is a float backward run to tolerance eta,
+        which must be positive: eta 0 is rejected before any run, naming
+        eta, on a generator model and on an exact model whose search
+        decides without the evidence."""
+        from maxplus import cli, stochastic
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(stochastic, "_stacked", no_run)
+        argv = ["stability", "--dist", request.getfixturevalue(model), "--seed", "1",
+                "--mc-seeds", "2", "--mc-budget", "3"]
+        assert cli.main(argv + ["--eta", "0"]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "contract",
+                         "message": "stability_verdict: eta must be > 0, got 0.0"}
+        if model == "ring_dist":
+            assert cli.main(argv + ["--eta", "1e-300"]) == 0
+
     @pytest.mark.parametrize("threshold", ["0", "1"])
     def test_threshold_bounds_are_accepted(self, cjn_uniform, capsys, threshold):
         from maxplus import cli

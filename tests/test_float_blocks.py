@@ -109,7 +109,7 @@ def test_float_steps_read_the_stack_in_place(monkeypatch):
     """Every float step reads the array that _stacked filled: no driver
     copies a block into another layout."""
     stacks, steps = [], []
-    stacked, step = stochastic._stacked, arrays._float_step
+    stacked, step = stochastic._stacked, arrays._lead_step
 
     def recording_stacked(*args, **kwargs):
         for item in stacked(*args, **kwargs):
@@ -121,8 +121,8 @@ def test_float_steps_read_the_stack_in_place(monkeypatch):
         return step(A, X, signed, out)
 
     monkeypatch.setattr(stochastic, "_stacked", recording_stacked)
-    monkeypatch.setattr(stochastic, "_float_step", recording_step)
-    monkeypatch.setattr(arrays, "_float_step", recording_step)
+    monkeypatch.setattr(stochastic, "_lead_step", recording_step)
+    monkeypatch.setattr(arrays, "_lead_step", recording_step)
     D = shared_uniform_diagonal(3, 0.1, 1.2)
     x0s = [_x0(3), Vector((1.0, 0.0, 3.0), FLOAT)]
     runs = [
