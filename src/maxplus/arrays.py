@@ -27,7 +27,12 @@ Its callers:
   (``_rank_one_flags``), and, until a weak pattern is found, hands each
   level's new states to the batched spectral record at once
   (``spectral._scs1cyc1_flags``); ``spectral.first_rank_one_power`` tests
-  the powers of its power loop the same way.
+  the powers of its power loop the same way;
+- the one-matrix public API (``semiring.mat_mul``, ``mat_vec``,
+  ``mat_power``; ``projective.is_rank_one``, ``matrix_proj_normal``,
+  ``proj_diameter``; ``spectral.span_membership``, ``weak_rank``;
+  ``stochastic.word_product``), through ``_operands``, ``_times`` and
+  ``_scalars``; ``tests/reference_kernel.py`` keeps its per-entry oracle.
 
 The exact callers hold their integers on the dtype ``_guard`` picks for
 the largest value they form: float64 while every such value stays below
@@ -41,10 +46,11 @@ reach needs.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from .semiring import EPS, FLOAT, Matrix
+from .semiring import EPS, FLOAT, Matrix, _integers
 
 # float64 holds every integer of magnitude below this exactly
 _FLOAT_EXACT = 2**53
@@ -58,10 +64,21 @@ def _as_array(matrices) -> np.ndarray:
     )
 
 
+def _scalars(a, eps, L=None):
+    """The scalars that a number, or a (k,) or (k, k) kernel array, a denotes,
+    in tuples nested as a.tolist(): EPS for eps, the rest as they are or,
+    given L, as Fractions over L."""
+
+    def one(v):
+        return EPS if v == eps else v if L is None else Fraction(int(v), L)
+
+    if np.ndim(a) == 2:
+        return tuple(tuple(map(one, row)) for row in a.tolist())
+    return tuple(map(one, a.tolist())) if np.ndim(a) else one(a)
+
+
 def _matrix_of(a: np.ndarray) -> Matrix:
-    return Matrix(
-        tuple(tuple(EPS if v == -math.inf else v for v in row) for row in a.tolist()), FLOAT
-    )
+    return Matrix(_scalars(a, -math.inf), FLOAT)
 
 
 # the bits of -0.0 read as an int64
@@ -187,6 +204,44 @@ def _recast(a: np.ndarray, finite: np.ndarray, reach: int) -> tuple:
     return a, eps, clamp
 
 
+def _operands(matrices, vectors, reach: int) -> tuple:
+    """(L, M, X, eps, clamp): the (n, k, k) stack M of the matrices and the
+    (m, k) stack X of the vectors, all of one backing, eps entries eps. Float
+    ones as they are, L None; exact ones times L, the lcm of their
+    denominators, as ``scale_to_integers`` scales them (``_integers``), on
+    the dtype ``_guard`` picks for reach times their largest magnitude."""
+    rows = [row for A in matrices for row in A.rows] + [x.entries for x in vectors]
+    flat = [v for row in rows for v in row]
+    if (matrices or vectors)[0].backing == FLOAT:
+        L, eps, dtype, clamp = None, -math.inf, float, _no_clamp
+    else:
+        L, flat = _integers(flat)
+        eps, dtype, clamp = _guard(max([abs(v) for v in flat if v is not EPS], default=0), reach)
+    a = np.array([eps if v is EPS else v for v in flat], dtype).reshape(len(rows), -1)
+    n = len(matrices) * a.shape[1]
+    return L, a[:n].reshape(-1, a.shape[1], a.shape[1]), a[n:], eps, clamp
+
+
+def _times(P: np.ndarray, Q: np.ndarray, clamp) -> np.ndarray:
+    """The product P Q of arrays (k, j) and (j, m) or (j,), ties to the first."""
+    signed = _negative_zero(P) or _negative_zero(Q)
+    R = _max_last(P + Q if Q.ndim == 1 else P[:, None, :] + Q.T[None], signed)
+    clamp(R)
+    return R
+
+
+def _span(C, b, eps, clamp):
+    """The principal coefficients of the kernel array b in the max-plus span
+    of the columns of C, an array (k, m) with eps entries eps, when they
+    reproduce b; None when they do not. alpha_j = min_i over finite C_ij
+    of (b_i - C_ij), the first of tied ones, is eps when such a b_i is."""
+    live, known = C != eps, b != eps
+    bounds = np.where(live, np.where(known, b, 0)[:, None] - np.where(live, C, 0), math.inf)
+    alpha = -_max_last(-bounds.T, True)
+    alpha[(live & ~known[:, None]).any(0) | ~live.any(0)] = eps
+    return alpha if (_times(C, alpha, clamp) == b).all() else None
+
+
 def _stack_mul(A: np.ndarray, P: np.ndarray) -> np.ndarray:
     """The products A[c] P[c] of a (..., k, k) and a (..., k, j) stack,
     broadcast over the leading axes. The max over l is taken one l at a
@@ -220,8 +275,9 @@ def _scan(X: np.ndarray, carry, clamp, right: bool = False) -> np.ndarray:
 
 def _normal(C: np.ndarray, clamp) -> tuple:
     """(Q, top): the projective normal forms Q of a stack, each matrix
-    minus its largest entry, and those largest entries top."""
-    top = C.max((-2, -1))
+    minus its largest entry, of tied ones the first in row-major order
+    (``_max_last``), and those largest entries top."""
+    top = _max_last(C.reshape(*C.shape[:-2], -1), _negative_zero(C))
     Q = C - top[..., None, None]
     clamp(Q)
     return Q, top
@@ -243,6 +299,26 @@ def _rank_one_flags(Q: np.ndarray, clamp) -> list:
     S = Q[rows, :, top % k][:, :, None] + Q[rows, top // k, :][:, None, :]
     clamp(S)
     return (S == Q).all((1, 2)).tolist()
+
+
+def _pair_dists(X: np.ndarray) -> np.ndarray:
+    """The largest projective distance between the m eps-free states of each
+    (m, k) element of the stack X: M[i, j] + M[j, i] for M[i, j] =
+    max(x_i - x_j), maximised over the pairs."""
+    M = (X[..., :, None, :] - X[..., None, :, :]).max(-1)
+    return (M + M.swapaxes(-1, -2)).max((-2, -1))
+
+
+def _diameters(P: np.ndarray, eps) -> list:
+    """proj_diameter of each matrix of the stack P (..., k, k), as a nested
+    list: inf unless every entry is finite, else the largest distance
+    between its columns, and 0.0 for a distance of -0.0, as max(0.0, d)
+    gives."""
+    finite = (P != eps).all((-2, -1))
+    out = np.full(finite.shape, math.inf, P.dtype)
+    d = _pair_dists(P[finite].swapaxes(-1, -2))
+    out[finite] = np.where(d > 0, d, 0.0)
+    return out.tolist()
 
 
 def _stack_keys(Q: np.ndarray) -> list:

@@ -11,18 +11,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Union
 
-from .semiring import (
-    EPS,
-    EXACT,
-    FLOAT,
-    ContractViolation,
-    Matrix,
-    Vector,
-    mat_vec,
-)
+from .semiring import EPS, EXACT, ContractViolation, Matrix, Vector
 
 
 @dataclass(frozen=True)
@@ -62,18 +53,23 @@ def proj_norm(x: Union[Vector, ProjVector]):
     return max(entries) - min(entries)
 
 
+def _pair(u, v, what: str) -> tuple:
+    """The entries of finite vectors u and v of one dimension and backing."""
+    ue, ve = _finite_entries(u, what), _finite_entries(v, what)
+    if len(ue) != len(ve):
+        raise ContractViolation(f"{what}: dimension mismatch")
+    if u.backing != v.backing:
+        raise ContractViolation(f"{what}: mixed backings")
+    return ue, ve
+
+
 def proj_dist(u: Union[Vector, ProjVector], v: Union[Vector, ProjVector]):
     """Projective distance max_i(u_i - v_i) + max_i(v_i - u_i).
 
     Zero exactly on projectively equal vectors; invariant under scalar
     otimes on either argument.
     """
-    ue = _finite_entries(u, "proj_dist")
-    ve = _finite_entries(v, "proj_dist")
-    if len(ue) != len(ve):
-        raise ContractViolation("proj_dist: dimension mismatch")
-    if u.backing != v.backing:
-        raise ContractViolation("proj_dist: mixed backings")
+    ue, ve = _pair(u, v, "proj_dist")
     diffs = [a - b for a, b in zip(ue, ve)]
     return max(diffs) + max(-d for d in diffs)
 
@@ -81,6 +77,7 @@ def proj_dist(u: Union[Vector, ProjVector], v: Union[Vector, ProjVector]):
 def proj_equal(u, v, tol=None) -> bool:
     """Projective equality; exact when tol is None, else proj_dist <= tol."""
     if tol is None:
+        _pair(u, v, "proj_equal")
         return canonicalize(u).entries == canonicalize(v).entries
     return proj_dist(u, v) <= tol
 
@@ -89,27 +86,23 @@ def is_rank_one(A: Matrix) -> bool:
     """True when all columns carrying a finite entry are pairwise proportional.
 
     Proportional means: identical eps pattern and a constant finite
-    difference on it. A rank-one matrix maps every finite vector into a
-    single projective class. The all-eps matrix is rejected.
+    difference on it, each column minus the first live one, entry by entry.
+    A rank-one matrix maps every finite vector into a single projective
+    class. The all-eps matrix is rejected.
     """
-    live = [c for c in zip(*A.rows) if any(v is not EPS for v in c)]
-    if not live:
+    from .arrays import _operands
+
+    _, (a,), _, eps, _ = _operands((A,), (), 2)
+    finite = a != eps
+    live = finite.any(0)
+    if not live.any():
         raise ContractViolation("is_rank_one: all-eps matrix")
-    base = live[0]
-    base_pattern = tuple(v is not EPS for v in base)
-    for c in live[1:]:
-        if tuple(v is not EPS for v in c) != base_pattern:
-            return False
-        diff = None
-        for a, b in zip(c, base):
-            if a is EPS:
-                continue
-            d = a - b
-            if diff is None:
-                diff = d
-            elif d != diff:
-                return False
-    return True
+    base = int(live.argmax())
+    pattern = finite[:, base]
+    if (finite[:, live] != pattern[:, None]).any():
+        return False
+    diffs = a[pattern][:, live] - a[pattern, base][:, None]
+    return bool((diffs == diffs[0]).all())
 
 
 def proj_diameter(A: Matrix, mode: str = "exact", samples: int = 128, seed: int = 0):
@@ -118,54 +111,42 @@ def proj_diameter(A: Matrix, mode: str = "exact", samples: int = 128, seed: int 
     Finite iff every entry of A is finite; in that case computed as the max
     projective distance over column pairs. "sampled" mode estimates the sup
     from random finite vectors, asserts the estimate never exceeds the
-    column-pair value, and returns the estimate.
+    column-pair value, and returns the estimate. A zero diameter is the
+    int 0 on the exact backing.
     """
     if mode not in ("exact", "sampled"):
         raise ContractViolation(f"proj_diameter: unknown mode {mode!r}")
+    if samples < 1:
+        raise ContractViolation(f"proj_diameter: samples must be >= 1, got {samples}")
     if not A.all_finite():
         return math.inf
-    k = A.k
-    cols = [Vector(A.col(j), A.backing) for j in range(k)]
-    exact = zero_dist = 0 if A.backing == EXACT else 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = proj_dist(cols[i], cols[j])
-            if d > exact:
-                exact = d
-    if mode == "exact":
-        return exact
-    rng = random.Random(seed)
-    spread = 8
-    best = zero_dist
-    for _ in range(samples):
-        if A.backing == EXACT:
-            u = Vector.make([rng.randint(-spread, spread) for _ in range(k)], EXACT)
-            v = Vector.make([rng.randint(-spread, spread) for _ in range(k)], EXACT)
-        else:
-            u = Vector.make([rng.uniform(-spread, spread) for _ in range(k)], FLOAT)
-            v = Vector.make([rng.uniform(-spread, spread) for _ in range(k)], FLOAT)
-        d = proj_dist(mat_vec(A, u), mat_vec(A, v))
-        slack = 0 if A.backing == EXACT else 1e-9
-        if d > exact + slack:
-            raise ContractViolation(
-                "proj_diameter: sampled distance exceeds the column-pair value"
-            )
-        if d > best:
-            best = d
-    return best
+    from .arrays import _diameters, _operands, _pair_dists, _scalars, _times
+
+    k, exact, rng = A.k, A.backing == EXACT, random.Random(seed)
+    draw, n = rng.randint if exact else rng.uniform, 2 * samples if mode == "sampled" else 0
+    us = [Vector.make([draw(-8, 8) for _ in range(k)], A.backing) for _ in range(n)]
+    L, (a,), X, eps, clamp = _operands((A,), us, 8)
+    d = _diameters(a, eps)
+    if mode == "sampled":
+        sampled = _pair_dists(_times(a, X.T, clamp).T.reshape(samples, 2, k))
+        if (sampled > d + (0 if exact else 1e-9)).any():
+            raise ContractViolation("proj_diameter: sampled distance exceeds the column-pair value")
+        d = max(sampled.tolist())
+    if d <= 0:
+        return 0 if exact else 0.0
+    return _scalars(d, eps, L)
 
 
 def matrix_proj_normal(A: Matrix) -> Matrix:
-    """Projective normal form of a matrix: subtract the max finite entry.
+    """Projective normal form of a matrix: subtract the max finite entry,
+    the first of tied ones in row-major order.
 
     Two matrices act identically on projective space iff they differ by a
     scalar otimes, so this is a hashable key for memoizing products.
     """
-    finite = [v for row in A.rows for v in row if v is not EPS]
-    if not finite:
+    from .arrays import _normal, _operands, _scalars
+
+    L, (a,), _, eps, clamp = _operands((A,), (), 2)
+    if (a == eps).all():
         raise ContractViolation("matrix_proj_normal: all-eps matrix")
-    top = max(finite)
-    return Matrix(
-        tuple(tuple(EPS if v is EPS else v - top for v in row) for row in A.rows),
-        A.backing,
-    )
+    return Matrix(_scalars(_normal(a[None], clamp)[0][0], eps, L), A.backing)

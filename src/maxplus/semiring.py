@@ -8,8 +8,9 @@ containers made by ``scale_to_integers`` hold Python ints: the working
 copies that the spectral and stochastic routines compute on.
 
 eps is modelled as ``None``, a distinguished variant rather than a numeric
-sentinel, so exact arithmetic never touches -inf floats. All containers are
-immutable and all operations are pure functions.
+sentinel. Products run on the array kernel of ``arrays``, which scales exact
+operands to integers and holds them exactly, so no exact result is rounded.
+All containers are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -256,21 +257,10 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     _require_same_backing(A, B, "mat_mul")
     if A.k != B.k:
         raise ContractViolation(f"mat_mul: dimension mismatch {A.k} vs {B.k}")
-    bcols = tuple(zip(*B.rows))
-    out = []
-    for row in A.rows:
-        orow = []
-        for col in bcols:
-            best = EPS
-            for a, b in zip(row, col):
-                if a is EPS or b is EPS:
-                    continue
-                s = a + b
-                if best is EPS or s > best:
-                    best = s
-            orow.append(best)
-        out.append(tuple(orow))
-    return Matrix(tuple(out), A.backing)
+    from .arrays import _operands, _scalars, _times
+
+    L, (a, b), _, eps, clamp = _operands((A, B), (), 2)
+    return Matrix(_scalars(_times(a, b, clamp), eps, L), A.backing)
 
 
 def mat_vec(A: Matrix, x: Vector) -> Vector:
@@ -278,18 +268,10 @@ def mat_vec(A: Matrix, x: Vector) -> Vector:
     _require_same_backing(A, x, "mat_vec")
     if A.k != len(x):
         raise ContractViolation(f"mat_vec: dimension mismatch {A.k} vs {len(x)}")
-    xs = x.entries
-    out = []
-    for row in A.rows:
-        best = EPS
-        for a, v in zip(row, xs):
-            if a is EPS or v is EPS:
-                continue
-            s = a + v
-            if best is EPS or s > best:
-                best = s
-        out.append(best)
-    return Vector(tuple(out), A.backing)
+    from .arrays import _operands, _scalars, _times
+
+    L, (a,), (v,), eps, clamp = _operands((A,), (x,), 2)
+    return Vector(_scalars(_times(a, v, clamp), eps, L), A.backing)
 
 
 def mat_oplus(A: Matrix, B: Matrix) -> Matrix:
@@ -307,18 +289,22 @@ def mat_oplus(A: Matrix, B: Matrix) -> Matrix:
 
 
 def mat_power(A: Matrix, n: int) -> Matrix:
-    """n-th otimes power by repeated squaring; A^0 is the identity E."""
+    """n-th otimes power by repeated squaring from the identity E = A^0, in
+    one fixed order: float otimes is not associative, and E A turns -0.0 to 0.0."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ContractViolation(f"mat_power: exponent must be an int, got {n!r}")
     if n < 0:
         raise ContractViolation("mat_power: negative exponent")
-    result = Matrix.identity(A.k, A.backing)
-    base = A
+    from .arrays import _operands, _scalars, _times
+
+    L, (result, base), _, eps, clamp = _operands((Matrix.identity(A.k, A.backing), A), (), n + 1)
     while n:
         if n & 1:
-            result = mat_mul(result, base)
+            result = _times(result, base, clamp)
         n >>= 1
         if n:
-            base = mat_mul(base, base)
-    return result
+            base = _times(base, base, clamp)
+    return Matrix(_scalars(result, eps, L), A.backing)
 
 
 def scale_matrix(c, A: Matrix) -> Matrix:

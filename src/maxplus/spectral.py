@@ -71,7 +71,6 @@ from .semiring import (
     Vector,
     _integers,
     _matrix_table,
-    otimes,
     scalar_to_json,
     scale_to_integers,
 )
@@ -525,38 +524,16 @@ def span_membership(cols: Sequence[Vector], b: Vector):
     """
     if not cols:
         raise ContractViolation("span_membership: empty column set")
-    k = len(b)
     for c in cols:
-        if len(c) != k:
+        if len(c) != len(b):
             raise ContractViolation("span_membership: dimension mismatch")
         if c.backing != b.backing:
             raise ContractViolation("span_membership: mixed backings")
-    alphas = []
-    for c in cols:
-        alpha = "unset"
-        for bi, ci in zip(b.entries, c.entries):
-            if ci is EPS:
-                continue
-            if bi is EPS:
-                alpha = EPS
-                break
-            bound = bi - ci
-            if alpha == "unset" or (alpha is not EPS and bound < alpha):
-                alpha = bound
-        alphas.append(EPS if alpha == "unset" else alpha)
-    rebuilt = []
-    for i in range(k):
-        best = EPS
-        for alpha, c in zip(alphas, cols):
-            term = otimes(alpha, c.entries[i])
-            if term is EPS:
-                continue
-            if best is EPS or term > best:
-                best = term
-        rebuilt.append(best)
-    if tuple(rebuilt) == b.entries:
-        return tuple(alphas)
-    return None
+    from .arrays import _operands, _scalars, _span
+
+    L, _, X, eps, clamp = _operands((), (*cols, b), 3)
+    alpha = _span(X[:-1].T, X[-1], eps, clamp)
+    return None if alpha is None else _scalars(alpha, eps, L)
 
 
 def weak_rank(A: Matrix) -> int:
@@ -565,17 +542,16 @@ def weak_rank(A: Matrix) -> int:
     A column is dropped iff it lies in the span of the other currently kept
     columns. Rejects matrices with an all-eps column.
     """
-    k = A.k
-    cols = [Vector(A.col(j), A.backing) for j in range(k)]
-    for j, c in enumerate(cols):
-        if all(v is EPS for v in c.entries):
+    from .arrays import _operands, _span
+
+    _, (a,), _, eps, clamp = _operands((A,), (), 3)
+    for j in range(A.k):
+        if (a[:, j] == eps).all():
             raise ContractViolation(f"weak_rank: column {j} is all eps")
-    kept = list(range(k))
-    for j in range(k):
-        others = [cols[i] for i in kept if i != j]
-        if not others:
-            continue
-        if span_membership(others, cols[j]) is not None:
+    kept = list(range(A.k))
+    for j in range(A.k):
+        others = [i for i in kept if i != j]
+        if others and _span(a[:, others], a[:, j], eps, clamp) is not None:
             kept.remove(j)
     return len(kept)
 

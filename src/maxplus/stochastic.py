@@ -42,10 +42,11 @@ probability is positive, however small.
 
 Float: float64 with -inf for eps, each state from the one before
 (``arrays._float_states``, on the transposes for the backward scheme), with
-the IEEE additions and maxima of the scalar kernel; of tied signed zeros
-the first is kept, as Python's ``max`` does, so reports are bit for bit
-those of ``semiring.mat_vec`` and ``projective.proj_dist``. Results leave
-the module as Python floats.
+the IEEE additions and maxima of the one-matrix products: of tied signed
+zeros the first is kept, as Python's ``max`` does (``arrays._max_last``,
+which ``semiring.mat_vec`` and ``mat_mul`` share), so reports are bit for
+bit those of ``mat_vec`` and ``projective.proj_dist``, one step at a time.
+Results leave the module as Python floats.
 """
 
 from __future__ import annotations
@@ -63,18 +64,22 @@ from .arrays import (
     _FLOAT_EXACT,
     _as_array,
     _as_object,
+    _diameters,
     _float_states,
-    _int_stack,
     _lead_step,
     _matrix_of,
     _max_last,
     _negative_zero,
     _no_clamp,
     _normal,
+    _operands,
+    _pair_dists,
     _rank_one_flags,
+    _scalars,
     _scan,
     _stack_keys,
     _stack_mul,
+    _times,
     _top,
 )
 from .graphs import _closure, graph_of, scc_decompose
@@ -88,13 +93,11 @@ from .semiring import (
     Vector,
     _fraction,
     as_scalar,
-    mat_mul,
     matrix_from_json,
     matrix_to_json,
     parse_table,
     reject_unknown_keys,
     scalar_to_json,
-    scale_to_integers,
     zero,
 )
 from .spectral import _scs1cyc1_flags
@@ -494,13 +497,6 @@ def _stacked(reps: range, stream: _FloatStream, seed: int, channel: int, total: 
         raise failed[min(failed)]
 
 
-def _integer_support(D: FiniteSupport, vectors: Sequence[Vector] = ()) -> tuple:
-    """(L, D with every matrix times L, vectors times L), all Python ints;
-    the draws are those of D."""
-    L, mats, xs = scale_to_integers(D.matrices, vectors)
-    return L, FiniteSupport(mats, D.probabilities, D.kernel), xs
-
-
 def _reach(steps: int) -> int:
     """Every integer an exact driver forms within steps steps is at most
     top * _reach(steps) in magnitude, top the largest of the scaled support
@@ -519,12 +515,9 @@ class _IntWalk:
     the current dtype. So a large horizon or budget alone keeps float64."""
 
     def __init__(self, D: FiniteSupport, x0s: Sequence[Vector], steps: int):
-        self.L, self.dist, xs = _integer_support(D, x0s)
-        xtop = max([0] + [abs(v) for x in xs for v in x.entries if v is not EPS])
-        self.support, self._eps, self._clamp = _int_stack(self.dist.matrices, _reach(steps), xtop)
-        self.top = max(xtop, _top(self.support, self.support != self._eps))
-        x0 = [[self._eps if v is EPS else v for v in x.entries] for x in xs]
-        self.x0 = np.array(x0, self.support.dtype).reshape(len(xs), D.k)
+        self.dist = D
+        self.L, self.support, self.x0, self._eps, self._clamp = _operands(D.matrices, x0s, _reach(steps))
+        self.top = max(_top(a, a != self._eps) for a in (self.support, self.x0))
         self.dtype, self.eps, self.clamp = float, -math.inf, _no_clamp
         self.fit(0)
 
@@ -555,26 +548,6 @@ class _IntWalk:
         S = _stack_mul(C, x.swapaxes(-1, -2))
         self.clamp(S)
         return S.swapaxes(-1, -2)
-
-
-def _pair_dists(X: np.ndarray) -> np.ndarray:
-    """The largest projective distance between the m eps-free states of each
-    (m, k) element of the stack X: M[i, j] + M[j, i] for M[i, j] =
-    max(x_i - x_j), maximised over the pairs."""
-    M = (X[..., :, None, :] - X[..., None, :, :]).max(-1)
-    return (M + M.swapaxes(-1, -2)).max((-2, -1))
-
-
-def _diameters(P: np.ndarray, eps) -> list:
-    """proj_diameter of each matrix of the stack P (..., k, k), as a nested
-    list: inf unless every entry is finite, else the largest distance
-    between its columns, and 0.0 for a distance of -0.0, as max(0.0, d)
-    gives."""
-    finite = (P != eps).all((-2, -1))
-    out = np.full(finite.shape, math.inf, P.dtype)
-    d = _pair_dists(P[finite].swapaxes(-1, -2))
-    out[finite] = np.where(d > 0, d, 0.0)
-    return out.tolist()
 
 
 def _first(flags: list) -> Optional[int]:
@@ -1077,11 +1050,11 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
         stream = _FloatStream(D, None, "backward_loynes", backward=True)
         # the pair distances behind the diameters take k^3 entries a step
         groups = _group(len(replications), budget, _FIRST_CHUNK, _FLOAT_GROUP // D.k**3)
-        bound, unscaled, ratio, eps = tol, float, float, -math.inf
+        bound, unscaled, ratio, eps, L = tol, float, float, -math.inf, None
     else:
         walk = _IntWalk(D, (), budget)
-        stream = walk.stream(backward=True)
-        groups, bound = _group(len(replications), budget), Fraction(tol) * walk.L
+        stream, L = walk.stream(backward=True), walk.L
+        groups, bound = _group(len(replications), budget), Fraction(tol) * L
 
         def unscaled(d):
             # what proj_diameter gives on the unscaled product: 0 and inf as they are
@@ -1093,9 +1066,7 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
 
     def limit(Z, signed):
         col = Z[:, int((Z != eps).all(0).argmax())]  # the first finite column
-        if backing == FLOAT:
-            return ProjVector(tuple((col - _max_last(col, signed)).tolist()), FLOAT)
-        return ProjVector(tuple(Fraction(int(v), walk.L) for v in (col - col.max()).tolist()), EXACT)
+        return ProjVector(_scalars(col - _max_last(col, signed), eps, L), backing)
 
     traces, lasts, ended = {rep: [] for rep in replications}, dict.fromkeys(replications, math.inf), {}
     signed = False
@@ -1240,25 +1211,37 @@ def _word_bfs(D: FiniteSupport, root, expand, visit, max_len: int, budget: int):
     return None, True, len(seen)
 
 
+def _check_word(D: FiniteSupport, word: Sequence[int], what: str) -> None:
+    """A ContractViolation, naming what, unless each letter indexes D's support."""
+    for letter in word:
+        if not isinstance(letter, int) or isinstance(letter, bool) or not 0 <= letter < D.size:
+            raise ContractViolation(f"{what}: letter {letter!r} is not in range({D.size})")
+
+
 def word_product(D: FiniteSupport, word: Sequence[int]) -> Matrix:
     """Exact product A(u_{N-1}) ... A(u_0) of the word (u_0, ..., u_{N-1})."""
-    P = D.matrices[word[0]]
+    if not word:
+        raise ContractViolation("word_product: empty word")
+    _check_word(D, word, "word_product")
+    L, support, _, eps, clamp = _operands(D.matrices, (), len(word) + 1)
+    P = support[word[0]]
     for letter in word[1:]:
-        P = mat_mul(D.matrices[letter], P)
-    return P
+        P = _times(support[letter], P, clamp)
+    return Matrix(_scalars(P, eps, L), D.backing)
 
 
 def word_probability(D: FiniteSupport, word: Sequence[int]):
     """Probability of seeing the word as the next len(word) letters; the
     stationary chain makes this time-invariant. Exact for iid rational
     probabilities, float under a Markov kernel."""
+    _check_word(D, word, "word_probability")
     if D.kernel is None:
         p = Fraction(1)
         for letter in word:
             p = p * D.probabilities[letter]
         return p
     pi = stationary_distribution(D.kernel)
-    p = pi[word[0]]
+    p = pi[word[0]] if word else 1.0
     for a, b in zip(word, word[1:]):
         p *= float(D.kernel[a][b])
     return p
@@ -1323,11 +1306,9 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
     # at most W = min(max_len, budget + 1) letters, so a normal form has
     # entries in [-2 W top, 0], a shift is at most W top, and the outer
     # sums of the rank-one test are in [-4 W top, 0] (see _rank_one_flags).
-    L, Dint, _ = _integer_support(D)
     length = min(max_len, budget + 1)
-    support, eps, clamp = _int_stack(Dint.matrices, 2 * (length + 1))
-    identity = np.full((D.k, D.k), eps, support.dtype)
-    np.fill_diagonal(identity, 0)
+    L, support, _, eps, clamp = _operands((Matrix.identity(D.k), *D.matrices), (), 2 * (length + 1))
+    identity, support = support[:1], support[1:]
     found = {}
 
     def expand(level, parents, letters):
@@ -1357,7 +1338,7 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
         return hit
 
     _, saturated, explored = _word_bfs(
-        D, (identity[None], np.zeros(1, support.dtype)), expand, visit, max_len, budget
+        D, (identity, np.zeros(1, support.dtype)), expand, visit, max_len, budget
     )
 
     def certificate(key):
@@ -1365,11 +1346,8 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
         if key not in found:
             return None, None, None
         word, Q, s = found[key]
-        s = int(s)
-        rows = tuple(
-            tuple(EPS if v == eps else Fraction(int(v) + s, L) for v in row) for row in Q.tolist()
-        )
-        return word, Matrix(rows, EXACT), word_probability(D, word)
+        P = np.where(Q != eps, Q + s, eps)
+        return word, Matrix(_scalars(P, eps, L), EXACT), word_probability(D, word)
 
     hit, P, prob = certificate("hit")
     scs_word, scs_mat, scs_prob = certificate("weak")

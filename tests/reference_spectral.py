@@ -5,29 +5,26 @@ tests.
 Every reader recomputes what it needs from scratch: the eigenvalue by
 Karp's dynamic program in the matrix's own arithmetic, A+ as the oplus of
 k matrix products (O(k^4)), and the transient by powers of the normalized
-matrix in ``Fraction`` arithmetic. Slow, but independent of the integer
-scaling, the Floyd-Warshall closure and the shared record.
+matrix in ``Fraction`` arithmetic, on the per-entry products of
+``reference_kernel``. Slow, but independent of the integer scaling, the
+array kernel, the Floyd-Warshall closure and the shared record.
 """
 
 import math
 from typing import Optional, Tuple
 
 from maxplus.graphs import graph_of, is_irreducible, scc_from_arcs
-from maxplus.projective import canonicalize, is_rank_one, matrix_proj_normal
-from maxplus.semiring import (
-    EPS,
-    EXACT,
-    BudgetExceeded,
-    ContractViolation,
-    Matrix,
-    Vector,
+from maxplus.projective import canonicalize
+from maxplus.semiring import EPS, EXACT, BudgetExceeded, ContractViolation, Matrix, Vector, zero
+from maxplus.spectral import CriticalGraph, SpectralSummary, default_power_budget
+from reference_kernel import (
+    is_rank_one,
     mat_mul,
     mat_oplus,
     mat_vec,
+    matrix_proj_normal,
     scale_vector,
-    zero,
 )
-from maxplus.spectral import CriticalGraph, SpectralSummary, default_power_budget
 
 
 def eigenvalue(A: Matrix):

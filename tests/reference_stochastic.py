@@ -10,9 +10,10 @@ The float routines are the scalar implementations that the numpy block
 recursions replaced: one ``Matrix`` per step from ``_MatrixStream.next``
 (a generator through its ``sample_fn``), checked row by row, and
 ``mat_vec``, ``mat_mul``, ``proj_dist`` and ``proj_diameter`` on Python
-floats. ``_couple_one`` and ``backward_loynes`` below serve both backings;
-on floats they are the scalar routines as they were. The builtin
-generators' per-step samplers are kept as well (``scalar_generator``).
+floats, the per-entry ones of ``reference_kernel``. ``_couple_one`` and
+``backward_loynes`` below serve both backings; on floats they are the
+scalar routines as they were. The builtin generators' per-step samplers
+are kept as well (``scalar_generator``).
 
 ``structural_conditions`` is the version with its own breadth-first loop
 over bitmask patterns, from before it shared ``_word_bfs`` with the word
@@ -29,13 +30,7 @@ import numpy as np
 
 from maxplus.graphs import is_irreducible
 from maxplus.models import cjn_matrix, split_service_vector
-from maxplus.projective import (
-    canonicalize,
-    is_rank_one,
-    matrix_proj_normal,
-    proj_diameter,
-    proj_dist,
-)
+from maxplus.projective import canonicalize
 from maxplus.semiring import (
     EPS,
     EXACT,
@@ -44,8 +39,6 @@ from maxplus.semiring import (
     Matrix,
     Vector,
     as_scalar,
-    mat_mul,
-    mat_vec,
     zero,
 )
 from maxplus.spectral import is_scs1cyc1
@@ -70,6 +63,14 @@ from maxplus.stochastic import (
     dist_backing,
     stationary_distribution,
     word_probability,
+)
+from reference_kernel import (
+    is_rank_one,
+    mat_mul,
+    mat_vec,
+    matrix_proj_normal,
+    proj_diameter,
+    proj_dist,
     word_product,
 )
 

@@ -76,6 +76,14 @@ class TestDistance:
         with pytest.raises(ContractViolation):
             proj_dist(V([0, EPS]), V([0, 0]))
 
+    def test_proj_equal_rejects_mixed_backings(self):
+        with pytest.raises(ContractViolation, match="proj_equal: mixed backings"):
+            proj_equal(V([1, 2]), V([1.0, 2.0], FLOAT))
+
+    def test_proj_equal_rejects_a_dimension_mismatch(self):
+        with pytest.raises(ContractViolation, match="proj_equal: dimension mismatch"):
+            proj_equal(V([1, 2]), V([1, 2, 3]))
+
     def test_proj_equal_tolerance(self):
         assert proj_equal(V([0.0, 0.0], FLOAT), V([0.0, 1e-9], FLOAT), tol=1e-6)
         assert not proj_equal(V([0.0, 0.0], FLOAT), V([0.0, 0.1], FLOAT), tol=1e-6)
@@ -110,6 +118,11 @@ class TestDiameter:
     def test_eps_column_gives_infinite_diameter(self):
         A = M([[0, EPS], [0, 0]])
         assert proj_diameter(A) == float("inf")
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sampled_mode_needs_a_sample(self, samples):
+        with pytest.raises(ContractViolation, match="samples must be >= 1"):
+            proj_diameter(M([[0, 1], [1, 0]]), mode="sampled", samples=samples)
 
     def test_sampled_mode_lower_bounds_exact(self):
         A = M([[0, 3, 1], [2, 0, 0], [1, 1, 4]])

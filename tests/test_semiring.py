@@ -101,6 +101,11 @@ class TestMatrixAlgebra:
             naive = mat_mul(naive, A)
         assert mat_power(A, n).rows == naive.rows
 
+    @pytest.mark.parametrize("n", [2.0, True, "2", None])
+    def test_power_rejects_an_exponent_that_is_not_an_int(self, n):
+        with pytest.raises(ContractViolation, match=f"mat_power: exponent must be an int, got {n!r}"):
+            mat_power(M([[1, EPS], [0, 2]]), n)
+
     def test_mat_vec_matches_column_expansion(self):
         A = M([[1, EPS], [0, 2]])
         v = Vector.make([3, -1], EXACT)

@@ -667,40 +667,32 @@ class TestIntegerScaledRoutines:
         )
 
 
-def test_exact_routines_multiply_integers(monkeypatch):
-    """No Fraction reaches mat_mul or is_rank_one inside the exact routines;
-    only the report matrices of pattern_search multiply the rational support.
-    (The exact drivers make neither call at all, see
+def test_exact_routines_multiply_integers(monkeypatch, count_calls):
+    """No Fraction reaches the array products inside the exact routines,
+    and none of them calls the public mat_mul or is_rank_one. (The exact
+    drivers make no scalar call at all, see
     test_block_drivers.py::test_exact_drivers_make_no_scalar_call.)"""
     D = FiniteSupport.make(
         [cjn_matrix(["5/2", "1/3", "1/2"]), cjn_matrix(["1/2", "1/3", "1/2"])], ["1/3", "2/3"]
     )
+    calls = count_calls(semiring, "mat_mul") + count_calls(projective, "is_rank_one")
     seen = set()
-    reporting = []
 
     def recording(fn):
-        def wrapper(*args):
-            if not reporting:
-                seen.update(type(v) for A in args for row in A.rows for v in row if v is not EPS)
-            return fn(*args)
+        def wrapper(*args, **kwargs):
+            seen.update(type(v) for a in args if isinstance(a, np.ndarray) for v in a.ravel().tolist())
+            return fn(*args, **kwargs)
 
         return wrapper
 
-    def report_product(D, word):
-        reporting.append(word)
-        try:
-            return word_product(D, word)
-        finally:
-            reporting.pop()
-
-    monkeypatch.setattr(stochastic, "mat_mul", recording(stochastic.mat_mul))
-    monkeypatch.setattr(projective, "is_rank_one", recording(projective.is_rank_one))
-    monkeypatch.setattr(stochastic, "word_product", report_product)
+    for name in ("_stack_mul", "_scan"):
+        monkeypatch.setattr(stochastic, name, recording(getattr(stochastic, name)))
     assert pattern_search(D, max_len=8).found
     x0s = [V(["1/5", 0, 2]), V([0, "3/4", 1])]
     assert certified_fraction(forward_coupling(D, x0s, horizon=60, seed=1, replications=2)) == 1
     assert backward_loynes(D, tolerance=0, budget=200, seed=1).converged
-    assert Fraction not in seen
+    assert seen and Fraction not in seen
+    assert sum(calls.values()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1467,6 +1459,25 @@ def test_both_searches_run_through_one_word_walk(monkeypatch, good_cjn):
     assert len(calls) == 1
     structural_conditions(good_cjn)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("word", [[-1], [2], [True], [0, 1.0]])
+@pytest.mark.parametrize("kernel", [None, [[0, 1], [1, 0]]])
+def test_word_routines_reject_a_letter_outside_the_support(word, kernel):
+    D = FiniteSupport.make([M([[0, 1], [1, 0]]), M([[1, 0], [0, 1]])], ["1/2", "1/2"], kernel)
+    with pytest.raises(ContractViolation, match=r"word_product: letter .* is not in range\(2\)"):
+        word_product(D, word)
+    with pytest.raises(ContractViolation, match=r"word_probability: letter .* is not in range\(2\)"):
+        word_probability(D, word)
+
+
+def test_word_product_rejects_the_empty_word():
+    D = FiniteSupport.make([M([[0, 1], [1, 0]])], ["1"])
+    with pytest.raises(ContractViolation, match="word_product: empty word"):
+        word_product(D, [])
+    assert word_probability(D, []) == 1
+    markov = FiniteSupport.make([M([[0, 1], [1, 0]])] * 2, ["1/2", "1/2"], [[0, 1], [1, 0]])
+    assert word_probability(markov, []) == 1.0
 
 
 def test_cyclic_shift_words_by_brute_force():
