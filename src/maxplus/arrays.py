@@ -38,9 +38,10 @@ The exact callers hold their integers on the dtype ``_guard`` picks for
 the largest value they form: float64 while every such value stays below
 2**53, which float64 represents exactly, and past that ``dtype=object``
 arrays of Python ints with the same code, where eps is a large negative
-integer that each step clamps back. ``_int_stack`` stacks exact matrices
-that way, and ``_recast`` moves an integer array to the dtype a larger
-reach needs.
+integer that each step clamps back. ``_ints`` is the one way exact scalars
+become such an array: times L, the lcm of their denominators, as a flat
+array on the dtype for their reach; ``_recast`` moves an integer array to
+the dtype a larger reach needs.
 """
 
 from __future__ import annotations
@@ -54,14 +55,6 @@ from .semiring import EPS, FLOAT, Matrix, _integers
 
 # float64 holds every integer of magnitude below this exactly
 _FLOAT_EXACT = 2**53
-
-
-def _as_array(matrices) -> np.ndarray:
-    """float64 (n, k, k) array of matrix rows, eps as -inf."""
-    return np.array(
-        [[[-math.inf if v is EPS else v for v in row] for row in rows] for rows in matrices],
-        dtype=float,
-    )
 
 
 def _scalars(a, eps, L=None):
@@ -168,15 +161,14 @@ def _guard(top: int, reach: int) -> tuple:
     return -bottom, object, clamp
 
 
-def _int_stack(mats, reach: int, top: int = 0) -> tuple:
-    """The integer matrices mats as one (m, k, k) array, for a walk whose
-    values stay within reach times top, the largest magnitude of their
-    entries and of the given top, on the dtype ``_guard`` picks. Returns
-    (array, eps, clamp)."""
-    top = max([top] + [abs(v) for A in mats for row in A.rows for v in row if v is not EPS])
-    eps, dtype, clamp = _guard(top, reach)
-    rows = [[[eps if v is EPS else v for v in row] for row in A.rows] for A in mats]
-    return np.array(rows, dtype=dtype), eps, clamp
+def _ints(values, reach: int) -> tuple:
+    """(L, a, eps, clamp): the exact scalars values times L, the lcm of their
+    denominators (``_integers``: a float counts as the dyadic rational it
+    denotes), as one flat array a on the dtype ``_guard`` picks for reach
+    times their largest magnitude, eps entries eps."""
+    L, ints = _integers(values)
+    eps, dtype, clamp = _guard(max([abs(v) for v in ints if v is not EPS], default=0), reach)
+    return L, np.array([eps if v is EPS else v for v in ints], dtype), eps, clamp
 
 
 def _top(a: np.ndarray, finite: np.ndarray) -> int:
@@ -207,17 +199,15 @@ def _recast(a: np.ndarray, finite: np.ndarray, reach: int) -> tuple:
 def _operands(matrices, vectors, reach: int) -> tuple:
     """(L, M, X, eps, clamp): the (n, k, k) stack M of the matrices and the
     (m, k) stack X of the vectors, all of one backing, eps entries eps. Float
-    ones as they are, L None; exact ones times L, the lcm of their
-    denominators, as ``scale_to_integers`` scales them (``_integers``), on
-    the dtype ``_guard`` picks for reach times their largest magnitude."""
+    ones as they are, L None; exact ones as ``_ints`` scales them for reach."""
     rows = [row for A in matrices for row in A.rows] + [x.entries for x in vectors]
     flat = [v for row in rows for v in row]
     if (matrices or vectors)[0].backing == FLOAT:
-        L, eps, dtype, clamp = None, -math.inf, float, _no_clamp
+        L, eps, clamp = None, -math.inf, _no_clamp
+        a = np.array([eps if v is EPS else v for v in flat], float)
     else:
-        L, flat = _integers(flat)
-        eps, dtype, clamp = _guard(max([abs(v) for v in flat if v is not EPS], default=0), reach)
-    a = np.array([eps if v is EPS else v for v in flat], dtype).reshape(len(rows), -1)
+        L, a, eps, clamp = _ints(flat, reach)
+    a = a.reshape(len(rows), -1)
     n = len(matrices) * a.shape[1]
     return L, a[:n].reshape(-1, a.shape[1], a.shape[1]), a[n:], eps, clamp
 

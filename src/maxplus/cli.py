@@ -501,7 +501,8 @@ def main(argv=None) -> int:
         # argparse already printed the message; fold usage errors into exit 2
         return 2 if exc.code not in (0, None) else 0
     try:
-        result, summary = args.func(args)
+        with np.errstate(over="raise"):  # no inf or NaN reaches a report
+            result, summary = args.func(args)
         envelope = {
             "command": args.command,
             "config": _config_json(args),
@@ -523,6 +524,9 @@ def main(argv=None) -> int:
         return 4
     except MaxPlusError as exc:  # a ContractViolation, or another library error
         _emit_error("contract", str(exc))
+        return 3
+    except FloatingPointError:
+        _emit_error("contract", "a float value overflowed past the float64 range")
         return 3
     if args.verbose and summary:
         print(summary, file=sys.stderr)

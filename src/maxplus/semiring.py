@@ -3,9 +3,7 @@
 Scalars live in (R u {eps}, max, +) where eps, the additive identity, is
 absorbing for + and neutral for max. Two backings are supported: "exact"
 (``fractions.Fraction`` entries, equality is exact) and "float". A value
-never mixes backings; operations on mixed operands are rejected. Exact
-containers made by ``scale_to_integers`` hold Python ints: the working
-copies that the spectral and stochastic routines compute on.
+never mixes backings; operations on mixed operands are rejected.
 
 eps is modelled as ``None``, a distinguished variant rather than a numeric
 sentinel. Products run on the array kernel of ``arrays``, which scales exact
@@ -19,8 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Union
 
 EXACT = "exact"
 FLOAT = "float"
@@ -334,27 +331,6 @@ def _integers(values) -> tuple:
     values = [Fraction(v) if type(v) is float else v for v in values]
     L = math.lcm(*{v.denominator for v in values if v is not EPS})
     return L, [EPS if v is EPS else v.numerator * (L // v.denominator) for v in values]
-
-
-def scale_to_integers(matrices: Sequence[Matrix], vectors: Sequence[Vector] = ()):
-    """(L, matrices times L, vectors times L) for L the lcm of every entry
-    denominator: exact containers of Python ints.
-
-    otimes is positively homogeneous, (L A) otimes (L B) = L (A otimes B),
-    so products, projective classes, rank-one tests and distances of the
-    scaled values are those of the originals, up to the one factor L.
-    Float entries count as the exact dyadic rationals they denote.
-    """
-    blocks = [M.rows for M in matrices] + [(x.entries,) for x in vectors]
-    L, flat = _integers([v for rows in blocks for row in rows for v in row])
-    flat = iter(flat)
-    scaled = [tuple(tuple(islice(flat, len(row))) for row in rows) for rows in blocks]
-    n = len(matrices)
-    return (
-        L,
-        tuple(Matrix(rows, EXACT) for rows in scaled[:n]),
-        tuple(Vector(rows[0], EXACT) for rows in scaled[n:]),
-    )
 
 
 # ---------------------------------------------------------------------------

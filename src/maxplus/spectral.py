@@ -12,25 +12,25 @@ Every reader builds one exact record per matrix (``_int_spectrum``): A is
 scaled by the lcm L of its entry denominators, Karp's algorithm gives
 lambda = p / (q L), and the normalized matrix is held as the integer matrix
 Abar = q L A - p (otimes is positively homogeneous). It starts from L and
-the array L A: scaled from a Matrix (``_scaled``), or, for the CLI, loaded
-from JSON with each distinct entry parsed and scaled once and no Matrix
-built (``_int_matrix``). The record is built on
-the array kernel of ``arrays``: irreducibility by the boolean
-reachability closure of ``graphs`` on the finite pattern, Karp by k array
-mat-vec steps with the minimum over walk lengths and the maximum over
-nodes found by comparing the means as integer cross products, the closure
-Abar+ by k vectorised Floyd-Warshall relaxations, its fixpoint check by
-one array product, and the critical graph and the eigenvectors by array
-comparisons. The SCC decomposition of the critical graph reads the same
-boolean closure of its arcs; only its component order, the per-component
-cyclicity and the output tuples run in Python, and ``Fraction`` appears
-only on output. The record bounds every integer it forms by
-6 k^2 max|B| (``_reach``); the array is float64 with -inf for eps while
-those integers are below 2**53, where float64 holds them exactly, and an
-object array of Python ints with an integer eps past that
+the array L A, which ``arrays._ints`` scales: from a Matrix's entries
+(``_scaled``), or, for the CLI, from the table of distinct entries of the
+JSON, each parsed and scaled once, with no Matrix built (``_int_matrix``).
+The record is built on the array kernel of ``arrays``: irreducibility by
+the boolean reachability closure of ``graphs`` on the finite pattern, Karp
+by k array mat-vec steps with the minimum over walk lengths and the maximum
+over nodes found by comparing the means as integer cross products, the
+closure Abar+ by k vectorised Floyd-Warshall relaxations, its fixpoint
+check by one array product, and the critical graph and the eigenvectors by
+array comparisons. The SCC decomposition of the critical graph reads the
+same boolean closure of its arcs; only its component order, the
+per-component cyclicity and the output tuples run in Python, and
+``Fraction`` appears only on output. The record bounds every integer it
+forms by 6 k^2 max|B| (``_reach``); the array is float64 with -inf for eps
+while those integers are below 2**53, where float64 holds them exactly, and
+an object array of Python ints with an integer eps past that
 (``arrays._guard``), with the same code. A float matrix enters the same
-record as the exact dyadic rationals its entries denote and is rounded
-once on output, so no check fails through rounding.
+record as the exact dyadic rationals its entries denote and is rounded once
+on output, so no check fails through rounding.
 
 The steps of the record run on a whole stack of matrices at once
 (``_records``); a spectral reader passes a single matrix. The word search
@@ -69,10 +69,8 @@ from .semiring import (
     ContractViolation,
     Matrix,
     Vector,
-    _integers,
     _matrix_table,
     scalar_to_json,
-    scale_to_integers,
 )
 
 
@@ -251,12 +249,11 @@ def _scs1cyc1_flags(Q, eps) -> list:
 
 def _scaled(A: Matrix) -> tuple:
     """(L, B, eps, clamp): B = L A for L the lcm of A's entry denominators,
-    on the array kernel for reach ``_reach(k)``."""
-    from .arrays import _int_stack
+    on the array kernel for reach ``_reach(k)`` (``arrays._ints``)."""
+    from .arrays import _ints
 
-    lcm, (B,), _ = scale_to_integers((A,))
-    (B,), eps, clamp = _int_stack([B], _reach(A.k))
-    return lcm, B, eps, clamp
+    lcm, B, eps, clamp = _ints([v for row in A.rows for v in row], _reach(A.k))
+    return lcm, B.reshape(A.k, A.k), eps, clamp
 
 
 def _int_matrix(obj, backing: str) -> tuple:
@@ -270,13 +267,11 @@ def _int_matrix(obj, backing: str) -> tuple:
     # about 1.7 MB.
     import numpy as np
 
-    from .arrays import _guard
+    from .arrays import _ints
 
     values, index = _matrix_table(obj, backing)
     k = len(index)
-    lcm, ints = _integers(values)
-    eps, dtype, clamp = _guard(max((abs(v) for v in ints if v is not EPS), default=0), _reach(k))
-    table = np.array([eps if v is EPS else v for v in ints], dtype)
+    lcm, table, eps, clamp = _ints(values, _reach(k))
     slots = np.fromiter(chain.from_iterable(index), np.intp, k * k).reshape(k, k)
     return lcm, table[slots], eps, clamp
 

@@ -28,8 +28,8 @@ zero-filled. The backings differ in how a block's states or products are
 formed, on the array kernel of ``arrays``.
 
 Exact: each call scales the support, and the initial conditions, once by
-L, the lcm of their entry denominators (``semiring.scale_to_integers``), and
-stacks the integers (_IntWalk). otimes is positively homogeneous, so
+L, the lcm of their entry denominators, into integer arrays
+(``arrays._operands``, in _IntWalk). otimes is positively homogeneous, so
 products are L times the rational ones, with the same projective classes,
 rank-one tests and dedupe keys; distances are L times larger and are
 compared with L times the exact threshold. Integer max-plus products are
@@ -62,7 +62,6 @@ import numpy as np
 
 from .arrays import (
     _FLOAT_EXACT,
-    _as_array,
     _as_object,
     _diameters,
     _float_states,
@@ -119,9 +118,21 @@ def _as_probability(value):
             value = _fraction(value.strip())
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
-        return float(value)
+        if math.isfinite(value := float(value)):
+            return value
     except (TypeError, ValueError, ZeroDivisionError):
-        raise ContractViolation(f"not a probability: {value!r}") from None
+        pass
+    raise ContractViolation(f"not a probability: {value!r}")
+
+
+def _check_sum(ps: tuple, what: str) -> None:
+    """ContractViolation unless the probabilities ps sum to 1: exactly when
+    all are Fractions, else within 1e-12."""
+    if all(isinstance(p, Fraction) for p in ps):
+        if sum(ps) != 1:
+            raise ContractViolation(f"FiniteSupport: {what} must sum to 1 exactly")
+    elif abs(sum(map(float, ps)) - 1.0) > 1e-12:
+        raise ContractViolation(f"FiniteSupport: {what} must sum to 1 within 1e-12")
 
 
 @dataclass(frozen=True)
@@ -155,11 +166,7 @@ class FiniteSupport:
             raise ContractViolation("FiniteSupport: probabilities do not match support")
         if any((p <= 0) for p in probs):
             raise ContractViolation("FiniteSupport: probabilities must be positive")
-        if all(isinstance(p, Fraction) for p in probs):
-            if sum(probs) != 1:
-                raise ContractViolation("FiniteSupport: probabilities must sum to 1 exactly")
-        elif abs(sum(float(p) for p in probs) - 1.0) > 1e-12:
-            raise ContractViolation("FiniteSupport: probabilities must sum to 1 within 1e-12")
+        _check_sum(probs, "probabilities")
         knl = None
         if kernel is not None:
             rows = tuple(tuple(map(read, row)) for row in kernel)
@@ -168,11 +175,7 @@ class FiniteSupport:
             for row in rows:
                 if any(p < 0 for p in row):
                     raise ContractViolation("FiniteSupport: kernel entries must be >= 0")
-                if all(isinstance(p, Fraction) for p in row):
-                    if sum(row) != 1:
-                        raise ContractViolation("FiniteSupport: kernel rows must sum to 1")
-                elif abs(sum(float(p) for p in row) - 1.0) > 1e-12:
-                    raise ContractViolation("FiniteSupport: kernel rows must sum to 1")
+                _check_sum(row, "kernel rows")
             knl = rows
         return FiniteSupport(mats, probs, knl)
 
@@ -394,7 +397,7 @@ class _FloatStream:
         self.axes = tuple(map(self.order.index, range(4)))
         self.dtype = float
         if isinstance(dist, FiniteSupport):
-            self._support = _as_array(M.rows for M in dist.matrices) if support is None else support
+            self._support = _operands(dist.matrices, (), 1)[1] if support is None else support
             self._letters = _Letters(dist, rng, backward)
             self.dtype = self._support.dtype
 
@@ -421,12 +424,12 @@ class _FloatStream:
                 A = d.sample_fn(self.rng, position)
                 if not isinstance(A, Matrix) or A.k != d.k or A.backing != FLOAT:
                     break
-                mats.append(A.rows)
+                mats.append(A)
         if len(mats) < n:
             self.error = ContractViolation(
                 f"generator {d.name!r} must produce float matrices of size {d.k}"
             )
-        return _as_array(mats).reshape(len(mats), d.k, d.k)
+        return _operands(mats, (), 1)[1] if mats else np.empty((0, d.k, d.k))
 
     def take(self, n: int) -> np.ndarray:
         """The next at most n matrices: fewer, maybe none, only before a
@@ -1525,6 +1528,8 @@ def stability_verdict(D: MatrixDistribution, options: Optional[StabilityOptions]
         raise ContractViolation(f"stability_verdict: mc_seeds must be >= 1, got {opt.mc_seeds}")
     if opt.mc_budget < 0:
         raise ContractViolation(f"stability_verdict: mc_budget must be >= 0, got {opt.mc_budget}")
+    if opt.seed < 0:
+        raise ContractViolation(f"stability_verdict: seed must be >= 0, got {opt.seed}")
     if not 0 <= opt.eta < math.inf:
         raise ContractViolation(f"stability_verdict: eta must be finite and >= 0, got {opt.eta}")
     if opt.eta == 0:  # the Monte-Carlo evidence is a float backward run to tolerance eta

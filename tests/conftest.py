@@ -13,9 +13,10 @@ from fractions import Fraction
 import networkx as nx
 import pytest
 
-from maxplus import arrays, spectral
-from maxplus.semiring import EPS, EXACT, Matrix, scale_to_integers
+from maxplus import spectral
+from maxplus.semiring import EPS, EXACT, Matrix
 from maxplus.graphs import is_irreducible
+from reference_kernel import int_stack, scale_to_integers
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -71,7 +72,7 @@ def level_flags(mats, reach=1):
     integers and stacked as one level of a walk whose values stay within
     reach times their largest magnitude; returns (flags, stack dtype)."""
     _, ints, _ = scale_to_integers(mats)
-    stack, eps, _ = arrays._int_stack(ints, reach)
+    stack, eps, _ = int_stack(ints, reach)
     return spectral._scs1cyc1_flags(stack, eps), stack.dtype
 
 

@@ -9,12 +9,20 @@ operands' own arithmetic: ``Fraction`` or Python float, with eps as
 ``None``. ``mat_oplus``, ``scale_vector`` and ``proj_dist`` are elementwise
 and never left ``maxplus``; they are re-exported so that the reference
 pipelines take every kernel routine from here.
+
+``scale_to_integers`` and ``int_stack`` are the scaling to integer matrices
+and the stacking onto the kernel's dtype that ``maxplus.arrays._ints`` does
+in one pass, kept as its oracle.
 """
 
 import math
 import random
+from itertools import islice
 from typing import Sequence
 
+import numpy as np
+
+from maxplus.arrays import _guard
 from maxplus.projective import proj_dist
 from maxplus.semiring import (
     EPS,
@@ -23,6 +31,7 @@ from maxplus.semiring import (
     ContractViolation,
     Matrix,
     Vector,
+    _integers,
     _require_same_backing,
     mat_oplus,
     otimes,
@@ -31,6 +40,7 @@ from maxplus.semiring import (
 from maxplus.stochastic import FiniteSupport
 
 __all__ = [
+    "int_stack",
     "is_rank_one",
     "mat_mul",
     "mat_oplus",
@@ -39,6 +49,7 @@ __all__ = [
     "matrix_proj_normal",
     "proj_diameter",
     "proj_dist",
+    "scale_to_integers",
     "scale_vector",
     "span_membership",
     "weak_rank",
@@ -259,3 +270,35 @@ def word_product(D: FiniteSupport, word: Sequence[int]) -> Matrix:
     for letter in word[1:]:
         P = mat_mul(D.matrices[letter], P)
     return P
+
+
+def scale_to_integers(matrices: Sequence[Matrix], vectors: Sequence[Vector] = ()):
+    """(L, matrices times L, vectors times L) for L the lcm of every entry
+    denominator: exact containers of Python ints.
+
+    otimes is positively homogeneous, (L A) otimes (L B) = L (A otimes B),
+    so products, projective classes, rank-one tests and distances of the
+    scaled values are those of the originals, up to the one factor L.
+    Float entries count as the exact dyadic rationals they denote.
+    """
+    blocks = [M.rows for M in matrices] + [(x.entries,) for x in vectors]
+    L, flat = _integers([v for rows in blocks for row in rows for v in row])
+    flat = iter(flat)
+    scaled = [tuple(tuple(islice(flat, len(row))) for row in rows) for rows in blocks]
+    n = len(matrices)
+    return (
+        L,
+        tuple(Matrix(rows, EXACT) for rows in scaled[:n]),
+        tuple(Vector(rows[0], EXACT) for rows in scaled[n:]),
+    )
+
+
+def int_stack(mats, reach: int, top: int = 0) -> tuple:
+    """The integer matrices mats as one (m, k, k) array, for a walk whose
+    values stay within reach times top, the largest magnitude of their
+    entries and of the given top, on the dtype ``_guard`` picks. Returns
+    (array, eps, clamp)."""
+    top = max([top] + [abs(v) for A in mats for row in A.rows for v in row if v is not EPS])
+    eps, dtype, clamp = _guard(top, reach)
+    rows = [[[eps if v is EPS else v for v in row] for row in A.rows] for A in mats]
+    return np.array(rows, dtype=dtype), eps, clamp

@@ -21,11 +21,12 @@ from hypothesis import given, settings, strategies as st
 import reference_spectral as reference
 import reference_stochastic
 from conftest import brute_max_cycle_mean, level_flags
+from reference_kernel import scale_to_integers
 
 from maxplus import semiring, spectral, stochastic
 from maxplus.graphs import is_irreducible
 from maxplus.models import cjn_matrix
-from maxplus.semiring import EPS, EXACT, BudgetExceeded, Matrix, scale_to_integers
+from maxplus.semiring import EPS, EXACT, BudgetExceeded, Matrix
 from maxplus.spectral import (
     a_plus,
     classify,

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import subprocess
 import sys
 
@@ -158,6 +159,13 @@ class TestExitCodes:
             ("dist", {"kind": "generator", "name": "shared_uniform_diagonal", "params": {}}),
             ("dist", {"kind": "generator", "name": "cjn_uniform",
                       "params": {"queues": 2, "high": "x"}}),
+            ("dist", {"kind": "finite", "backing": "float", "support": [
+                {"matrix": {"k": 1, "entries": [[0.0]]}, "probability": math.nan}]}),
+            ("dist", {"kind": "finite", "backing": "exact", "kernel": [[math.nan, 1.0], [0, 1]],
+                      "support": [{"matrix": {"k": 1, "entries": [[0]]}, "probability": "1/2"},
+                                  {"matrix": {"k": 1, "entries": [[1]]}, "probability": "1/2"}]}),
+            ("model", {"queues": 2, "law": {"joint": {"atoms": [[1, 2], [2, 1]],
+                                                      "probs": [math.nan, 1.0]}}}),
         ],
     )
     def test_malformed_value_is_contract_violation(self, tmp_path, command, obj):
@@ -169,6 +177,25 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr)["error"]["type"] == "contract"
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--x0", "x0", "--horizon", "3", "--csv", "out.csv"],
+        ["lyapunov", "--x0", "x0", "--horizon", "3"],
+        ["loynes", "--tolerance", "1", "--csv", "out.csv"],
+    ])
+    def test_float_overflow_is_contract_violation(self, tmp_path, argv):
+        """A float model whose states pass the float64 range stops with a
+        contract error and writes no report and no CSV file."""
+        dist = write(tmp_path / "big.json", {"kind": "finite", "k": 2, "backing": "float", "support": [
+            {"matrix": {"k": 2, "entries": [[1e308, 1e308], [1e308, 1e308]]}, "probability": 1.0}]})
+        files = {"x0": write(tmp_path / "x0.json", [0.0, 0.0]), "out.csv": str(tmp_path / "out.csv")}
+        report = tmp_path / "report.json"
+        proc = run_cli(*[files.get(a, a) for a in argv], "--dist", dist, "--seed", "1",
+                       "--output", str(report))
+        assert proc.returncode == 3
+        assert json.loads(proc.stderr)["error"] == {
+            "type": "contract", "message": "a float value overflowed past the float64 range"}
+        assert not report.exists() and not (tmp_path / "out.csv").exists()
 
 
 class TestInProcess:
@@ -543,6 +570,7 @@ class TestThresholds:
             (["--mc-seeds", "0", "--mc-budget", "-1", "--eta", "-1"], "mc_seeds must be >= 1"),
             (["--mc-budget", "-1"], "mc_budget must be >= 0"),
             (["--eta", "-1"], "eta must be finite and >= 0"),
+            (["--seed", "-1"], "stability_verdict: seed must be >= 0, got -1"),
         ],
     )
     def test_monte_carlo_options_are_checked_when_the_search_decides(

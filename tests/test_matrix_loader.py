@@ -1,10 +1,12 @@
-"""The one-pass loader of the spectral commands, ``spectral._int_matrix``,
-gives what the Matrix path gives: the same lcm L, dtype, eps and integer
-array as ``_int_stack(scale_to_integers(matrix_from_json(obj)))``, or the
-same ContractViolation message; and the ``spectral`` and ``power`` commands
-build no Matrix on the way. The two paths share their parse of the distinct
-entries (``semiring._matrix_table``), which ``test_scalar_parse.py`` checks
-against a per-entry parse; this file checks what the loader does after it."""
+"""The array loaders of the spectral readers give what the Matrix path of
+the reference kernel gives: the same lcm L, dtype, eps and integer array as
+``int_stack(scale_to_integers(matrix_from_json(obj)))``, or the same
+ContractViolation message. They are the one-pass loader of the spectral
+commands, ``spectral._int_matrix``, and ``spectral._scaled``, which scales
+a Matrix for the public readers. The spectral and power commands build no
+Matrix on the way. The paths share their parse of the distinct entries
+(``semiring._matrix_table``), which ``test_scalar_parse.py`` checks against
+a per-entry parse; this file checks what the loaders do after it."""
 
 import json
 import math
@@ -14,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxplus import cli, semiring, spectral
-from maxplus.arrays import _int_stack
 from maxplus.semiring import (
     EPS,
     EXACT,
@@ -22,8 +23,8 @@ from maxplus.semiring import (
     ContractViolation,
     Matrix,
     matrix_from_json,
-    scale_to_integers,
 )
+from reference_kernel import int_stack, scale_to_integers
 
 BIG = 2**61 - 1  # a denominator whose lcm takes the record past float64
 
@@ -39,7 +40,7 @@ def outcome(fn, *args):
 def reference(obj, backing):
     A = matrix_from_json(obj, backing)
     L, (B,), _ = scale_to_integers((A,))
-    (B,), eps, _ = _int_stack([B], spectral._reach(A.k))
+    (B,), eps, _ = int_stack([B], spectral._reach(A.k))
     # the lcm once more, from the parsed entries, independently of the scaling
     assert L == math.lcm(*{Fraction(v).denominator for row in A.rows for v in row if v is not EPS})
     return L, B.dtype, eps, B.tolist()
@@ -47,6 +48,11 @@ def reference(obj, backing):
 
 def loaded(obj, backing):
     L, B, eps, _ = spectral._int_matrix(obj, backing)
+    return L, B.dtype, eps, B.tolist()
+
+
+def scaled(obj, backing):
+    L, B, eps, _ = spectral._scaled(matrix_from_json(obj, backing))
     return L, B.dtype, eps, B.tolist()
 
 
@@ -95,6 +101,8 @@ def documents(draw):
 @example({"entries": [[1.0, 1], [True, 0]]}, EXACT)
 @example({"entries": [[-0.0, 0.0], [0.0, -0.0]]}, FLOAT)
 @example({"entries": [[0.1, -0.0], [None, 1e-300]]}, FLOAT)
+@example({"entries": [[0.75, 2.5], [-0.125, None]]}, FLOAT)
+@example({"entries": [[1e308, 1.0], [5e-324, 0.0]]}, FLOAT)
 @example({"entries": [[1, [2]], [{"a": 1}, 0]]}, EXACT)
 @example({"entries": [[1, "x"], [3]]}, EXACT)
 @example({"entries": [[0, 1], 5]}, EXACT)
@@ -102,7 +110,9 @@ def documents(draw):
 @example({"k": 2, "entries": [[0, 1], [1, 0]], "x": 1}, EXACT)
 @example({"entries": [["-inf", None], [None, "-inf"]]}, EXACT)
 def test_loader_matches_the_matrix_path(obj, backing):
-    assert outcome(loaded, obj, backing) == outcome(reference, obj, backing)
+    want = outcome(reference, obj, backing)
+    assert outcome(loaded, obj, backing) == want
+    assert outcome(scaled, obj, backing) == want
 
 
 def test_non_object_documents_match_the_matrix_path():
@@ -113,12 +123,12 @@ def test_non_object_documents_match_the_matrix_path():
 def test_spectral_commands_build_no_matrix(tmp_path, monkeypatch, capsys, count_calls):
     """The spectral and power commands go from JSON to the integer array
     without a per-entry Fraction pass: no Matrix.make, no
-    scale_to_integers. The public readers, which take a Matrix, still
+    matrix_from_json. The public readers, which take a Matrix, still
     count, so the guard sees the path it forbids."""
     path = tmp_path / "a.json"
     path.write_text(json.dumps({"k": 3, "entries": [
         ["1/2", "-inf", 3], [0, "-4/3", "1/2"], [3, 0, "-inf"]]}))
-    calls = count_calls(semiring, "scale_to_integers", "matrix_from_json")
+    calls = count_calls(semiring, "matrix_from_json")
     make = Matrix.make
 
     def counting_make(*args, **kwargs):
@@ -131,4 +141,4 @@ def test_spectral_commands_build_no_matrix(tmp_path, monkeypatch, capsys, count_
     capsys.readouterr()
     assert not calls
     spectral.classify(Matrix.make([[0, 1], [1, 0]]), with_transient=True)
-    assert calls["Matrix.make"] == calls["scale_to_integers"] == 1
+    assert calls["Matrix.make"] == 1
