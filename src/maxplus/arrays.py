@@ -3,18 +3,19 @@
 A k x k matrix is a (k, k) array with -inf for eps, and a stack of them an
 (n, k, k) array. The product P A takes, for each (i, j), the max over l of
 P[i, l] + A[l, j]: ``_max_last(P[:, None, :] + A.T[None], signed)``. The
-float drivers and the exact power walk lay their stacks out with l first
-and take the faster max over that leading axis instead (``_lead_step``).
+stochastic drivers and the exact power walk lay their stacks out with l
+first and take the faster max over that leading axis instead (``_lead_step``).
 
 Its callers:
 
 - the stochastic drivers of ``stochastic`` (simulation, Lyapunov estimates,
-  coupling, the backward scheme): on float64 one step at a time for float
-  models, every state of a block of every replication of a group in one
-  stack (``_float_states``), which steps on the matrices where the block
-  loop drew them, laid out with the steps first and the replications last;
-  and on the integer-scaled support for exact ones, where a block's running
-  products come from one prefix scan (``_scan``) of an (R, n, k, k) stack;
+  coupling, the backward scheme), for both backings: every state of a block
+  of every replication of a group in one stack (``_states``), one step at
+  a time, on the matrices where the block loop drew them, laid out with the
+  steps first and the replications last; on float64 for float models, and
+  on the integer-scaled support for exact ones, where integer max-plus sums
+  and maxima are exact, so the states do not depend on the order in which
+  the products are formed;
 - the exact spectral record of ``spectral`` (irreducibility, Karp's
   algorithm, the closure, its fixpoint check, the critical graph and the
   eigenvectors), on the integer-scaled matrix, which the CLI loads from
@@ -51,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .semiring import EPS, FLOAT, Matrix, _integers
+from .semiring import EPS, FLOAT, ContractViolation, Matrix, _integers
 
 # float64 holds every integer of magnitude below this exactly
 _FLOAT_EXACT = 2**53
@@ -112,27 +113,29 @@ def _lead_step(A: np.ndarray, X: np.ndarray, signed: bool, out=None) -> np.ndarr
     return top
 
 
-def _float_states(At: np.ndarray, X, signed: bool) -> np.ndarray:
-    """Every state of a block of left products on float64, for R blocks of
-    n matrices A[r, j] laid out as the steps read them, the (n, k, k, R)
-    stack At[j, l, i, r] = A[r, j][i, l], and the (R, m, k) stack X of m
-    initial states each, one state a row: S[r, j, s] = A[r, j] S[r, j-1, s]
-    with S[r, -1] = X[r]; with X None the unit vectors, so S[r, j] is the
+def _states(At: np.ndarray, X, signed: bool, clamp) -> np.ndarray:
+    """Every state of a block of left products, for R blocks of n matrices
+    A[r, j] laid out as the steps read them, the (n, k, k, R) stack
+    At[j, l, i, r] = A[r, j][i, l], and the (R, m, k) stack X of m initial
+    states each, one state a row: S[r, j, s] = A[r, j] S[r, j-1, s] with
+    S[r, -1] = X[r]; with X None the unit vectors, so S[r, j] is the
     transpose of A[r, j] ... A[r, 0]. As (P A)^T = A^T P^T, the right
     products P A(0) ... A(j) are the states of the transposes from the rows
     of P, whose stack At holds the matrices as they are. Each step is one
-    _lead_step of At[j] in place: At is read, never copied. Returns S,
-    (R, n, m, k), a view of St[j, i, r, s] = S[r, j, s, i]."""
+    _lead_step of At[j] in place, then clamp of its states in place (the
+    eps clamp of ``_guard`` on an object array): At is read, never copied,
+    and S has its dtype, float64 or object. Returns S, (R, n, m, k), a view
+    of St[j, i, r, s] = S[r, j, s, i]."""
     n, k, _, R = At.shape
-    St = np.empty((n, k, R, k if X is None else X.shape[1]))
+    St = np.empty((n, k, R, k if X is None else X.shape[1]), At.dtype)
     if X is None:  # a copy of A[:, 0], with no sum that could turn -0.0 into 0.0
         St[0] = At[0].transpose(1, 2, 0)
     # one state a replication steps without the trailing axis of 1, which numpy broadcasts slower
     S, At = (St[..., 0], At) if St.shape[-1] == 1 else (St, At[..., None])
     if X is not None:
-        _lead_step(At[0], X.transpose(2, 0, 1).reshape(S[0].shape)[:, None], signed, S[0])
+        clamp(_lead_step(At[0], X.transpose(2, 0, 1).reshape(S[0].shape)[:, None], signed, S[0]))
     for Aj, state, out in zip(At[1:], S[:, :, None], S[1:]):
-        _lead_step(Aj, state, signed, out)
+        clamp(_lead_step(Aj, state, signed, out))
     return St.transpose(2, 0, 3, 1)
 
 
@@ -213,9 +216,14 @@ def _operands(matrices, vectors, reach: int) -> tuple:
 
 
 def _times(P: np.ndarray, Q: np.ndarray, clamp) -> np.ndarray:
-    """The product P Q of arrays (k, j) and (j, m) or (j,), ties to the first."""
+    """The product P Q of arrays (k, j) and (j, m) or (j,), ties to the
+    first; a ContractViolation when a float sum overflows to inf."""
     signed = _negative_zero(P) or _negative_zero(Q)
-    R = _max_last(P + Q if Q.ndim == 1 else P[:, None, :] + Q.T[None], signed)
+    try:
+        with np.errstate(over="raise"):
+            R = _max_last(P + Q if Q.ndim == 1 else P[:, None, :] + Q.T[None], signed)
+    except FloatingPointError:
+        raise ContractViolation("a float value overflowed past the float64 range") from None
     clamp(R)
     return R
 
@@ -240,27 +248,6 @@ def _stack_mul(A: np.ndarray, P: np.ndarray) -> np.ndarray:
     for l in range(1, A.shape[-1]):
         np.maximum(Q, A[..., :, l : l + 1] + P[..., l : l + 1, :], out=Q)
     return Q
-
-
-def _scan(X: np.ndarray, carry, clamp, right: bool = False) -> np.ndarray:
-    """The running products of the integer stack X (..., n, k, k) along its
-    n axis, in place: X[j] becomes X[j] ... X[0] carry, or with right carry
-    X[0] ... X[j]; carry is a (..., k, k) stack or None. A Hillis-Steele
-    scan: ceil(log2 n) _stack_mul calls, each X[j] times X[j - d]. It
-    regroups the products, which integer arithmetic allows and float
-    rounding would not."""
-    if carry is not None:
-        first = _stack_mul(carry, X[..., 0, :, :]) if right else _stack_mul(X[..., 0, :, :], carry)
-        clamp(first)
-        X[..., 0, :, :] = first
-    d = 1
-    while d < X.shape[-3]:
-        late, early = X[..., d:, :, :], X[..., :-d, :, :]
-        Y = _stack_mul(early, late) if right else _stack_mul(late, early)
-        clamp(Y)
-        X[..., d:, :, :] = Y
-        d *= 2
-    return X
 
 
 def _normal(C: np.ndarray, clamp) -> tuple:

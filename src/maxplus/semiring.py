@@ -7,7 +7,8 @@ never mixes backings; operations on mixed operands are rejected.
 
 eps is modelled as ``None``, a distinguished variant rather than a numeric
 sentinel. Products run on the array kernel of ``arrays``, which scales exact
-operands to integers and holds them exactly, so no exact result is rounded.
+operands to integers and holds them exactly, so no exact result is rounded;
+a float product whose sums pass the float64 range raises ContractViolation.
 All containers are immutable and all operations are pure functions.
 """
 

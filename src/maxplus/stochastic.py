@@ -24,28 +24,28 @@ writes each replication's block once, into one array in the layout the
 driver's steps read (``_FloatStream.order``), and tests each stacked
 generator block once for all-eps rows; the driver fails at the step that
 would use such a matrix, and only the tail of a block cut short is
-zero-filled. The backings differ in how a block's states or products are
-formed, on the array kernel of ``arrays``.
+zero-filled. Both backings form a block's states one step at a time, each
+from the one before, on the array kernel (``arrays._states``, on the
+transposes for the backward scheme), through the driver's one walk (_Walk).
 
 Exact: each call scales the support, and the initial conditions, once by
 L, the lcm of their entry denominators, into integer arrays
-(``arrays._operands``, in _IntWalk). otimes is positively homogeneous, so
+(``arrays._operands``, in _Walk). otimes is positively homogeneous, so
 products are L times the rational ones, with the same projective classes,
 rank-one tests and dedupe keys; distances are L times larger and are
-compared with L times the exact threshold. Integer max-plus products are
-exactly associative, so a block's running products come from one prefix
-scan (``arrays._scan``). Every value that leaves the module is divided by L
+compared with L times the exact threshold. Integer max-plus sums and
+maxima are exact, so the values do not depend on the order in which the
+products are formed. Every value that leaves the module is divided by L
 again, and report matrices are products of the original support. The word
 search expands a breadth-first level at a time on the same kernel. Under a
 Markov kernel a letter may follow another when the exact transition
 probability is positive, however small.
 
-Float: float64 with -inf for eps, each state from the one before
-(``arrays._float_states``, on the transposes for the backward scheme), with
-the IEEE additions and maxima of the one-matrix products: of tied signed
-zeros the first is kept, as Python's ``max`` does (``arrays._max_last``,
-which ``semiring.mat_vec`` and ``mat_mul`` share), so reports are bit for
-bit those of ``mat_vec`` and ``projective.proj_dist``, one step at a time.
+Float: float64 with -inf for eps, with the IEEE additions and maxima of the
+one-matrix products: of tied signed zeros the first is kept, as Python's
+``max`` does (``arrays._max_last``, which ``semiring.mat_vec`` and
+``mat_mul`` share), so reports are bit for bit those of ``mat_vec`` and
+``projective.proj_dist``, one step at a time.
 Results leave the module as Python floats.
 """
 
@@ -64,8 +64,6 @@ from .arrays import (
     _FLOAT_EXACT,
     _as_object,
     _diameters,
-    _float_states,
-    _lead_step,
     _matrix_of,
     _max_last,
     _negative_zero,
@@ -75,9 +73,9 @@ from .arrays import (
     _pair_dists,
     _rank_one_flags,
     _scalars,
-    _scan,
     _stack_keys,
     _stack_mul,
+    _states,
     _times,
     _top,
 )
@@ -369,16 +367,16 @@ class _FloatStream:
     (n, k, k) blocks, float64 with -inf for eps. A FiniteSupport picks the
     matrices of a block from its stacked support by the block's letters,
     kept as ``letters``; an exact driver passes its integer stack as
-    support (see _IntWalk). Each replication of a driver call steps on a
+    support (see _Walk). Each replication of a driver call steps on a
     copy (on).
 
     ``order`` is the layout of the stack in which _stacked writes the
     blocks of R replications: the axes of the (R, n, k, k) stack A[r, j]
     that it holds in turn, as for A.transpose(order), and A is
-    stack.transpose(axes). An exact stream keeps A, which arrays._scan
-    reads; a float one holds the matrices transposed and the replications
-    last, as arrays._float_states steps on them, and backward the matrices
-    as they are, for the steps on their transposes.
+    stack.transpose(axes). It depends on the direction alone, for both
+    backings: forward the stack holds the matrices transposed and the
+    replications last, as arrays._states steps on them, and backward the
+    matrices as they are, for the steps on their transposes.
 
     A generator's matrices are checked for their shape (take() stops just
     before a bad matrix and sets error, which _stacked raises, so a driver
@@ -393,7 +391,7 @@ class _FloatStream:
         self.when = when
         self.position = 0
         self.error = None
-        self.order = (0, 1, 2, 3) if support is not None else (1, 2, 3, 0) if backward else (1, 3, 2, 0)
+        self.order = (1, 2, 3, 0) if backward else (1, 3, 2, 0)
         self.axes = tuple(map(self.order.index, range(4)))
         self.dtype = float
         if isinstance(dist, FiniteSupport):
@@ -508,21 +506,32 @@ def _reach(steps: int) -> int:
     return 4 * (steps + 1)
 
 
-class _IntWalk:
-    """The scaled support and initial conditions of an exact driver as
-    integer arrays: float64 with -inf for eps while top * _reach(T) < 2**53
+class _Walk:
+    """The one walk of a driver call: its stream, its initial conditions as
+    the (m, k) array x0, and the step of a block (states).
+
+    Exact: the support and the initial conditions scaled once by L into
+    integer arrays, float64 with -inf for eps while top * _reach(T) < 2**53
     for the T steps formed so far, and from the first block past that
     object arrays of Python ints, with the eps and clamp that arrays._guard
     picks for the whole run. fit(T, *arrays) casts them, and the arrays, to
     the dtype of the block that ends at step T; eps and clamp are those of
-    the current dtype. So a large horizon or budget alone keeps float64."""
+    the current dtype. So a large horizon or budget alone keeps float64.
+    Float: float64 as given, L None, no dtype switch, and signed once a
+    -0.0 was seen (arrays._max_last). clamp runs on each state after its
+    step; float simulate sets it to renormalise its projective state."""
 
-    def __init__(self, D: FiniteSupport, x0s: Sequence[Vector], steps: int):
-        self.dist = D
-        self.L, self.support, self.x0, self._eps, self._clamp = _operands(D.matrices, x0s, _reach(steps))
-        self.top = max(_top(a, a != self._eps) for a in (self.support, self.x0))
-        self.dtype, self.eps, self.clamp = float, -math.inf, _no_clamp
+    def __init__(self, D: MatrixDistribution, x0s: Sequence[Vector], steps: int,
+                 when: Optional[str] = None, backward: bool = False):
+        self.dtype, self.eps, self.clamp, self.L, self.top = float, -math.inf, _no_clamp, None, 0
+        if D.backing == EXACT:
+            self.L, self.support, self.x0, self._eps, self._clamp = _operands(D.matrices, x0s, _reach(steps))
+            self.top = max(_top(a, a != self._eps) for a in (self.support, self.x0))
+        else:
+            self.support, self.x0 = None, _operands((), x0s, 1)[2] if x0s else None
+        self.signed = self.x0 is not None and _negative_zero(self.x0)
         self.fit(0)
+        self.stream = _FloatStream(D, None, when, backward, self.support)
 
     def _cast(self, a):
         if a is None or a.dtype == self.dtype:
@@ -537,20 +546,12 @@ class _IntWalk:
         self.support, self.x0 = self._cast(self.support), self._cast(self.x0)
         return [self._cast(a) for a in arrays]
 
-    def stream(self, backward: bool = False) -> _FloatStream:
-        return _FloatStream(self.dist, None, None, backward, self.support)
-
-    def scan(self, A: np.ndarray, P, t: int, right: bool = False) -> np.ndarray:
-        """The running products of the block A that follows the product P of
-        the first t steps (arrays._scan)."""
-        A, P = self.fit(t + A.shape[-3], A, P)
-        return _scan(A, P, self.clamp, right)
-
-    def act(self, C: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """C x for a stack of products C and states x (..., m, k)."""
-        S = _stack_mul(C, x.swapaxes(-1, -2))
-        self.clamp(S)
-        return S.swapaxes(-1, -2)
+    def states(self, A: np.ndarray, X, t: int) -> np.ndarray:
+        """The states of the block A, a stack in the stream's layout, that
+        follows step t, stepped from X (arrays._states)."""
+        A, X = self.fit(t + len(A), A, X)
+        self.signed = self.signed or _negative_zero(A)
+        return _states(A, X, self.signed, self.clamp)
 
 
 def _first(flags: list) -> Optional[int]:
@@ -649,36 +650,30 @@ def _track(D: MatrixDistribution, x0: Vector, horizon: int, seed: int, replicati
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
     times = [0] + [n for n in range(1, horizon + 1) if n % thin == 0 or n == horizon]
-    if x0.backing == FLOAT:
-        # the projective track steps from the canonical representative, which keeps
-        # its rounding error independent of the state's growing magnitude
-        stream, first = _FloatStream(D, None, "simulate"), _CHUNK
-        track = np.empty((horizon + 1, 2, D.k))  # track[n] = (x(n), projective state)
-        track[0] = (x0.entries, canonicalize(x0).entries)
-        signed = _negative_zero(track[0])
-    else:
-        walk = _IntWalk(D, (x0,), horizon)
-        stream, first, blocks = walk.stream(), _FIRST_CHUNK, [walk.x0]  # L x(n)
+    # a float projective state steps too, from the canonical representative, which
+    # keeps its rounding error independent of the state's growing magnitude
+    exact = x0.backing == EXACT
+    walk = _Walk(D, (x0,) if exact else (x0, canonicalize(x0)), horizon, "simulate")
+    if not exact:
+
+        def project(S):  # S[i, 0, s]: entry i of x(n) and of the projective state
+            S[:, 0, 1] -= _max_last(S[:, 0, 1], walk.signed)
+
+        walk.clamp = project
+    blocks = [walk.x0[None]]  # blocks[b][j] = the states after step j of block b: L x(n) if exact
     # a block that stops short before a bad matrix ends in padding, and the loop raises
-    for _, _, A, _, t in _stacked(range(replication, replication + 1), stream, seed, 0, horizon,
-                                  first):
-        if x0.backing == FLOAT:
-            # A[n - t - 1] is the transpose of A(n - 1), with the one replication last
-            signed = signed or _negative_zero(A)
-            for n, An in enumerate(A, t + 1):
-                y = _lead_step(An, track[n - 1].T[:, None], signed).T
-                y[1] -= _max_last(y[1], signed)
-                track[n] = y
-        else:
-            C = walk.scan(A[0], None if t == 0 else C[-1], t)
-            blocks.append(walk.act(C, walk.x0)[:, 0])
-    if x0.backing == EXACT:
+    for _, _, A, _, t in _stacked(range(replication, replication + 1), walk.stream, seed, 0, horizon,
+                                  _FIRST_CHUNK if exact else _CHUNK):
+        blocks.append(walk.states(A, blocks[-1][-1:], t)[0])
+    if exact:
         # in exact arithmetic the projective state is x(n) minus its maximum
-        X = np.concatenate([b if b.dtype == object else b.astype(np.int64) for b in blocks])
+        X = np.concatenate([b if b.dtype == object else b.astype(np.int64) for b in blocks])[:, 0]
         track = np.stack([X, X - X.max(1, keepdims=True)], 1)
+    else:
+        track = np.concatenate(blocks)  # track[n] = (x(n), projective state)
     kept = track if thin == 1 else track[times]
     parts = [kept[:, 0], kept[:, 1], np.diff(track[:, 0], axis=0)]
-    if x0.backing == EXACT:
+    if exact:
         parts = [part.tolist() for part in parts]
         fracs = {v: Fraction(v, walk.L) for v in set().union(*parts[0], *parts[1], *parts[2])}
         parts = [[list(map(fracs.__getitem__, row)) for row in part] for part in parts]
@@ -762,8 +757,8 @@ def lyapunov_estimate(
 def _group(replications: int, total: int, first: int = _FIRST_CHUNK, cap: int = _CHUNK) -> list:
     """Replication ranges stepped as one stack: at most cap matrices per
     block of a group, for blocks of _block_sizes(total, first), so a
-    temporary of the scan or of the states holds O(cap m k^2) entries
-    however many replications run."""
+    temporary of the states holds O(cap m k^2) entries however many
+    replications run."""
     largest = max(itertools.islice(_block_sizes(total, first), 8), default=1)
     size = max(1, cap // largest)
     return [range(lo, min(lo + size, replications)) for lo in range(0, replications, size)]
@@ -778,38 +773,28 @@ _FLOAT_GROUP = 2**21
 
 
 def _growth(D, x0, horizon, replications, seed, channel) -> list:
-    """max_i x_i(horizon) / horizon per replication, the replications of a
-    group stepped as one stack (_stacked). Exact: groups of _group, and
-    x = C x for the product C of each block, the last of its scan. Float:
-    groups of at most _FLOAT_GROUP entries a block, x the last of the
-    block's states (arrays._float_states). A replication's steps do not
-    depend on the others of its group, so neither do its values."""
-    exact = D.backing == EXACT
-    if exact:
-        walk = _IntWalk(D, (x0,), horizon)
-        groups, first, start = _group(replications, horizon), _FIRST_CHUNK, walk.x0[0]
-        stream = walk.stream()
+    """max_i x_i(horizon) / horizon per replication, x the last state of
+    each block (arrays._states), the replications of a group stepped as one
+    stack (_stacked): exact ones in groups of _group, float ones of at most
+    _FLOAT_GROUP entries a block. A replication's steps do not depend on the
+    others of its group, so neither do its values."""
+    walk = _Walk(D, (x0,), horizon, "lyapunov_estimate")
+    if D.backing == EXACT:
+        groups, first = _group(replications, horizon), _FIRST_CHUNK
     else:
         first = _CHUNK
         groups = _group(replications, horizon, first, _FLOAT_GROUP // (D.k * D.k))
-        start = np.array([-math.inf if v is EPS else v for v in x0.entries])
-        stream = _FloatStream(D, None, "lyapunov_estimate")
-    values, signed = [], _negative_zero(start)
+    values = []
     for reps in groups:
-        x = np.tile(start, (len(reps), 1))
-        for _, keep, A, _, t in _stacked(reps, stream, seed, channel, horizon, first):
-            if exact:
-                A, x = walk.fit(t + A.shape[1], A, x[keep])
-                x = walk.act(_scan(A, None, walk.clamp)[:, -1], x[:, None])[:, 0]
-            else:
-                signed = signed or _negative_zero(A)
-                x = _float_states(A, x[keep, None], signed)[:, -1, 0]
-        if (x == (walk.eps if exact else -math.inf)).any():
+        x = np.tile(walk.x0, (len(reps), 1))
+        for _, keep, A, _, t in _stacked(reps, walk.stream, seed, channel, horizon, first):
+            x = walk.states(A, x[keep, None], t)[:, -1, 0]
+        if (x == walk.eps).any():
             raise ContractViolation("lyapunov_estimate: the state at the horizon has eps coordinates")
-        if exact:
+        if D.backing == EXACT:
             values += [Fraction(int(v), walk.L * horizon) for v in x.max(-1).tolist()]
         else:
-            values += (_max_last(x, signed) / horizon).tolist()
+            values += (_max_last(x, walk.signed) / horizon).tolist()
     return values
 
 
@@ -846,19 +831,20 @@ class CouplingReport:
     samples: tuple
 
 
-def _window(walk: _IntWalk, letters: np.ndarray) -> tuple:
+def _window(walk: _Walk, letters: np.ndarray) -> tuple:
     """(p, n - p) for the largest p whose product A(n-1) ... A(p) of the n
-    letters is rank-one: the first rank-one product of the right scan over
-    the letters in reverse. The caller knows p = 0 qualifies."""
+    letters is rank-one: the first rank-one one of the right products of
+    the letters in reverse, the states of their transposes (arrays._states).
+    The caller knows p = 0 qualifies."""
     n = len(letters)
     back = letters[::-1]
     P, lo = None, 0
     for size in _block_sizes(n, _FIRST_CHUNK):
-        S = _scan(walk.support[back[lo : lo + size]], P, walk.clamp, right=True)
+        S = walk.states(walk.support[back[lo : lo + size], ..., None], P, lo)[0]
         j = _first(_rank_one_flags(_normal(S, walk.clamp)[0], walk.clamp))
         if j is not None:
             return n - 1 - (lo + j), lo + j + 1
-        P, lo = S[-1], lo + size
+        P, lo = S[None, -1], lo + size
     raise AssertionError("the whole word is rank-one")
 
 
@@ -877,14 +863,14 @@ def forward_coupling(
     eta coupling only. Replications are independent and reported in order;
     threads is accepted and has no effect.
 
-    The replications of a group step as one stack (_stacked), and every
-    step of a block is tested at once: the largest pairwise distance of the
-    states against eta (and 0, the merge), and the rank-one test of the
-    running product for the window. Exact: groups of _group, a block's
-    running products C[t] = A(t) ... A(0) come from one scan, and the
-    states are C[t] x0.
-    Float: groups of at most _FLOAT_GROUP entries a block, the states of
-    arrays._float_states, eta only."""
+    The replications of a group step as one stack (_stacked), their states
+    formed a block at a time (arrays._states), and every step of a block is
+    tested at once: the largest pairwise distance of the states against eta
+    (and 0, the merge), and the rank-one test of the running product for
+    the window. Exact: groups of _group, and the k unit vectors step with
+    the initial conditions, so the last k rows of a state are the transpose
+    of the running product A(t) ... A(0). Float: groups of at most
+    _FLOAT_GROUP entries a block, eta only."""
     x0s = tuple(initial_conditions)
     if len(x0s) < 2:
         raise ContractViolation("forward_coupling: need at least two initial conditions")
@@ -904,18 +890,19 @@ def forward_coupling(
         raise ContractViolation("forward_coupling: horizon must be >= 0")
     if replications < 1:
         raise ContractViolation("replications must be >= 1")
-    exact = backing == EXACT
+    exact, m = backing == EXACT, len(x0s)
+    # exact: the unit vectors step too, as the transposed running products
+    units = tuple(Vector(row, EXACT) for row in Matrix.identity(D.k).rows) if exact else ()
+    walk = _Walk(D, x0s + units, horizon, "forward_coupling")
     if exact:
-        walk = _IntWalk(D, x0s, horizon)
         cap = walk.top * _reach(horizon)  # above every distance
         bound = min(math.floor(Fraction(eta) * walk.L), cap)
-        x0, groups, stream = walk.x0, _group(replications, horizon), walk.stream()
+        groups = _group(replications, horizon)
     else:
-        x0, bound = np.array([v.entries for v in x0s]), eta
+        bound = eta
         # the matrices, k^2 entries a step, and the pair distances, m^2 k
-        per_step = D.k * max(D.k, len(x0s) ** 2)
+        per_step = D.k * max(D.k, m**2)
         groups = _group(replications, horizon, _FIRST_CHUNK, _FLOAT_GROUP // per_step)
-        stream = _FloatStream(D, None, "forward_coupling")
 
     def near(d):
         # d <= eta; float64 holds the integer distances below 2**53
@@ -925,29 +912,23 @@ def forward_coupling(
         merge, close, window = found[rep]
         return close is not None and not (exact and (merge is None or window is None))
 
-    d0 = _pair_dists(x0[None])
+    d0 = _pair_dists(walk.x0[None, :m])
     # merge time, eta time, window; and the letters drawn before the window
     found = {rep: [0 if exact and d0[0] == 0 else None, 0 if near(d0)[0] else None, None]
              for rep in range(replications)}
     seen = {rep: [] for rep in found if exact}
-    signed = not exact and _negative_zero(x0)
     for reps in groups:
-        for live, keep, A, lengths, t in _stacked(reps, stream, seed, 0, horizon, _FIRST_CHUNK, ended,
-                                                  seen):
+        for live, keep, A, lengths, t in _stacked(reps, walk.stream, seed, 0, horizon, _FIRST_CHUNK,
+                                                  ended, seen):
+            S = walk.states(A, np.tile(walk.x0, (len(live), 1, 1)) if t == 0 else S[keep, -1], t)
+            open_ = [i for i, rep in enumerate(live) if exact and found[rep][2] is None]
             rank_one = {}
-            if exact:
-                n = A.shape[1]
-                C = walk.scan(A, None if t == 0 else C[keep, -1], t)
-                S = walk.act(C, walk.x0)
-                open_ = [i for i, rep in enumerate(live) if found[rep][2] is None]
-                if open_:
-                    Q = _normal(C[open_], walk.clamp)[0].reshape(-1, D.k, D.k)
-                    flags = _rank_one_flags(Q, walk.clamp)
-                    rank_one = {i: flags[a * n : (a + 1) * n] for a, i in enumerate(open_)}
-            else:
-                signed = signed or _negative_zero(A)
-                S = _float_states(A, np.array([x0] * len(live)) if t == 0 else S[keep, -1], signed)
-            d = _pair_dists(S)
+            if open_:
+                n = len(A)
+                Q = _normal(S[open_, :, m:], walk.clamp)[0].reshape(-1, D.k, D.k)
+                flags = _rank_one_flags(Q, walk.clamp)
+                rank_one = {i: flags[a * n : (a + 1) * n] for a, i in enumerate(open_)}
+            d = _pair_dists(S[:, :, :m])
             merged, close = (d == 0).tolist(), near(d)
             for i, rep in enumerate(live):
                 b = lengths[i]
@@ -1027,12 +1008,11 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
 
     The products P(1..n) of a block are tested at once, and the
     replications of a group step as one (R, k, k) stack of products
-    (_stacked): each leaves it when it converges or runs out of budget.
-    Exact: groups of _group, a block's products come from one right scan,
-    and tolerance 0 is the rank-one test of their normal forms. Float:
-    groups of at most _FLOAT_GROUP entries a block, the products
-    P A(1) ... A(j) the states of arrays._float_states on the transposed
-    matrices."""
+    (_stacked): each leaves it when it converges or runs out of budget. The
+    products P A(1) ... A(j) are the states of the transposed matrices
+    (arrays._states). Exact: groups of _group, and tolerance 0 is the
+    rank-one test of their normal forms. Float: groups of at most
+    _FLOAT_GROUP entries a block."""
     backing = dist_backing(D)
     if isinstance(tolerance, float) and not math.isfinite(tolerance):
         raise ContractViolation(f"backward_loynes: tolerance must be finite, got {tolerance}")
@@ -1049,15 +1029,13 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
         raise ContractViolation("backward_loynes: budget and trace_every must be >= 0")
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
+    walk = _Walk(D, (), budget, "backward_loynes", backward=True)
     if backing == FLOAT:
-        stream = _FloatStream(D, None, "backward_loynes", backward=True)
         # the pair distances behind the diameters take k^3 entries a step
         groups = _group(len(replications), budget, _FIRST_CHUNK, _FLOAT_GROUP // D.k**3)
-        bound, unscaled, ratio, eps, L = tol, float, float, -math.inf, None
+        bound, unscaled, ratio = tol, float, float
     else:
-        walk = _IntWalk(D, (), budget)
-        stream, L = walk.stream(backward=True), walk.L
-        groups, bound = _group(len(replications), budget), Fraction(tol) * L
+        groups, bound = _group(len(replications), budget), Fraction(tol) * walk.L
 
         def unscaled(d):
             # what proj_diameter gives on the unscaled product: 0 and inf as they are
@@ -1067,25 +1045,19 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
             # float(unscaled(d)), as int / int rounds correctly
             return d if d == math.inf else int(d) / walk.L
 
-    def limit(Z, signed):
-        col = Z[:, int((Z != eps).all(0).argmax())]  # the first finite column
-        return ProjVector(_scalars(col - _max_last(col, signed), eps, L), backing)
+    def limit(Z):
+        col = Z[:, int((Z != walk.eps).all(0).argmax())]  # the first finite column
+        return ProjVector(_scalars(col - _max_last(col, walk.signed), walk.eps, walk.L), backing)
 
     traces, lasts, ended = {rep: [] for rep in replications}, dict.fromkeys(replications, math.inf), {}
-    signed = False
     for group in groups:
         reps = replications[group.start : group.stop]
-        for live, keep, A, lengths, t in _stacked(reps, stream, seed, 1, budget, _FIRST_CHUNK,
+        for live, keep, A, lengths, t in _stacked(reps, walk.stream, seed, 1, budget, _FIRST_CHUNK,
                                                   ended.__contains__):
-            P = None if t == 0 else Ps[keep, -1]
-            if backing == FLOAT:
-                signed = signed or _negative_zero(A)
-                # the stack holds the matrices, which are the transposes of the
-                # transposes; the diameters read the products faster in C order
-                Ps = np.ascontiguousarray(_float_states(A, P, signed))
-            else:
-                Ps, eps = walk.scan(A, P, t, right=True), walk.eps
-            diams = _diameters(Ps, eps) if tolerance != 0 or trace_every else None
+            # the stack holds the matrices, which are the transposes of the
+            # transposes; the diameters read the products faster in C order
+            Ps = np.ascontiguousarray(walk.states(A, None if t == 0 else Ps[keep, -1], t))
+            diams = _diameters(Ps, walk.eps) if tolerance != 0 or trace_every else None
             if tolerance == 0:
                 n = Ps.shape[1]
                 flags = _rank_one_flags(_normal(Ps, walk.clamp)[0].reshape(-1, D.k, D.k), walk.clamp)
@@ -1111,11 +1083,11 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
                     lasts[rep] = diams[i][traced[-1]]
                 last = lasts[rep]
                 if end is not None:
-                    ended[rep] = LoynesResult(True, t + end + 1, limit(Ps[i, end], signed),
+                    ended[rep] = LoynesResult(True, t + end + 1, limit(Ps[i, end]),
                                               unscaled(last), tol, tuple(traces[rep]), seed, rep)
                 elif t + b == budget:  # out of budget
                     if last == math.inf and tolerance == 0:
-                        last = _diameters(Ps[i, -1], eps)
+                        last = _diameters(Ps[i, -1], walk.eps)
                     ended[rep] = LoynesResult(False, budget, None, unscaled(last), tol,
                                               tuple(traces[rep]), seed, rep)
     # a budget of 0 steps no block

@@ -1,8 +1,9 @@
 """The exact stochastic drivers as block recursions on the array kernel.
 
 ``simulate``, ``lyapunov_estimate``, ``forward_coupling`` and
-``backward_loynes`` form a block's running products of the integer-scaled
-support with one prefix scan and test every step of the block at once.
+``backward_loynes`` step a block's states on the integer-scaled support one
+matrix at a time, as the float drivers do, and test every step of the
+block at once.
 These tests hold them to the one-matrix-at-a-time ``Fraction`` routines of
 ``reference_stochastic``, on report JSON text, on both sides of the
 float64/object guard, and check that no scalar kernel call runs inside.
@@ -138,15 +139,15 @@ class TestAgainstReference:
 
 
 def spy_scans(monkeypatch):
-    """The dtype and length of every block the drivers scan."""
+    """The dtype and length of every block the drivers step."""
     seen = []
 
-    def recording(X, *args, **kwargs):
-        seen.append((X.dtype, X.shape[-3]))
-        return scan(X, *args, **kwargs)
+    def recording(At, *args, **kwargs):
+        seen.append((At.dtype, len(At)))
+        return states(At, *args, **kwargs)
 
-    scan = stochastic._scan
-    monkeypatch.setattr(stochastic, "_scan", recording)
+    states = stochastic._states
+    monkeypatch.setattr(stochastic, "_states", recording)
     return seen
 
 
@@ -243,18 +244,73 @@ def test_exact_drivers_make_no_scalar_call(count_calls):
     assert products["mat_mul"] == 1  # the counter sees the calls through other modules
 
 
-def test_scan_forms_the_running_products():
+def test_states_form_the_running_products():
+    """_states gives the transposes of the left running products
+    A(j) ... A(0) with X None, and, on the matrices as they are, the right
+    ones P A(0) ... A(j) stepped from the rows of P: those of a _stack_mul
+    chain, on float64 and on an object array of Python ints past 2**53,
+    whose eps sums each step clamps back to eps."""
     rng = np.random.default_rng(0)
-    X = rng.integers(-9, 9, (2, 7, 3, 3)).astype(float)
-    X[X < -6] = -math.inf
-    carry = rng.integers(-9, 9, (2, 3, 3)).astype(float)
-    for right in (False, True):
-        got = arrays._scan(X.copy(), carry, arrays._no_clamp, right)
-        for g in range(2):
-            P = carry[g]
+    A = rng.integers(-9, 9, (2, 7, 3, 3)).astype(float)  # A[r, j]
+    A[A < -6] = -math.inf
+    P = rng.integers(-9, 9, (2, 3, 3)).astype(float)
+    P[:, 0] = -math.inf  # so every right product has an eps row
+    eps, dtype, clamp = arrays._guard(9 * (2**60 + 1), stochastic._reach(8))
+    assert dtype is object
+
+    def big(a):  # the finite entries times 2**60 + 1, as Python ints, and eps for -inf
+        finite = a != -math.inf
+        return arrays._as_object(arrays._as_object(a, finite, 0) * (2**60 + 1), finite, eps)
+
+    for A, P, eps, clamp in [(A, P, -math.inf, arrays._no_clamp), (big(A), big(P), eps, clamp)]:
+        left = arrays._states(A.transpose(1, 3, 2, 0), None, False, clamp)
+        right = arrays._states(A.transpose(1, 2, 3, 0), P, False, clamp)
+        assert left.dtype == right.dtype == A.dtype
+        for r in range(2):
+            C, Q = A[r, 0], P[r]
             for j in range(7):
-                P = arrays._stack_mul(P, X[g, j]) if right else arrays._stack_mul(X[g, j], P)
-                assert (got[g, j] == P).all()
+                if j:
+                    C = arrays._stack_mul(A[r, j], C)
+                    clamp(C)
+                Q = arrays._stack_mul(Q, A[r, j])
+                clamp(Q)
+                assert (left[r, j] == C.T).all() and (right[r, j] == Q).all()
+        assert (left == eps).any() and (right == eps).any()  # so the chains test the clamp
+
+
+def test_every_driver_steps_on_states(monkeypatch, count_calls):
+    """The four drivers, and the coupling window, form their states on
+    arrays._states for both backings: no second step path is left, and no
+    prefix scan beside it."""
+    assert not hasattr(arrays, "_scan")
+    calls = count_calls(arrays, "_states")
+    windows, window = [], stochastic._window
+
+    def counted(*args):
+        before = calls["_states"]
+        got = window(*args)
+        windows.append(calls["_states"] - before)
+        return got
+
+    monkeypatch.setattr(stochastic, "_window", counted)
+    D = FiniteSupport.make(
+        [M([[2, EPS, "1/2"], [1, 1, EPS], [EPS, 1, "3/2"]]),
+         M([[1, EPS, 1], [1, "1/3", EPS], [EPS, 1, 1]])], ["1/2", "1/2"])
+    for model, tolerance in [(D, 0), (D.to_float(), 0.5)]:
+        x0s = [V([0, 0, 0]), V([0, 5, 2])]
+        if model.backing == "float":
+            x0s = [x.to_float() for x in x0s]
+        runs = [
+            lambda: simulate(model, x0s[1], 40, 1),
+            lambda: lyapunov_estimate(model, 40, 2, 1),
+            lambda: forward_coupling(model, x0s, 40, 1e-6, 1, 2),
+            lambda: backward_loynes(model, tolerance, 40, 1),
+        ]
+        for run in runs:
+            before = calls["_states"]
+            run()
+            assert calls["_states"] > before
+    assert windows and min(windows) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,7 @@ def test_float_steps_read_the_stack_in_place(monkeypatch):
         return step(A, X, signed, out)
 
     monkeypatch.setattr(stochastic, "_stacked", recording_stacked)
-    monkeypatch.setattr(stochastic, "_lead_step", recording_step)
-    monkeypatch.setattr(arrays, "_lead_step", recording_step)
+    monkeypatch.setattr(arrays, "_lead_step", recording_step)  # every driver steps in arrays._states
     D = shared_uniform_diagonal(3, 0.1, 1.2)
     x0s = [_x0(3), Vector((1.0, 0.0, 3.0), FLOAT)]
     runs = [

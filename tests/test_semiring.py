@@ -112,6 +112,18 @@ class TestMatrixAlgebra:
         got = mat_vec(A, v)
         assert got.entries == (Fraction(4), Fraction(3))
 
+    @pytest.mark.parametrize("product", [
+        lambda A: mat_mul(A, A),
+        lambda A: mat_vec(A, Vector.make([1e308, 0.0], FLOAT)),
+        lambda A: mat_power(A, 2),
+    ])
+    def test_float_overflow_is_a_contract_violation(self, product):
+        """A float sum past the float64 range raises, with no inf in a
+        result and no numpy warning."""
+        A = M([[1e308, 1e308], [0.0, 0.0]], FLOAT)
+        with pytest.raises(ContractViolation, match="a float value overflowed past the float64 range"):
+            product(A)
+
     def test_mixed_backing_rejected(self):
         A = M([[1, EPS], [0, 2]])
         B = M([[1.0, EPS], [0.0, 2.0]], FLOAT)

@@ -685,7 +685,7 @@ def test_exact_routines_multiply_integers(monkeypatch, count_calls):
 
         return wrapper
 
-    for name in ("_stack_mul", "_scan"):
+    for name in ("_stack_mul", "_states"):
         monkeypatch.setattr(stochastic, name, recording(getattr(stochastic, name)))
     assert pattern_search(D, max_len=8).found
     x0s = [V(["1/5", 0, 2]), V([0, "3/4", 1])]
