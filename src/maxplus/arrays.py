@@ -25,10 +25,11 @@ Its callers:
   integer-scaled support: it expands a whole breadth-first level as one
   stack of products (``_stack_mul``), takes their projective normal forms
   (``_normal``), tests the new ones for rank one at once
-  (``_rank_one_flags``), and, until a weak pattern is found, hands each
-  level's new states to the batched spectral record at once
-  (``spectral._scs1cyc1_flags``); ``spectral.first_rank_one_power`` tests
-  the powers of its power loop the same way;
+  (``_rank_one_flags``), and, until a weak pattern is found, hands the new
+  states of each level ahead of its first rank-one one to the batched
+  spectral record at once (``spectral._scs1cyc1_flags``): a rank-one state
+  is scs1cyc1 iff it has no eps entry; ``spectral.first_rank_one_power``
+  tests the powers of its power loop the same way;
 - the one-matrix public API (``semiring.mat_mul``, ``mat_vec``,
   ``mat_power``; ``projective.is_rank_one``, ``matrix_proj_normal``,
   ``proj_diameter``; ``spectral.span_membership``, ``weak_rank``;

@@ -10,23 +10,25 @@ certificates (windows whose matrix product is rank-one), projective-
 semigroup pattern search, and structural condition checks; float models get
 Monte-Carlo estimates and eta-coupling.
 
-A stream yields its matrices in (n, k, k) blocks (_FloatStream): a finite
-support picks rows of its stacked support by a block of uniforms, a
-generator draws a block through its ``sample_block(rng, n)`` or stacks n
-``sample_fn`` calls. Blocks hold at most ``_CHUNK`` matrices, so memory
-stays O(_CHUNK k^2) on long horizons; drivers that stop early start from
-``_FIRST_CHUNK`` and double. Each driver (``simulate``,
-``lyapunov_estimate``, ``forward_coupling``, ``backward_loynes``) runs on
-one block loop (_stacked) that steps its independent replications as one
-stack and owns their streams and the order of their errors; the driver
-keeps its state update and tests every step of a block at once. The loop
-writes each replication's block once, into one array in the layout the
-driver's steps read (``_FloatStream.order``), and tests each stacked
-generator block once for all-eps rows; the driver fails at the step that
-would use such a matrix, and only the tail of a block cut short is
-zero-filled. Both backings form a block's states one step at a time, each
-from the one before, on the array kernel (``arrays._states``, on the
-transposes for the backward scheme), through the driver's one walk (_Walk).
+Each driver call (``simulate``, ``lyapunov_estimate``,
+``forward_coupling``, ``backward_loynes``) and ``sample_sequence`` runs on
+one walk (_Walk). It draws each replication's matrices on its own random
+stream in (n, k, k) blocks: a finite support picks rows of its stacked
+support by a block of uniforms, a generator draws a block through its
+``sample_block(rng, n)`` or stacks n ``sample_fn`` calls. Blocks hold at
+most ``_CHUNK`` matrices, so memory stays O(_CHUNK k^2) on long horizons;
+drivers that stop early start from ``_FIRST_CHUNK`` and double. The
+walk's block loop (``_Walk.blocks``) steps a group of independent
+replications as one stack and owns their streams and the order of their
+errors; the driver keeps its state update and tests every step of a block
+at once. The loop writes each replication's block once, into one array in
+the layout the driver's steps read (``_Walk.order``), and tests each
+stacked generator block once for all-eps rows; the driver fails at the
+step that would use such a matrix, and only the tail of a block cut short
+is zero-filled. Both backings form a block's states one step at a time,
+each from the one before, on the array kernel (``arrays._states``, on the
+transposes for the backward scheme), through the walk's step
+(``_Walk.states``).
 
 Exact: each call scales the support, and the initial conditions, once by
 L, the lcm of their entry denominators, into integer arrays
@@ -306,20 +308,18 @@ class _Letters:
     """Support indices of a FiniteSupport on one random stream, one uniform
     u per index: iid draws pick bisect_right(cumulative probabilities, u),
     clipped to the last index; a Markov chain starts from its stationary
-    law and walks the kernel, time-reversed for the backward scheme."""
+    law and walks the kernel, time-reversed for the backward scheme. A walk
+    builds the tables once a call, and each of its replications draws on a
+    copy (on)."""
 
     def __init__(self, D: FiniteSupport, rng: np.random.Generator, backward: bool = False):
-        self._rng = rng
+        self._rng, self._rows, self._state = rng, None, None
         self._cum = np.array(_cum_floats(D.probabilities))
-        self._rows = None
-        self._state = None
         if D.kernel is not None:
             pi = stationary_distribution(D.kernel)
             self._pi_cum = _cum_floats(pi)
-            if backward:
-                self._rows = _reverse_kernel_cum(D.kernel, pi)
-            else:
-                self._rows = [_cum_floats(row) for row in D.kernel]
+            self._rows = (_reverse_kernel_cum(D.kernel, pi) if backward
+                          else [_cum_floats(row) for row in D.kernel])
 
     def on(self, rng: np.random.Generator) -> "_Letters":
         """These letters on another random stream, sharing the tables."""
@@ -362,142 +362,6 @@ def _sample_one(sample_block: Callable) -> Callable:
     return lambda rng, n: _matrix_of(sample_block(rng, 1)[0])
 
 
-class _FloatStream:
-    """A(0), A(1), ... or, backward, A(-1), A(-2), ... of a distribution as
-    (n, k, k) blocks, float64 with -inf for eps. A FiniteSupport picks the
-    matrices of a block from its stacked support by the block's letters,
-    kept as ``letters``; an exact driver passes its integer stack as
-    support (see _Walk). Each replication of a driver call steps on a
-    copy (on).
-
-    ``order`` is the layout of the stack in which _stacked writes the
-    blocks of R replications: the axes of the (R, n, k, k) stack A[r, j]
-    that it holds in turn, as for A.transpose(order), and A is
-    stack.transpose(axes). It depends on the direction alone, for both
-    backings: forward the stack holds the matrices transposed and the
-    replications last, as arrays._states steps on them, and backward the
-    matrices as they are, for the steps on their transposes.
-
-    A generator's matrices are checked for their shape (take() stops just
-    before a bad matrix and sets error, which _stacked raises, so a driver
-    fails at the step that would use the matrix), and, when ``when`` names
-    the caller, for all-eps rows, once a stacked block (_stacked).
-    """
-
-    def __init__(self, dist: MatrixDistribution, rng: Optional[np.random.Generator],
-                 when: Optional[str], backward: bool = False, support=None):
-        self.dist = dist
-        self.rng = rng
-        self.when = when
-        self.position = 0
-        self.error = None
-        self.order = (1, 2, 3, 0) if backward else (1, 3, 2, 0)
-        self.axes = tuple(map(self.order.index, range(4)))
-        self.dtype = float
-        if isinstance(dist, FiniteSupport):
-            self._support = _operands(dist.matrices, (), 1)[1] if support is None else support
-            self._letters = _Letters(dist, rng, backward)
-            self.dtype = self._support.dtype
-
-    def on(self, rng: np.random.Generator) -> "_FloatStream":
-        """This stream on another random stream, sharing its support and tables."""
-        stream = object.__new__(_FloatStream)
-        stream.__dict__.update(self.__dict__, rng=rng, position=0, error=None)
-        if isinstance(self.dist, FiniteSupport):
-            stream._letters = self._letters.on(rng)
-        return stream
-
-    def _draw(self, n: int) -> np.ndarray:
-        d = self.dist
-        if isinstance(d, FiniteSupport):
-            self.letters = self._letters.draw(n)
-            return self._support[self.letters]
-        mats = []
-        if d.sample_block is not None:
-            block = np.asarray(d.sample_block(self.rng, n), dtype=float)
-            if block.shape == (n, d.k, d.k):
-                return block
-        else:
-            for position in range(self.position, self.position + n):
-                A = d.sample_fn(self.rng, position)
-                if not isinstance(A, Matrix) or A.k != d.k or A.backing != FLOAT:
-                    break
-                mats.append(A)
-        if len(mats) < n:
-            self.error = ContractViolation(
-                f"generator {d.name!r} must produce float matrices of size {d.k}"
-            )
-        return _operands(mats, (), 1)[1] if mats else np.empty((0, d.k, d.k))
-
-    def take(self, n: int) -> np.ndarray:
-        """The next at most n matrices: fewer, maybe none, only before a
-        misshapen matrix."""
-        block = self._draw(n)
-        self.position += len(block)
-        return block
-
-
-def _stacked(reps: range, stream: _FloatStream, seed: int, channel: int, total: int, first: int,
-             ended=lambda rep: False, letters: Optional[dict] = None):
-    """The blocks of the replications reps of a stacked driver, each on
-    stream.on(the random stream (seed, rep, channel)). For each block of
-    _block_sizes(total, first) it yields (live, keep, A, lengths, t): the
-    replications that step on, their indices into the live of the block
-    before (into reps at the first), their next n matrices as one stack in
-    the layout of stream.order, each one's length, and the steps before the
-    block.
-
-    Each replication's matrices are written once, into their place in the
-    stack. A block that stops short before a bad matrix, one of the wrong
-    shape or (when stream.when names the caller) one with an all-eps row,
-    ends in zero matrices, whose steps the driver ignores; only such a tail
-    is filled. Unless ended(rep), replication rep has then met its stream's
-    error. So each replication ends as it would alone, those after the
-    lowest failed one stop, and its error is raised once every one before
-    it has ended: a stack raises what running its replications one after
-    another would. letters maps replications to lists that collect the
-    letters of each of their blocks."""
-    streams = {rep: stream.on(_stream(seed, rep, channel)) for rep in reps if not ended(rep)}
-    live, failed, t = list(reps), {}, 0
-    sizes = _block_sizes(total, first)
-    while True:
-        for rep in live:
-            if not ended(rep) and streams[rep].error is not None:
-                failed[rep] = streams[rep].error
-        cut = min(failed, default=math.inf)
-        keep = [i for i, rep in enumerate(live) if not ended(rep) and rep < cut]
-        live = [live[i] for i in keep]
-        n = next(sizes, 0)
-        if not live or not n:
-            break
-        shape = (len(live), n, stream.dist.k, stream.dist.k)
-        stack = np.empty([shape[axis] for axis in stream.order], stream.dtype)
-        A, lengths = stack.transpose(stream.axes), []  # A[r, j]: matrix j of live[r]
-        for a, rep in zip(A, live):
-            block = streams[rep].take(n)
-            a[: len(block)] = block
-            a[len(block) :] = 0
-            lengths.append(len(block))
-        for rep in (letters or {}).keys() & set(live):
-            letters[rep].append(streams[rep].letters)
-        if stream.when is not None and isinstance(stream.dist, GeneratorDistribution):
-            eps = A == -math.inf
-            if eps.any():  # else no row is all eps
-                dead = eps.all(-1)  # [r, j, i]: row i of A[r, j]; no zero tail has one
-                for i in np.flatnonzero(dead.any((1, 2))).tolist():
-                    j = int(dead[i].any(-1).argmax())
-                    streams[live[i]].error = ContractViolation(
-                        f"{stream.when}: matrix row {int(dead[i, j].argmax())} is all eps "
-                        "(every row needs a finite entry)"
-                    )
-                    lengths[i] = j
-                    A[i, j:] = 0
-        yield live, keep, stack, lengths, t
-        t += n
-    if failed:
-        raise failed[min(failed)]
-
-
 def _reach(steps: int) -> int:
     """Every integer an exact driver forms within steps steps is at most
     top * _reach(steps) in magnitude, top the largest of the scaled support
@@ -507,8 +371,19 @@ def _reach(steps: int) -> int:
 
 
 class _Walk:
-    """The one walk of a driver call: its stream, its initial conditions as
-    the (m, k) array x0, and the step of a block (states).
+    """The one walk of a driver call: the matrices A(0), A(1), ... or,
+    backward, A(-1), A(-2), ... of its replications a block at a time
+    (blocks), its initial conditions as the (m, k) array x0, and the step
+    of a block (states).
+
+    A FiniteSupport picks a block's matrices from its stacked support by
+    their letters (_Letters); a generator draws them through its
+    sample_block(rng, n) or n sample_fn calls. blocks() writes the blocks
+    of R replications into one stack in the layout ``order``: the axes of
+    the (R, n, k, k) stack A[r, j] that it holds in turn, and A is
+    stack.transpose(axes). Forward that is the matrices transposed with the
+    replications last, as arrays._states steps on them; backward the
+    matrices as they are, for the steps on their transposes.
 
     Exact: the support and the initial conditions scaled once by L into
     integer arrays, float64 with -inf for eps while top * _reach(T) < 2**53
@@ -523,15 +398,19 @@ class _Walk:
 
     def __init__(self, D: MatrixDistribution, x0s: Sequence[Vector], steps: int,
                  when: Optional[str] = None, backward: bool = False):
+        self.dist, self.when, self.support, self.x0 = D, when, None, None
         self.dtype, self.eps, self.clamp, self.L, self.top = float, -math.inf, _no_clamp, None, 0
-        if D.backing == EXACT:
-            self.L, self.support, self.x0, self._eps, self._clamp = _operands(D.matrices, x0s, _reach(steps))
+        finite = isinstance(D, FiniteSupport)
+        if finite or x0s:
+            self.L, self.support, self.x0, self._eps, self._clamp = _operands(
+                D.matrices if finite else (), x0s, _reach(steps))
+        if self.L is not None:
             self.top = max(_top(a, a != self._eps) for a in (self.support, self.x0))
-        else:
-            self.support, self.x0 = None, _operands((), x0s, 1)[2] if x0s else None
+        self._letters = _Letters(D, None, backward) if finite else None
         self.signed = self.x0 is not None and _negative_zero(self.x0)
+        self.order = (1, 2, 3, 0) if backward else (1, 3, 2, 0)
+        self.axes = tuple(map(self.order.index, range(4)))
         self.fit(0)
-        self.stream = _FloatStream(D, None, when, backward, self.support)
 
     def _cast(self, a):
         if a is None or a.dtype == self.dtype:
@@ -547,11 +426,103 @@ class _Walk:
         return [self._cast(a) for a in arrays]
 
     def states(self, A: np.ndarray, X, t: int) -> np.ndarray:
-        """The states of the block A, a stack in the stream's layout, that
+        """The states of the block A, a stack in the layout of order, that
         follows step t, stepped from X (arrays._states)."""
         A, X = self.fit(t + len(A), A, X)
         self.signed = self.signed or _negative_zero(A)
         return _states(A, X, self.signed, self.clamp)
+
+    def groups(self, replications: int, total: int, first: int, per_step: int) -> list:
+        """The replication ranges of _group for blocks of _block_sizes(total,
+        first): exact, of at most _CHUNK matrices a block; float, of at most
+        _FLOAT_GROUP entries a block in the driver's largest array, which
+        takes per_step entries a step."""
+        cap = _CHUNK if self.L is not None else _FLOAT_GROUP // per_step
+        return _group(replications, total, first, cap)
+
+    def _sample(self, rng: np.random.Generator, n: int, position: int) -> np.ndarray:
+        """A generator's next at most n matrices from position on: fewer,
+        maybe none, only before a misshapen matrix."""
+        d, mats = self.dist, []
+        if d.sample_block is not None:
+            block = np.asarray(d.sample_block(rng, n), dtype=float)
+            if block.shape == (n, d.k, d.k):
+                return block
+        else:
+            for position in range(position, position + n):
+                A = d.sample_fn(rng, position)
+                if not isinstance(A, Matrix) or A.k != d.k or A.backing != FLOAT:
+                    break
+                mats.append(A)
+        return _operands(mats, (), 1)[1] if mats else np.empty((0, d.k, d.k))
+
+    def blocks(self, reps: range, seed: int, channel: int, total: int, first: int,
+               ended=lambda rep: False, letters: Optional[dict] = None):
+        """The blocks of the replications reps, replication rep on the random
+        stream (seed, rep, channel). For each block of _block_sizes(total,
+        first) it yields (live, keep, A, lengths, t): the replications that
+        step on, their indices into the live of the block before (into reps
+        at the first), their next n matrices as one stack in the layout of
+        order, each one's length, and the steps before the block.
+
+        Each replication's matrices are written once, into their place in
+        the stack. A block that stops short before a bad matrix, one of the
+        wrong shape or (when ``when`` names the caller) one with an all-eps
+        row, ends in zero matrices, whose steps the driver ignores; only
+        such a tail is filled. Unless ended(rep), replication rep has then
+        met its error. So each replication ends as it would alone, those
+        after the lowest failed one stop, and its error is raised once every
+        one before it has ended: a stack raises what running its
+        replications one after another would. letters maps replications to
+        lists that collect the letters of each of their blocks."""
+        D = self.dist
+        draws = {rep: _stream(seed, rep, channel) for rep in reps if not ended(rep)}
+        if self._letters is not None:
+            draws = {rep: self._letters.on(rng) for rep, rng in draws.items()}
+        live, errors, failed, t = list(reps), {}, {}, 0
+        sizes = _block_sizes(total, first)
+        while True:
+            failed.update((rep, errors[rep]) for rep in live if rep in errors and not ended(rep))
+            cut = min(failed, default=math.inf)
+            keep = [i for i, rep in enumerate(live) if not ended(rep) and rep < cut]
+            live = [live[i] for i in keep]
+            n = next(sizes, 0)
+            if not live or not n:
+                break
+            shape = (len(live), n, D.k, D.k)
+            stack = np.empty([shape[axis] for axis in self.order], self.dtype)
+            A, lengths = stack.transpose(self.axes), []  # A[r, j]: matrix j of live[r]
+            for a, rep in zip(A, live):
+                if self._letters is None:
+                    block = self._sample(draws[rep], n, t)
+                    if len(block) < n:
+                        errors[rep] = ContractViolation(
+                            f"generator {D.name!r} must produce float matrices of size {D.k}"
+                        )
+                else:
+                    drawn = draws[rep].draw(n)
+                    block = self.support[drawn]
+                    if rep in (letters or ()):
+                        letters[rep].append(drawn)
+                a[: len(block)] = block
+                a[len(block) :] = 0
+                lengths.append(len(block))
+            if self.when is not None and self._letters is None:
+                eps = A == -math.inf
+                if eps.any():  # else no row is all eps
+                    dead = eps.all(-1)  # [r, j, i]: row i of A[r, j]; no zero tail has one
+                    for i in np.flatnonzero(dead.any((1, 2))).tolist():
+                        j = int(dead[i].any(-1).argmax())
+                        errors[live[i]] = ContractViolation(
+                            f"{self.when}: matrix row {int(dead[i, j].argmax())} is all eps "
+                            "(every row needs a finite entry)"
+                        )
+                        lengths[i] = j
+                        A[i, j:] = 0
+            yield live, keep, stack, lengths, t
+            t += n
+        if failed:
+            raise failed[min(failed)]
 
 
 def _first(flags: list) -> Optional[int]:
@@ -569,22 +540,33 @@ def _condition_i_offender(D: FiniteSupport) -> Optional[tuple]:
     return None
 
 
-def _check_condition_i(D: FiniteSupport) -> None:
-    offending = _condition_i_offender(D)
-    if offending is not None:
-        idx, row = offending
+def _check_condition_i(D: MatrixDistribution) -> None:
+    """A ContractViolation at the first all-eps row of a finite support; a
+    generator's rows are checked as its walk draws them."""
+    if isinstance(D, FiniteSupport) and (offending := _condition_i_offender(D)):
         raise ContractViolation(
-            f"support matrix {idx} violates the row-finiteness condition at row {row}"
-        )
+            "support matrix {} violates the row-finiteness condition at row {}".format(*offending))
+
+
+def _check_start(D: MatrixDistribution, x0: Vector, what: str) -> None:
+    """The checks of an initial condition x0 that simulate and
+    lyapunov_estimate share, naming what, and then condition I."""
+    if len(x0) != D.k:
+        raise ContractViolation(f"{what}: x0 has length {len(x0)}, model has k={D.k}")
+    if x0.backing != D.backing:
+        raise ContractViolation(f"{what}: x0 backing does not match the distribution")
+    _check_condition_i(D)
 
 
 def sample_sequence(D: MatrixDistribution, seed: int, n: int, replication: int = 0) -> list:
     """The matrices A(0), ..., A(n-1) that any same-seeded run will see."""
-    if isinstance(D, FiniteSupport):
-        return [D.matrices[i] for i in _Letters(D, _stream(seed, replication, 0)).draw(n).tolist()]
-    blocks = _stacked(range(replication, replication + 1), _FloatStream(D, None, None), seed, 0, n, _CHUNK)
-    # a float stream's stack holds the transposes (_FloatStream.order)
-    return [_matrix_of(At.T) for _, _, block, _, _ in blocks for At in block[..., 0]]
+    walk, drawn = _Walk(D, (), n), {replication: []}
+    blocks = [A[..., 0] for _, _, A, _, _ in walk.blocks(
+        range(replication, replication + 1), seed, 0, n, _CHUNK, letters=drawn)]
+    if isinstance(D, FiniteSupport):  # its letters: an exact walk's support is scaled
+        return [D.matrices[i] for letters in drawn[replication] for i in letters.tolist()]
+    # a forward stack holds the transposes (_Walk.order)
+    return [_matrix_of(At.T) for block in blocks for At in block]
 
 
 # ---------------------------------------------------------------------------
@@ -643,12 +625,7 @@ def _track(D: MatrixDistribution, x0: Vector, horizon: int, seed: int, replicati
         raise ContractViolation("simulate: horizon must be >= 0 and thin >= 1")
     if not x0.is_finite():
         raise ContractViolation("simulate: initial condition must be finite")
-    if len(x0) != D.k:
-        raise ContractViolation(f"simulate: x0 has length {len(x0)}, model has k={D.k}")
-    if x0.backing != dist_backing(D):
-        raise ContractViolation("simulate: x0 backing does not match the distribution")
-    if isinstance(D, FiniteSupport):
-        _check_condition_i(D)
+    _check_start(D, x0, "simulate")
     times = [0] + [n for n in range(1, horizon + 1) if n % thin == 0 or n == horizon]
     # a float projective state steps too, from the canonical representative, which
     # keeps its rounding error independent of the state's growing magnitude
@@ -662,8 +639,8 @@ def _track(D: MatrixDistribution, x0: Vector, horizon: int, seed: int, replicati
         walk.clamp = project
     blocks = [walk.x0[None]]  # blocks[b][j] = the states after step j of block b: L x(n) if exact
     # a block that stops short before a bad matrix ends in padding, and the loop raises
-    for _, _, A, _, t in _stacked(range(replication, replication + 1), walk.stream, seed, 0, horizon,
-                                  _FIRST_CHUNK if exact else _CHUNK):
+    for _, _, A, _, t in walk.blocks(range(replication, replication + 1), seed, 0, horizon,
+                                     _FIRST_CHUNK if exact else _CHUNK):
         blocks.append(walk.states(A, blocks[-1][-1:], t)[0])
     if exact:
         # in exact arithmetic the projective state is x(n) minus its maximum
@@ -716,8 +693,12 @@ def lyapunov_estimate(
 
     The confidence interval is the 95% normal approximation across
     replications. Estimates are invariant to the finite initial condition
-    up to O(1/horizon); that is tested, not assumed. Replications step as
-    one stack (_growth); threads is accepted and has no effect.
+    up to O(1/horizon); that is tested, not assumed. The replications of
+    a group (_Walk.groups, whose largest array is the matrices) step as one
+    stack (_Walk.blocks), and each keeps the last state of each block
+    (arrays._states). A replication's steps do not depend on the others of
+    its group, so neither do its values; threads is accepted and has no
+    effect.
     """
     if horizon < 1:
         raise ContractViolation("lyapunov_estimate: horizon must be >= 1")
@@ -727,14 +708,20 @@ def lyapunov_estimate(
     if x0 is None:
         e = zero(backing)
         x0 = Vector((e,) * D.k, backing)
-
-    if len(x0) != D.k:
-        raise ContractViolation(f"lyapunov_estimate: x0 has length {len(x0)}, model has k={D.k}")
-    if x0.backing != backing:
-        raise ContractViolation("lyapunov_estimate: x0 backing does not match the distribution")
-    if isinstance(D, FiniteSupport):
-        _check_condition_i(D)
-    values = _growth(D, x0, horizon, replications, seed, channel)
+    _check_start(D, x0, "lyapunov_estimate")
+    walk = _Walk(D, (x0,), horizon, "lyapunov_estimate")
+    first = _FIRST_CHUNK if backing == EXACT else _CHUNK
+    values = []
+    for reps in walk.groups(replications, horizon, first, D.k * D.k):
+        x = np.tile(walk.x0, (len(reps), 1))
+        for _, keep, A, _, t in walk.blocks(reps, seed, channel, horizon, first):
+            x = walk.states(A, x[keep, None], t)[:, -1, 0]
+        if (x == walk.eps).any():
+            raise ContractViolation("lyapunov_estimate: the state at the horizon has eps coordinates")
+        if backing == EXACT:
+            values += [Fraction(int(v), walk.L * horizon) for v in x.max(-1).tolist()]
+        else:
+            values += (_max_last(x, walk.signed) / horizon).tolist()
     point = sum(values, Fraction(0)) / len(values)  # a float for float values
     fvals = [float(v) for v in values]
     mean = sum(fvals) / len(fvals)
@@ -758,7 +745,8 @@ def _group(replications: int, total: int, first: int = _FIRST_CHUNK, cap: int = 
     """Replication ranges stepped as one stack: at most cap matrices per
     block of a group, for blocks of _block_sizes(total, first), so a
     temporary of the states holds O(cap m k^2) entries however many
-    replications run."""
+    replications run. A driver's walk picks cap for its backing
+    (_Walk.groups)."""
     largest = max(itertools.islice(_block_sizes(total, first), 8), default=1)
     size = max(1, cap // largest)
     return [range(lo, min(lo + size, replications)) for lo in range(0, replications, size)]
@@ -770,32 +758,6 @@ def _group(replications: int, total: int, first: int = _FIRST_CHUNK, cap: int = 
 # columns of the products for the backward scheme. So a few replications
 # of blocks of 1024 matrices of k <= 8 stay one group.
 _FLOAT_GROUP = 2**21
-
-
-def _growth(D, x0, horizon, replications, seed, channel) -> list:
-    """max_i x_i(horizon) / horizon per replication, x the last state of
-    each block (arrays._states), the replications of a group stepped as one
-    stack (_stacked): exact ones in groups of _group, float ones of at most
-    _FLOAT_GROUP entries a block. A replication's steps do not depend on the
-    others of its group, so neither do its values."""
-    walk = _Walk(D, (x0,), horizon, "lyapunov_estimate")
-    if D.backing == EXACT:
-        groups, first = _group(replications, horizon), _FIRST_CHUNK
-    else:
-        first = _CHUNK
-        groups = _group(replications, horizon, first, _FLOAT_GROUP // (D.k * D.k))
-    values = []
-    for reps in groups:
-        x = np.tile(walk.x0, (len(reps), 1))
-        for _, keep, A, _, t in _stacked(reps, walk.stream, seed, channel, horizon, first):
-            x = walk.states(A, x[keep, None], t)[:, -1, 0]
-        if (x == walk.eps).any():
-            raise ContractViolation("lyapunov_estimate: the state at the horizon has eps coordinates")
-        if D.backing == EXACT:
-            values += [Fraction(int(v), walk.L * horizon) for v in x.max(-1).tolist()]
-        else:
-            values += (_max_last(x, walk.signed) / horizon).tolist()
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -863,14 +825,13 @@ def forward_coupling(
     eta coupling only. Replications are independent and reported in order;
     threads is accepted and has no effect.
 
-    The replications of a group step as one stack (_stacked), their states
-    formed a block at a time (arrays._states), and every step of a block is
-    tested at once: the largest pairwise distance of the states against eta
-    (and 0, the merge), and the rank-one test of the running product for
-    the window. Exact: groups of _group, and the k unit vectors step with
-    the initial conditions, so the last k rows of a state are the transpose
-    of the running product A(t) ... A(0). Float: groups of at most
-    _FLOAT_GROUP entries a block, eta only."""
+    The replications of a group (_Walk.groups) step as one stack
+    (_Walk.blocks), their states formed a block at a time (arrays._states),
+    and every step of a block is tested at once: the largest pairwise
+    distance of the states against eta (and 0, the merge), and the rank-one
+    test of the running product for the window. Exact: the k unit vectors
+    step with the initial conditions, so the last k rows of a state are the
+    transpose of the running product A(t) ... A(0). Float: eta only."""
     x0s = tuple(initial_conditions)
     if len(x0s) < 2:
         raise ContractViolation("forward_coupling: need at least two initial conditions")
@@ -880,8 +841,7 @@ def forward_coupling(
             raise ContractViolation("forward_coupling: initial conditions must be finite, length k")
         if x.backing != backing:
             raise ContractViolation("forward_coupling: initial condition backing mismatch")
-    if isinstance(D, FiniteSupport):
-        _check_condition_i(D)
+    _check_condition_i(D)
     if eta is None or not eta >= 0:
         raise ContractViolation("forward_coupling: eta must be >= 0")
     if eta == math.inf:
@@ -894,15 +854,8 @@ def forward_coupling(
     # exact: the unit vectors step too, as the transposed running products
     units = tuple(Vector(row, EXACT) for row in Matrix.identity(D.k).rows) if exact else ()
     walk = _Walk(D, x0s + units, horizon, "forward_coupling")
-    if exact:
-        cap = walk.top * _reach(horizon)  # above every distance
-        bound = min(math.floor(Fraction(eta) * walk.L), cap)
-        groups = _group(replications, horizon)
-    else:
-        bound = eta
-        # the matrices, k^2 entries a step, and the pair distances, m^2 k
-        per_step = D.k * max(D.k, m**2)
-        groups = _group(replications, horizon, _FIRST_CHUNK, _FLOAT_GROUP // per_step)
+    # exact: eta times L, capped above every distance
+    bound = min(math.floor(Fraction(eta) * walk.L), walk.top * _reach(horizon)) if exact else eta
 
     def near(d):
         # d <= eta; float64 holds the integer distances below 2**53
@@ -917,9 +870,10 @@ def forward_coupling(
     found = {rep: [0 if exact and d0[0] == 0 else None, 0 if near(d0)[0] else None, None]
              for rep in range(replications)}
     seen = {rep: [] for rep in found if exact}
-    for reps in groups:
-        for live, keep, A, lengths, t in _stacked(reps, walk.stream, seed, 0, horizon, _FIRST_CHUNK,
-                                                  ended, seen):
+    # the largest arrays: the matrices, k^2 entries a step, and the pair distances, m^2 k
+    for reps in walk.groups(replications, horizon, _FIRST_CHUNK, D.k * max(D.k, m**2)):
+        for live, keep, A, lengths, t in walk.blocks(reps, seed, 0, horizon, _FIRST_CHUNK,
+                                                     ended, seen):
             S = walk.states(A, np.tile(walk.x0, (len(live), 1, 1)) if t == 0 else S[keep, -1], t)
             open_ = [i for i, rep in enumerate(live) if exact and found[rep][2] is None]
             rank_one = {}
@@ -1007,12 +961,11 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
     """backward_loynes for each of the replications, in order.
 
     The products P(1..n) of a block are tested at once, and the
-    replications of a group step as one (R, k, k) stack of products
-    (_stacked): each leaves it when it converges or runs out of budget. The
-    products P A(1) ... A(j) are the states of the transposed matrices
-    (arrays._states). Exact: groups of _group, and tolerance 0 is the
-    rank-one test of their normal forms. Float: groups of at most
-    _FLOAT_GROUP entries a block."""
+    replications of a group (_Walk.groups) step as one (R, k, k) stack of
+    products (_Walk.blocks): each leaves it when it converges or runs out
+    of budget. The products P A(1) ... A(j) are the states of the
+    transposed matrices (arrays._states). Exact: tolerance 0 is the
+    rank-one test of their normal forms."""
     backing = dist_backing(D)
     if isinstance(tolerance, float) and not math.isfinite(tolerance):
         raise ContractViolation(f"backward_loynes: tolerance must be finite, got {tolerance}")
@@ -1027,15 +980,12 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
         )
     if budget < 0 or trace_every < 0:
         raise ContractViolation("backward_loynes: budget and trace_every must be >= 0")
-    if isinstance(D, FiniteSupport):
-        _check_condition_i(D)
+    _check_condition_i(D)
     walk = _Walk(D, (), budget, "backward_loynes", backward=True)
     if backing == FLOAT:
-        # the pair distances behind the diameters take k^3 entries a step
-        groups = _group(len(replications), budget, _FIRST_CHUNK, _FLOAT_GROUP // D.k**3)
         bound, unscaled, ratio = tol, float, float
     else:
-        groups, bound = _group(len(replications), budget), Fraction(tol) * walk.L
+        bound = Fraction(tol) * walk.L
 
         def unscaled(d):
             # what proj_diameter gives on the unscaled product: 0 and inf as they are
@@ -1050,10 +1000,11 @@ def _loynes(D: MatrixDistribution, tolerance, budget: int, seed: int, replicatio
         return ProjVector(_scalars(col - _max_last(col, walk.signed), walk.eps, walk.L), backing)
 
     traces, lasts, ended = {rep: [] for rep in replications}, dict.fromkeys(replications, math.inf), {}
-    for group in groups:
+    # the largest float arrays: the pair distances behind the diameters, k^3 entries a step
+    for group in walk.groups(len(replications), budget, _FIRST_CHUNK, D.k**3):
         reps = replications[group.start : group.stop]
-        for live, keep, A, lengths, t in _stacked(reps, walk.stream, seed, 1, budget, _FIRST_CHUNK,
-                                                  ended.__contains__):
+        for live, keep, A, lengths, t in walk.blocks(reps, seed, 1, budget, _FIRST_CHUNK,
+                                                     ended.__contains__):
             # the stack holds the matrices, which are the transposes of the
             # transposes; the diameters read the products faster in C order
             Ps = np.ascontiguousarray(walk.states(A, None if t == 0 else Ps[keep, -1], t))
@@ -1293,23 +1244,21 @@ def pattern_search(D: FiniteSupport, max_len: int = 16, budget: int = 200000) ->
 
     def visit(level, new, word):
         # one predicate call per level, on the new states ahead of the
-        # first rank-one one while no weak word is known, and on the hit,
-        # whose class it gives
+        # first rank-one one while no weak word is known. A rank-one hit,
+        # entries u_i + v_j, is irreducible iff it has no eps entry, and then
+        # its critical graph is complete with loops on the argmax of
+        # u_i + v_i: scs1cyc1
         Q, shift = level
         hit = _first(_rank_one_flags(Q[new], clamp))
         ahead = [] if "weak" in found else new[:hit]
-        tested = ahead + ([] if hit is None else [new[hit]])
-        if not tested:
-            return hit
-        flags = _scs1cyc1_flags(Q[tested], eps)
-        weak = _first(flags[: len(ahead)])
+        weak = _first(_scs1cyc1_flags(Q[ahead], eps)) if ahead else None
         if weak is not None:
             i = ahead[weak]
             found["weak"] = word(i), Q[i], shift[i]
         if hit is not None:
             i = new[hit]
             found["hit"] = word(i), Q[i], shift[i]
-            found["class"] = "rank-one+scs1cyc1" if flags[-1] else "rank-one"
+            found["class"] = "rank-one" if (Q[i] == eps).any() else "rank-one+scs1cyc1"
         return hit
 
     _, saturated, explored = _word_bfs(
@@ -1494,21 +1443,20 @@ def stability_verdict(D: MatrixDistribution, options: Optional[StabilityOptions]
     Monte-Carlo backward-diameter evidence at the eta threshold.
     """
     opt = options or StabilityOptions()
-    if not 0 <= opt.mc_threshold <= 1:
-        raise ContractViolation("stability_verdict: mc_threshold must be in [0, 1]")
-    if opt.mc_seeds < 1:
-        raise ContractViolation(f"stability_verdict: mc_seeds must be >= 1, got {opt.mc_seeds}")
-    if opt.mc_budget < 0:
-        raise ContractViolation(f"stability_verdict: mc_budget must be >= 0, got {opt.mc_budget}")
-    if opt.seed < 0:
-        raise ContractViolation(f"stability_verdict: seed must be >= 0, got {opt.seed}")
-    if not 0 <= opt.eta < math.inf:
-        raise ContractViolation(f"stability_verdict: eta must be finite and >= 0, got {opt.eta}")
-    if opt.eta == 0:  # the Monte-Carlo evidence is a float backward run to tolerance eta
-        raise ContractViolation(f"stability_verdict: eta must be > 0, got {opt.eta}")
-    notes = []
-    conditions = None
-    pattern = None
+    for ok, message in (  # in the order they are checked, before any search or run
+        (0 <= opt.mc_threshold <= 1, "mc_threshold must be in [0, 1]"),
+        (opt.mc_seeds >= 1, f"mc_seeds must be >= 1, got {opt.mc_seeds}"),
+        (opt.mc_budget >= 0, f"mc_budget must be >= 0, got {opt.mc_budget}"),
+        (opt.seed >= 0, f"seed must be >= 0, got {opt.seed}"),
+        (0 <= opt.eta < math.inf, f"eta must be finite and >= 0, got {opt.eta}"),
+        # the Monte-Carlo evidence is a float backward run to tolerance eta
+        (opt.eta != 0, f"eta must be > 0, got {opt.eta}"),
+        (opt.max_len >= 1, f"max_len must be >= 1, got {opt.max_len}"),
+        (opt.search_budget >= 0, f"search_budget must be >= 0, got {opt.search_budget}"),
+    ):
+        if not ok:
+            raise ContractViolation(f"stability_verdict: {message}")
+    notes, conditions, pattern = [], None, None
     if isinstance(D, FiniteSupport):
         _check_condition_i(D)
         conditions = structural_conditions(D)

@@ -14,6 +14,7 @@ predicate as they are, to ``reference_stochastic``.
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,7 @@ import reference_stochastic
 from conftest import brute_max_cycle_mean, level_flags
 from reference_kernel import scale_to_integers
 
-from maxplus import semiring, spectral, stochastic
+from maxplus import arrays, semiring, spectral, stochastic
 from maxplus.graphs import is_irreducible
 from maxplus.models import cjn_matrix
 from maxplus.semiring import EPS, EXACT, BudgetExceeded, Matrix
@@ -36,7 +37,7 @@ from maxplus.spectral import (
     is_scs1cyc1,
     normalize,
 )
-from maxplus.stochastic import FiniteSupport, pattern_search
+from maxplus.stochastic import FiniteSupport, distribution_from_json, pattern_search
 
 
 def M(rows):
@@ -258,6 +259,50 @@ def test_pattern_visit_builds_no_matrix(monkeypatch):
     assert sum(tested) == got.states_explored
     assert records and built == []
     assert same_json(got, reference_stochastic.pattern_search(tie_support(), 16, 200000))
+
+
+def test_plain_rank_one_hit(monkeypatch):
+    """[[0, eps], [1, eps]] is rank-one with an eps column, so reducible: the
+    search stops at the word (1,) with the class "rank-one", and the other
+    letter, irreducible with a critical circuit of cyclicity 2, is no weak
+    word. The hit itself goes through no level predicate."""
+    tested, _, _ = spy_visits(monkeypatch)
+    D = FiniteSupport.make([M([[0, 1], [2, 0]]), M([[0, EPS], [1, EPS]])], ["1/2", "1/2"])
+    got = pattern_search(D)
+    assert (got.word, got.classification, got.scs1cyc1_word) == ((1,), "rank-one", None)
+    assert tested == [1]
+    assert same_json(got, reference_stochastic.pattern_search(D, 16, 200000))
+
+
+def test_ring_search_makes_one_predicate_call(monkeypatch):
+    """The golden ring model: the level-1 states go through the level
+    predicate at once, and the level that holds the rank-one hit, with no
+    new state ahead of it, makes no call."""
+    tested, _, _ = spy_visits(monkeypatch)
+    path = Path(__file__).parent / "golden" / "inputs" / "ring.dist.json"
+    D = distribution_from_json(json.loads(path.read_text()))
+    got = pattern_search(D)
+    assert got.found and got.classification == "rank-one+scs1cyc1"
+    assert tested == [4]
+    assert same_json(got, reference_stochastic.pattern_search(D, 16, 200000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(1, 7), st.booleans())
+def test_a_rank_one_state_is_scs1cyc1_iff_it_has_no_eps_entry(data, k, on_object):
+    """The normal form of u + v^T (entry (i, j) is u_i + v_j) is irreducible
+    iff it has no eps entry, and then its critical graph is complete with
+    loops on the argmax of u_i + v_i: one SCC of cyclicity one. So
+    pattern_search reads the class of its rank-one hit from its eps
+    entries. On float64 and on object arrays."""
+    vectors = st.lists(st.one_of(st.none(), st.integers(-9, 9)), min_size=k, max_size=k).filter(
+        lambda x: x != [None] * k)  # a normal form has a finite entry
+    u, v = data.draw(vectors), data.draw(vectors)
+    eps, dtype, clamp = arrays._guard(20, 2**60 if on_object else 1)
+    Q = np.array([[eps if a is None or b is None else a + b for b in v] for a in u], dtype)
+    Q = arrays._normal(Q[None], clamp)[0]
+    assert arrays._rank_one_flags(Q, clamp) == [True]
+    assert spectral._scs1cyc1_flags(Q, eps) == [None not in u + v]
 
 
 def test_search_records_leave_float64_when_they_must(monkeypatch):

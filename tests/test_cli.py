@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -486,6 +487,32 @@ class TestNegativeCounts:
         assert cli.main(argv + ["--dist", ring_dist]) == 3
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "contract"
 
+    @pytest.mark.parametrize("dist", ["ring.dist.json", "ringf.dist.json", "uniform.dist.json"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-len", "0"], "stability_verdict: max_len must be >= 1, got 0"),
+            (["--search-budget", "-5"], "stability_verdict: search_budget must be >= 0, got -5"),
+        ],
+    )
+    def test_stability_search_limits_are_checked_first(self, monkeypatch, capsys, dist, argv,
+                                                       message):
+        """stability checks its search limits with its other options, before
+        any search or run: on the exact model, whose search would use them,
+        and on the float support and the generator, which fall back to the
+        Monte-Carlo evidence without a search."""
+        from maxplus import cli, stochastic
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a search or run started")
+
+        monkeypatch.setattr(stochastic, "structural_conditions", no_run)
+        monkeypatch.setattr(stochastic._Walk, "blocks", no_run)
+        path = Path(__file__).parent / "golden" / "inputs" / dist
+        assert cli.main(["stability", "--dist", str(path), "--seed", "1", *argv]) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "contract", "message": message}
+
     @pytest.mark.parametrize(
         "argv",
         [["power", "--max-power", "-3"], ["spectral", "--transient", "--max-power", "-1"],
@@ -557,7 +584,7 @@ class TestThresholds:
         def no_run(*args, **kwargs):
             raise AssertionError("a run started")
 
-        monkeypatch.setattr(stochastic, "_stacked", no_run)
+        monkeypatch.setattr(stochastic._Walk, "blocks", no_run)
         if argv[0] == "couple":
             argv = argv + ["--x0", x0_files[0], "--x0", x0_files[1], "--horizon", "5"]
         assert cli.main(argv + ["--dist", cjn_uniform, "--seed", "1"]) == 3
@@ -583,7 +610,7 @@ class TestThresholds:
         def no_run(*args, **kwargs):
             raise AssertionError("a run started")
 
-        monkeypatch.setattr(stochastic, "_stacked", no_run)
+        monkeypatch.setattr(stochastic._Walk, "blocks", no_run)
         assert cli.main(["stability", "--dist", ring_dist, "--seed", "1"]) == 0
         capsys.readouterr()
         assert cli.main(["stability", "--dist", ring_dist, "--seed", "1", *argv]) == 3
@@ -601,7 +628,7 @@ class TestThresholds:
         def no_run(*args, **kwargs):
             raise AssertionError("a run started")
 
-        monkeypatch.setattr(stochastic, "_stacked", no_run)
+        monkeypatch.setattr(stochastic._Walk, "blocks", no_run)
         argv = ["stability", "--dist", request.getfixturevalue(model), "--seed", "1",
                 "--mc-seeds", "2", "--mc-budget", "3"]
         assert cli.main(argv + ["--eta", "0"]) == 3

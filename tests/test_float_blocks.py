@@ -1,7 +1,7 @@
 """Each float block is written once, into the layout its steps read.
 
-``stochastic._stacked`` writes the blocks of a stack of replications into
-one array laid out as their stream says (``_FloatStream.order``): the float
+``stochastic._Walk.blocks`` writes the blocks of a stack of replications
+into one array laid out as their walk says (``_Walk.order``): the float
 drivers step on it in place, only the tail of a block cut short is filled,
 and the -0.0 and all-eps row tests read it without a copy.
 """
@@ -87,16 +87,16 @@ def test_padded_steps_are_never_read(monkeypatch):
     models += [_dying(1 / 8, 4)]
     want = [_runs(D) for D in models]
 
-    stacked, padded = stochastic._stacked, []
+    blocks, padded = stochastic._Walk.blocks, []
 
-    def nan_tails(reps, stream, *args, **kwargs):
-        for live, keep, A, lengths, t in stacked(reps, stream, *args, **kwargs):
-            for a, b in zip(A.transpose(stream.axes), lengths):
+    def nan_tails(walk, *args, **kwargs):
+        for live, keep, A, lengths, t in blocks(walk, *args, **kwargs):
+            for a, b in zip(A.transpose(walk.axes), lengths):
                 a[b:] = math.nan
                 padded.append(len(a) - b)
             yield live, keep, A, lengths, t
 
-    monkeypatch.setattr(stochastic, "_stacked", nan_tails)
+    monkeypatch.setattr(stochastic._Walk, "blocks", nan_tails)
     got = [_runs(D) for D in models]
     assert sum(padded) > 0
     assert got == want
@@ -106,13 +106,13 @@ def test_padded_steps_are_never_read(monkeypatch):
 
 
 def test_float_steps_read_the_stack_in_place(monkeypatch):
-    """Every float step reads the array that _stacked filled: no driver
+    """Every float step reads the array that _Walk.blocks filled: no driver
     copies a block into another layout."""
     stacks, steps = [], []
-    stacked, step = stochastic._stacked, arrays._lead_step
+    blocks, step = stochastic._Walk.blocks, arrays._lead_step
 
-    def recording_stacked(*args, **kwargs):
-        for item in stacked(*args, **kwargs):
+    def recording_blocks(*args, **kwargs):
+        for item in blocks(*args, **kwargs):
             stacks.append(item[2])
             yield item
 
@@ -120,7 +120,7 @@ def test_float_steps_read_the_stack_in_place(monkeypatch):
         steps.append(A)
         return step(A, X, signed, out)
 
-    monkeypatch.setattr(stochastic, "_stacked", recording_stacked)
+    monkeypatch.setattr(stochastic._Walk, "blocks", recording_blocks)
     monkeypatch.setattr(arrays, "_lead_step", recording_step)  # every driver steps in arrays._states
     D = shared_uniform_diagonal(3, 0.1, 1.2)
     x0s = [_x0(3), Vector((1.0, 0.0, 3.0), FLOAT)]
